@@ -3,13 +3,14 @@
 Not a figure from the paper — this measures the online-serving scenario the
 ROADMAP's north star asks for.  A Zipf-skewed request stream (hot queries
 repeat, mirroring real traffic) is replayed by closed-loop client threads
-against :class:`QueryService` while sweeping the worker count, once with
-the serving optimisations (result cache + in-flight deduplication) off and
-once with them on.
+against :class:`QueryService`, once with the result cache off and once
+with it on.  Every request runs on the client thread that made it, and
+identical in-flight requests coalesce in both arms, so the arms differ
+only by the result cache.
 
-Expected shape: the optimised configuration reports a high hit rate and a
-much lower median request latency, because the hot head of the Zipf
-distribution is served from memory instead of recomputed.
+Expected shape: the cached arm reports a high hit rate and a much lower
+median request latency, because the hot head of the Zipf distribution is
+served from memory instead of recomputed.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from repro.workload.distributions import ZipfSampler
 
 from conftest import BENCH_SEED, make_engine, make_workload, write_result
 
-WORKER_COUNTS = [1, 2, 4]
 CLIENT_THREADS = 8
 NUM_REQUESTS = 200
 POOL_SIZE = 24
@@ -41,13 +41,11 @@ def make_request_stream(dataset, num_requests=NUM_REQUESTS, pool_size=POOL_SIZE,
     return [pool[index] for index in sampler.sample_many(num_requests)]
 
 
-def serve_stream(dataset, stream, workers, optimised):
+def serve_stream(dataset, stream, cached):
     """Replay ``stream`` with closed-loop clients; return one result row."""
     engine = make_engine(dataset)
-    config = ServiceConfig(workers=workers,
-                           cache_capacity=1024 if optimised else 0,
-                           cache_ttl_seconds=0.0,
-                           deduplicate=optimised)
+    config = ServiceConfig(cache_capacity=1024 if cached else 0,
+                           cache_ttl_seconds=0.0)
     with QueryService(engine, config) as service:
         started = time.perf_counter()
         with ThreadPoolExecutor(max_workers=CLIENT_THREADS) as clients:
@@ -56,8 +54,7 @@ def serve_stream(dataset, stream, workers, optimised):
         latencies = [result.latency_seconds for result in served]
         snapshot = service.metrics.to_dict()
         return {
-            "workers": workers,
-            "serving_opts": "on" if optimised else "off",
+            "result_cache": "on" if cached else "off",
             "throughput_qps": len(stream) / elapsed,
             "p50_ms": percentile(latencies, 0.50) * 1000.0,
             "p99_ms": percentile(latencies, 0.99) * 1000.0,
@@ -68,38 +65,32 @@ def serve_stream(dataset, stream, workers, optimised):
 
 
 def test_fig10_serving_throughput(benchmark, delicious_dataset):
-    """Sweep workers x serving optimisations under a Zipf-skewed stream."""
+    """Result cache off vs on under a Zipf-skewed stream."""
     stream = make_request_stream(delicious_dataset)
 
     def run():
-        rows = []
-        for workers in WORKER_COUNTS:
-            for optimised in (False, True):
-                rows.append(serve_stream(delicious_dataset, stream, workers,
-                                         optimised))
-        return rows
+        return [serve_stream(delicious_dataset, stream, cached)
+                for cached in (False, True)]
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     table = format_table(
         rows,
-        columns=["workers", "serving_opts", "throughput_qps", "p50_ms",
-                 "p99_ms", "hit_rate", "coalesced", "computed"],
+        columns=["result_cache", "throughput_qps", "p50_ms", "p99_ms",
+                 "hit_rate", "coalesced", "computed"],
         title=(f"Figure 10 — served-query throughput and request latency "
                f"(Zipf {ZIPF_EXPONENT} stream, {NUM_REQUESTS} requests over "
                f"{POOL_SIZE} distinct queries, {CLIENT_THREADS} clients)"),
     )
     write_result("fig10_serving", table)
 
-    by_key = {(row["workers"], row["serving_opts"]): row for row in rows}
-    for workers in WORKER_COUNTS:
-        optimised = by_key[(workers, "on")]
-        baseline = by_key[(workers, "off")]
-        # The warmed cache must serve the hot head of the Zipf stream...
-        assert optimised["hit_rate"] > 0.3
-        # ...and repeat requests must not recompute: at most one computation
-        # per distinct query in the pool (dedup absorbs concurrent repeats).
-        assert optimised["computed"] <= POOL_SIZE
-        # The baseline recomputes every request.
-        assert baseline["computed"] == NUM_REQUESTS
-        # Serving optimisations must not hurt throughput.
-        assert optimised["throughput_qps"] >= 0.8 * baseline["throughput_qps"]
+    uncached, cached = rows
+    # The warmed cache must serve the hot head of the Zipf stream...
+    assert cached["hit_rate"] > 0.3
+    # ...and repeat requests must not recompute: at most one computation
+    # per distinct query in the pool (coalescing absorbs concurrent repeats).
+    assert cached["computed"] <= POOL_SIZE
+    # Without the cache every request is computed or joins one in flight.
+    assert uncached["hit_rate"] == 0.0
+    assert uncached["computed"] + uncached["coalesced"] == NUM_REQUESTS
+    # The result cache must not hurt throughput.
+    assert cached["throughput_qps"] >= 0.8 * uncached["throughput_qps"]

@@ -537,7 +537,6 @@ def _command_serve(args: argparse.Namespace) -> int:
                 # semantics; refine lazily with the engine's measure instead.
                 print(f"not attaching arena shards: {exc}")
     config = ServiceConfig(
-        workers=args.workers,
         cache_capacity=args.cache_capacity,
         cache_ttl_seconds=args.ttl,
         compact_threshold=args.compact_threshold,
@@ -1008,8 +1007,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080,
                        help="bind port (0 picks an ephemeral port)")
-    serve.add_argument("--workers", type=int, default=4,
-                       help="query executor threads (default: 4)")
     serve.add_argument("--cache-capacity", type=int, default=1024,
                        help="result cache entries, 0 disables (default: 1024)")
     serve.add_argument("--ttl", type=float, default=300.0,
@@ -1017,7 +1014,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--compact-threshold", type=int, default=2048,
                        metavar="N",
                        help="fold live-update delta overlays back into "
-                            "fresh index arrays on a background worker "
+                            "fresh index arrays on a background thread "
                             "once N delta actions are pending (0 disables "
                             "background compaction; default: 2048)")
     serve.add_argument("--warmup", type=int, default=0, metavar="N",

@@ -203,8 +203,6 @@ class ServiceConfig:
 
     Attributes
     ----------
-    workers:
-        Number of threads in the query executor pool.
     cache_capacity:
         Maximum number of query results kept in the service's LRU cache
         (0 disables result caching entirely).
@@ -212,9 +210,6 @@ class ServiceConfig:
         Time-to-live of a cached result; 0 means entries never expire on
         their own (they are still evicted by LRU pressure and update-driven
         invalidation).
-    deduplicate:
-        Whether identical in-flight requests ``(seeker, tags, k, algorithm)``
-        coalesce onto one computation instead of each occupying a worker.
     invalidation_horizon:
         Hop radius around a user touched by a friendship update within which
         cached results and proximity vectors are considered stale.  0 means
@@ -222,7 +217,7 @@ class ServiceConfig:
     compact_threshold:
         Once a watched updater's delta overlays (live updates accumulated on
         top of frozen arena arrays) hold at least this many actions, the
-        service folds them into fresh arrays on a background worker.
+        service folds them into fresh arrays on a background thread.
         0 disables background compaction (deltas then grow until
         :meth:`~repro.storage.updates.DatasetUpdater.compact` is called
         explicitly).
@@ -231,17 +226,14 @@ class ServiceConfig:
         for an ephemeral port.
     """
 
-    workers: int = 4
     cache_capacity: int = 1024
     cache_ttl_seconds: float = 300.0
-    deduplicate: bool = True
     invalidation_horizon: int = 0
     compact_threshold: int = 0
     host: str = "127.0.0.1"
     port: int = 8080
 
     def __post_init__(self) -> None:
-        _require(self.workers >= 1, f"workers must be >= 1, got {self.workers}")
         _require(self.cache_capacity >= 0,
                  f"cache_capacity must be non-negative, got {self.cache_capacity}")
         _require(self.cache_ttl_seconds >= 0.0,

@@ -107,7 +107,7 @@ class SocialSearchEngine:
         self._planner = QueryPlanner(self)
         self._algorithms: Dict[str, TopKAlgorithm] = {}  # guarded-by: _algorithms_lock
         # Algorithm instances are stateless per search, so they are shared
-        # across the service's worker threads; only their lazy creation
+        # across the threads serving requests; only their lazy creation
         # needs serialising.
         self._algorithms_lock = threading.Lock()
 
@@ -248,27 +248,9 @@ class SocialSearchEngine:
         return self._planner.plan(query, algorithm=algorithm, preview=True)
 
     def run_many(self, queries: Iterable[Query],
-                 algorithm: Optional[str] = None, parallel: bool = False,
-                 workers: Optional[int] = None) -> List[QueryResult]:
-        """Run a batch of queries and return the individual results.
-
-        With ``parallel=False`` (the default, kept for bit-for-bit
-        reproducibility of the experiments) queries run sequentially on the
-        calling thread.  With ``parallel=True`` the batch is dispatched
-        through a transient :class:`repro.service.QueryService` executor with
-        ``workers`` threads; caching and deduplication are disabled so the
-        two paths perform exactly the same computations.
-        """
-        if not parallel:
-            return [self.run(query, algorithm=algorithm) for query in queries]
-        # Imported lazily: repro.service depends on this module.
-        from ..config import ServiceConfig
-        from ..service import QueryService
-
-        config = ServiceConfig(workers=workers or 4, cache_capacity=0,
-                               cache_ttl_seconds=0.0, deduplicate=False)
-        with QueryService(self, config) as service:
-            return service.run_many(queries, algorithm=algorithm)
+                 algorithm: Optional[str] = None) -> List[QueryResult]:
+        """Run queries one after another on the calling thread."""
+        return [self.run(query, algorithm=algorithm) for query in queries]
 
     def run_batch(self, queries: Iterable[Query],
                   algorithm: Optional[str] = None) -> List[QueryResult]:

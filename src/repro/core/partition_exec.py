@@ -7,8 +7,8 @@ bound cannot reach the k-th best provable lower bound loses wholesale and
 is never scanned.  That is exactly the pruning a scatter-gather layer
 needs: queries fan out over :class:`~repro.storage.partitioned.CorpusPartitions`
 item shards, low-bound shards are skipped, surviving shards run their
-block scan (optionally on a worker pool), and the partial top-ks merge
-into one ranking.
+block scan on the calling thread, and the partial top-ks merge into one
+ranking.
 
 The executor is a *serving* component, so everything that depends only on
 the tag combination — the candidate block, per-tag position maps, the
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -79,8 +78,6 @@ class PartitionExecStatistics:
     candidates_pruned: int = 0
     #: Individual candidates whose exact score was actually computed.
     candidates_scanned: int = 0
-    #: Searches whose surviving shards ran on the worker pool.
-    parallel_searches: int = 0
     #: Searches that carried a per-query budget (the anytime path).
     anytime_searches: int = 0
     #: Budgeted searches that actually stopped before exhausting their
@@ -96,7 +93,6 @@ class PartitionExecStatistics:
             "partitions_pruned": self.partitions_pruned,
             "candidates_pruned": self.candidates_pruned,
             "candidates_scanned": self.candidates_scanned,
-            "parallel_searches": self.parallel_searches,
             "anytime_searches": self.anytime_searches,
             "budget_stops": self.budget_stops,
             "partitions_skipped_budget": self.partitions_skipped_budget,
@@ -208,10 +204,6 @@ class PartitionedExecutor:
         memoisation behaves like any other algorithm instance's.
     partitions:
         The corpus layout queries scatter over.
-    workers:
-        Worker threads for the scatter phase; defaults to
-        ``min(num_partitions, cpu count)``.  1 forces inline (sequential)
-        scans, which also enables the fully progressive threshold.
     label:
         Algorithm label stamped on unbudgeted results.  ``"exact"`` for the
         standard executor; the engine's landmark-sketch executor passes
@@ -220,17 +212,9 @@ class PartitionedExecutor:
         under-estimates change scores, not just scan order.
     """
 
-    #: Total surviving candidates below which the scatter runs inline: a
-    #: thread dispatch costs more than a micro-scan, so the pool only pays
-    #: off on big blocks (and only on multi-core hosts).
-    PARALLEL_MIN_CANDIDATES = 4096
-
     def __init__(self, dataset: Dataset, proximity: ProximityMeasure,
                  config: EngineConfig, partitions: CorpusPartitions,
-                 workers: Optional[int] = None,
                  label: str = "exact") -> None:
-        import os
-
         self._dataset = dataset
         self._proximity = proximity
         self._config = config
@@ -238,10 +222,6 @@ class PartitionedExecutor:
         self._label = label
         self._approximate = label != "exact"
         self._scoring = ScoringModel(dataset, proximity, config.scoring)
-        if workers is None:
-            workers = min(partitions.num_partitions, os.cpu_count() or 1)
-        self._workers = max(1, int(workers))
-        self._pool: Optional[ThreadPoolExecutor] = None  # guarded-by: _lock
         self._lock = threading.Lock()
         # Tag-set contexts keyed like ScoringModel's candidate cache: the
         # endorser index object plus its delta version.
@@ -273,7 +253,6 @@ class PartitionedExecutor:
     def to_dict(self) -> Dict[str, object]:
         """Stats-endpoint view: layout plus serving counters."""
         return dict(self._partitions.to_dict(),
-                    workers=self._workers,
                     label=self._label,
                     **self.statistics.to_dict())
 
@@ -572,12 +551,10 @@ class PartitionedExecutor:
         make_span = tracer.span if tracer is not None else _no_span
         with make_span("executor.search",
                        partitions=self.num_partitions) as root:
-            result = self._search(query, started_at, tracer, make_span, root,
-                                  budget)
-        return result
+            return self._search(query, started_at, make_span, root, budget)
 
-    def _search(self, query: Query, started_at: float, tracer, make_span,
-                root, budget: Optional[QueryBudget] = None) -> QueryResult:
+    def _search(self, query: Query, started_at: float, make_span, root,
+                budget: Optional[QueryBudget] = None) -> QueryResult:
         self._dataset.graph.validate_user(query.seeker)
         seeker = query.seeker
         alpha = self._config.scoring.alpha
@@ -647,20 +624,14 @@ class PartitionedExecutor:
         pruned = plan.pruned_static
         scanned = 0
         stop_index: Optional[int] = None
-        # Inline waves skip the local top-k select — the fold into the
-        # running global top-k selects anyway; pool scans keep it so each
-        # worker hands back at most k rows.
-        scan = lambda shard, cut: self._scan_shard(  # noqa: E731
-            shard, query.k, cut, context, upper_items, proximity, alpha,
-            select_local=False)
         merged = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64),
                   np.zeros(0, dtype=np.float64))
         with make_span("scatter.sweep") as sweep_span:
             if plan.probe is not None:
                 with make_span("probe.scan") as probe_span:
                     partial = self._scan_shard(
-                        plan.probe, query.k, threshold, context, upper_items,
-                        proximity, alpha, select_local=False, span=probe_span)
+                        plan.probe, threshold, context, upper_items,
+                        proximity, alpha, span=probe_span)
                 merged = self._merge_topk(merged, partial, candidates, query.k)
                 threshold = self._tighten(threshold, merged, query.k, n)
             # The tightened threshold always cuts a suffix of the bound-desc
@@ -676,9 +647,6 @@ class PartitionedExecutor:
                 end = plan.residual_offsets[keep - 1]
                 union = plan.residual_union[:end]
                 if union.shape[0]:
-                    pool_worthy = (budget is None and self._workers > 1
-                                   and keep > 1
-                                   and end >= self.PARALLEL_MIN_CANDIDATES)
                     starts = [0] + plan.residual_offsets
                     stops = plan.residual_offsets[:keep]
                     if budget is not None:
@@ -688,11 +656,6 @@ class PartitionedExecutor:
                             make_span, budget, started_at, keep)
                         if stop_index is not None:
                             scanned = stop_index
-                    elif pool_worthy:
-                        merged = self._sweep_pool(
-                            plan, starts, stops, threshold, merged, candidates,
-                            query, context, upper_items, proximity, alpha,
-                            tracer, root)
                     elif root:
                         merged = self._sweep_traced(
                             plan, starts, stops, threshold, merged, candidates,
@@ -700,8 +663,10 @@ class PartitionedExecutor:
                             make_span)
                     else:
                         merged = self._merge_topk(
-                            merged, scan(union, threshold), candidates,
-                            query.k)
+                            merged,
+                            self._scan_shard(union, threshold, context,
+                                             upper_items, proximity, alpha),
+                            candidates, query.k)
             sweep_span.set(partitions_scanned=scanned,
                            partitions_pruned=pruned,
                            budget_stop=stop_index is not None)
@@ -775,9 +740,8 @@ class PartitionedExecutor:
                            partition=plan.residual_partitions[index],
                            upper_bound=plan.residual_uppers[index]) as shard_span:
                 partial = self._scan_shard(
-                    plan.residual_union[start:stop], query.k, threshold,
-                    context, upper_items, proximity, alpha,
-                    select_local=False, span=shard_span)
+                    plan.residual_union[start:stop], threshold, context,
+                    upper_items, proximity, alpha, span=shard_span)
             merged = self._merge_topk(merged, partial, candidates, query.k)
         return merged
 
@@ -816,66 +780,19 @@ class PartitionedExecutor:
                            partition=plan.residual_partitions[index],
                            upper_bound=plan.residual_uppers[index]) as shard_span:
                 partial = self._scan_shard(
-                    plan.residual_union[start:stop], query.k, threshold,
-                    context, upper_items, proximity, alpha,
-                    select_local=False, span=shard_span)
+                    plan.residual_union[start:stop], threshold, context,
+                    upper_items, proximity, alpha, span=shard_span)
             merged = self._merge_topk(merged, partial, candidates, query.k)
             scanned_items += stop - start
         return merged, None
 
-    def _sweep_pool(self, plan: _ScatterPlan, starts, stops,
-                    threshold: Optional[float], merged, candidates,
-                    query: Query, context: _TagSetContext, upper_items,
-                    proximity, alpha: float, tracer, root):
-        """The pool sweep; traced shards get spans parented explicitly
-        (worker threads have no ambient span context)."""
-        if root and tracer is not None:
-            parent = tracer.current()
-
-            def pool_scan(entry, cut):
-                shard_slice, partition = entry
-                with tracer.span("shard.scan", parent=parent,
-                                 partition=partition, pool=True) as shard_span:
-                    return self._scan_shard(
-                        shard_slice, query.k, cut, context, upper_items,
-                        proximity, alpha, span=shard_span)
-
-            shards = [(plan.residual_union[start:stop],
-                       plan.residual_partitions[index])
-                      for index, (start, stop) in enumerate(zip(starts, stops))
-                      if stop > start]
-        else:
-            pool_scan = lambda shard, cut: self._scan_shard(  # noqa: E731
-                shard, query.k, cut, context, upper_items, proximity, alpha)
-            shards = [plan.residual_union[start:stop]
-                      for start, stop in zip(starts, stops)
-                      if stop > start]
-        for partial in self._scatter(shards, threshold, pool_scan):
-            merged = self._merge_topk(merged, partial, candidates, query.k)
-        return merged
-
-    def _scatter(self, survivors, threshold: Optional[float], scan):
-        """Run the surviving shards' scans on the pool (phase-1 threshold)."""
-        if not survivors:
-            return []
-        with self._lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self._workers,
-                    thread_name_prefix="repro-scatter")
-            self.statistics.parallel_searches += 1
-        futures = [self._pool.submit(scan, shard, threshold)
-                   for shard in survivors]
-        return [future.result() for future in futures]
-
     @staticmethod
     def _merge_topk(merged, partial, candidates: np.ndarray, k: int):
-        """Fold one shard's partial top-k into the running global top-k.
+        """Fold one shard's scored candidates into the running global top-k.
 
         Reselecting over the concatenation under the same (score desc,
         item id asc) rule is identical to one global selection, because
-        every global top-k item survives its shard's local top-k and every
-        fold keeps the best ``k``.
+        every fold keeps the best ``k``.
         """
         if not merged[0].shape[0]:
             positions, scores, social = partial
@@ -903,13 +820,11 @@ class PartitionedExecutor:
             return progressive
         return threshold
 
-    def _scan_shard(self, shard: np.ndarray, k: int,
-                    threshold: Optional[float], context: _TagSetContext,
-                    upper_items: np.ndarray, proximity: np.ndarray,
-                    alpha: float, select_local: bool = True,
-                    span=NULL_SPAN
+    def _scan_shard(self, shard: np.ndarray, threshold: Optional[float],
+                    context: _TagSetContext, upper_items: np.ndarray,
+                    proximity: np.ndarray, alpha: float, span=NULL_SPAN
                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Exact scores + local top-k of one shard's viable candidates.
+        """Exact scores of one shard's viable candidates.
 
         Candidates whose admissible per-item bound falls strictly below the
         threshold are dropped *before* the social gather — the item-level
@@ -955,10 +870,4 @@ class PartitionedExecutor:
                 1.0, np.where(found, mass, 0.0) / tag_context.normaliser)
         social = social_total / context.m
         scores = alpha * context.textual[shard] + (1.0 - alpha) * social
-        if not select_local:
-            return shard, scores, social
-        # ``shard`` holds ascending candidate positions, and the candidate
-        # block is ascending in item id, so tie-breaking on positions is
-        # tie-breaking on item ids — the global rule.
-        local = select_topk(shard, scores, k)
-        return shard[local], scores[local], social[local]
+        return shard, scores, social

@@ -495,8 +495,7 @@ def run_updates_suite(num_users: int = MEDIUM_USERS, num_queries: int = 20,
         engine.proximity.build()
         updater = DatasetUpdater(live)
         service = QueryService(engine, ServiceConfig(
-            workers=1, cache_capacity=0, cache_ttl_seconds=0.0,
-            deduplicate=False), updater=updater)
+            cache_capacity=0, cache_ttl_seconds=0.0), updater=updater)
 
         pre_samples = _best_of_rounds(engine, queries, rounds)
 
@@ -706,7 +705,7 @@ def run_partitioned_suite(num_users: int = 600, num_queries: int = 20,
             executor.statistics.to_dict() if executor is not None
             else {"searches": len(queries) * max(1, rounds),
                   "partitions_scanned": 0, "partitions_pruned": 0,
-                  "candidates_pruned": 0, "parallel_searches": 0})
+                  "candidates_pruned": 0})
     report["p50_by_partitions"] = p50_by_partitions
     report["pruning"] = pruning
     base_p50 = p50_by_partitions[str(partition_counts[0])]

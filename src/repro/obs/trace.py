@@ -14,8 +14,8 @@ and parent links.  The design goals, in order:
 2. **Context propagates implicitly within a thread.**  ``span()`` nests
    under the calling thread's active span through a ``threading.local``
    stack, so the storage layer does not need plumbing to end up under the
-   service's request span.  Crossing a thread pool is explicit: capture
-   :func:`current_span` before submitting and pass it as ``parent=``.
+   service's request span.  A request runs on one thread from the HTTP
+   handler down to the shard scan, so there is no cross-thread form.
 3. **Completed traces are queryable.**  Each finished *root* span files its
    trace into a bounded ring buffer keyed by trace id, which backs
    ``GET /trace/<id>`` and ``repro explain --analyze``.  The buffer holds
@@ -328,24 +328,19 @@ class Tracer:
         self._stack().append(span)
         return span
 
-    def span(self, name: str, parent: Optional[Span] = None,
-             **attributes: object):
-        """Start a span under ``parent`` (default: the thread's current span).
+    def span(self, name: str, **attributes: object):
+        """Start a span under the calling thread's current span.
 
-        With no parent and no active span, this starts a new sampled trace
-        rooted here — so library code traces standalone (``engine.run``
-        from a script) and nests automatically when a service request span
-        is already open.  ``parent`` crosses thread pools: capture
-        :meth:`current` before submitting work, pass it in the worker.
+        With no active span, this starts a new sampled trace rooted here —
+        so library code traces standalone (``engine.run`` from a script)
+        and nests automatically when a service request span is already
+        open.
         """
+        parent = self.current()
         if parent is None:
-            parent = self.current()
-            if parent is None:
-                if self._suppressed():
-                    return NULL_SPAN
-                return self.trace(name, **attributes)
-        elif parent is NULL_SPAN or not parent.recording:
-            return NULL_SPAN
+            if self._suppressed():
+                return NULL_SPAN
+            return self.trace(name, **attributes)
         trace = parent.trace
         span = Span(name, next(trace._ids), parent.span_id, trace,
                     self._clock())
@@ -384,15 +379,6 @@ class Tracer:
         with self._lock:
             traces = list(self._traces.values())
         return traces[::-1][:max(0, limit)]
-
-    def suppress(self):
-        """A no-op span that suppresses nested ``span()`` calls while open.
-
-        The cross-thread counterpart of an unsampled root: a worker thread
-        executing on behalf of an unsampled request opens this so library
-        spans below it stay NULL instead of starting fragment traces.
-        """
-        return _UnsampledRoot(self)
 
     def retained(self) -> int:
         """Number of completed traces currently in the ring buffer."""

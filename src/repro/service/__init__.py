@@ -3,10 +3,10 @@
 This package turns the single-threaded :class:`~repro.core.engine.SocialSearchEngine`
 into a servable system:
 
-* :class:`QueryService` — thread-pooled execution, in-flight request
-  deduplication, and a seeker/tag-indexed result cache that is invalidated
-  selectively when a watched :class:`~repro.storage.updates.DatasetUpdater`
-  changes the dataset;
+* :class:`QueryService` — inline execution on the calling thread,
+  in-flight request coalescing, and a seeker/tag-indexed result cache that
+  is invalidated selectively when a watched
+  :class:`~repro.storage.updates.DatasetUpdater` changes the dataset;
 * :class:`ResultCache` / :class:`CacheKey` — the LRU + TTL cache itself;
 * :class:`ServiceMetrics` — qps, latency percentiles, cache hit rates;
 * :class:`ServiceHTTPServer` / :func:`serve_forever` — the stdlib JSON HTTP

@@ -2,10 +2,12 @@
 
 ``repro serve`` binds a :class:`ServiceHTTPServer` — a threading
 ``http.server`` — so the engine can take real concurrent traffic without
-any third-party web framework.  Endpoints:
+any third-party web framework.  Each connection's thread parses the
+request, runs the query through :meth:`QueryService.serve` and writes the
+reply itself; nothing is handed to another thread.  Endpoints:
 
 ``GET /health``
-    Liveness probe: dataset name, sizes, worker count.
+    Liveness probe: dataset name and sizes.
 ``GET /metrics``
     Prometheus text exposition of the engine-wide metrics registry
     (service throughput/latency, cache behaviour, planner routes,
@@ -37,9 +39,11 @@ any third-party web framework.  Endpoints:
     Apply a dataset update through the watched :class:`DatasetUpdater`;
     stale cache entries are invalidated before the response is sent.
 
-Errors return ``4xx`` with ``{"error": "..."}``.  Every response carries an
-``X-Request-Id`` header — the client's own, when supplied, else a fresh
-id — which doubles as the query's trace id when tracing is on.
+Errors return ``4xx`` with ``{"error": "..."}``; a request body longer than
+:data:`MAX_BODY_BYTES` is refused with ``413`` without being read.  Every
+response carries an ``X-Request-Id`` header — the client's own, when
+supplied, else a fresh id — which doubles as the query's trace id when
+tracing is on.
 """
 
 from __future__ import annotations
@@ -56,6 +60,14 @@ from ..obs import trace as obs_trace
 from ..storage.tagging import TaggingAction
 from ..storage.updates import DatasetUpdater
 from .service import QueryService
+
+#: Largest request body the server reads.  ``Content-Length`` is the
+#: client's claim, and the handler allocates what it announces.
+MAX_BODY_BYTES = 1 << 20
+
+
+class _BodyTooLarge(ValueError):
+    """``Content-Length`` announced more than :data:`MAX_BODY_BYTES`."""
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
@@ -110,6 +122,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self.send_header("X-Request-Id", self._request_id())
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -123,8 +137,20 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self._send_body(status, text.encode("utf-8"), content_type)
 
     def _read_json(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length", 0))
-        if length <= 0:
+        announced = self.headers.get("Content-Length", "0")
+        try:
+            length = int(announced)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # The body stays unread, so the connection cannot be reused.
+            self.close_connection = True
+            if length > MAX_BODY_BYTES:
+                raise _BodyTooLarge(
+                    f"request body of {length} bytes exceeds the "
+                    f"{MAX_BODY_BYTES}-byte limit")
+            raise ValueError(f"invalid Content-Length {announced!r}")
+        if length == 0:
             return {}
         data = json.loads(self.rfile.read(length).decode("utf-8"))
         if not isinstance(data, dict):
@@ -182,6 +208,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 self._handle_update(self._read_json())
             else:
                 self._reply(404, {"error": f"unknown path {parsed.path!r}"})
+        except _BodyTooLarge as exc:
+            self._reply(413, {"error": str(exc)})
         except (ReproError, ValueError, KeyError, TypeError) as exc:
             self._reply(400, {"error": str(exc)})
 
@@ -197,7 +225,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             "num_users": dataset.num_users,
             "num_items": dataset.num_items,
             "num_actions": dataset.num_actions,
-            "workers": self.server.service.config.workers,
         })
 
     @staticmethod
@@ -291,8 +318,7 @@ def serve_forever(service: QueryService, host: str = "127.0.0.1",
     """
     server = ServiceHTTPServer((host, port), service, updater=updater)
     print(f"repro service listening on http://{host}:{server.server_port} "
-          f"(workers={service.config.workers}, "
-          f"cache={service.config.cache_capacity})")
+          f"(cache={service.config.cache_capacity})")
     try:
         server.serve_forever()
     except KeyboardInterrupt:  # pragma: no cover - interactive only

@@ -3,7 +3,8 @@
 :class:`QueryService` is the piece that turns the single-threaded library
 into something that can take traffic:
 
-* queries run on a thread pool with a configurable worker count;
+* every query runs on the thread that asked for it (the HTTP server gives
+  each connection its own), so the service owns no threads for queries;
 * identical in-flight requests coalesce onto one computation, so a burst of
   the same hot query costs one engine run, not N;
 * results land in a :class:`~repro.service.cache.ResultCache` (LRU + TTL)
@@ -36,9 +37,9 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..config import ServiceConfig
 from ..core.engine import SocialSearchEngine
@@ -72,7 +73,7 @@ class ServedResult:
     #: ``"hit"`` (result cache), ``"coalesced"`` (joined an in-flight
     #: computation) or ``"computed"`` (fresh engine run).
     outcome: str
-    #: Wall-clock service-side latency, including any queueing.
+    #: Wall-clock service-side latency, including any wait on a leader.
     latency_seconds: float
 
     @property
@@ -82,15 +83,15 @@ class ServedResult:
 
 
 class QueryService:
-    """Thread-pooled, caching, update-aware front end for one engine.
+    """Coalescing, caching, update-aware front end for one engine.
 
     Parameters
     ----------
     engine:
         The search engine to serve.  Its proximity measure is shared across
-        worker threads; :class:`CachedProximity` is internally locked.
+        calling threads; :class:`CachedProximity` is internally locked.
     config:
-        Service knobs (workers, cache capacity/TTL, deduplication, horizon).
+        Service knobs (cache capacity/TTL, horizon, compaction threshold).
     updater:
         Optional :class:`DatasetUpdater` to watch from construction; more
         can be attached later with :meth:`watch`.
@@ -110,9 +111,6 @@ class QueryService:
                  durable: Optional[DurableStore] = None) -> None:
         self._engine = engine
         self._config = config or ServiceConfig()
-        self._executor = ThreadPoolExecutor(
-            max_workers=self._config.workers, thread_name_prefix="repro-query",
-        )
         self._cache = ResultCache(capacity=self._config.cache_capacity,
                                   ttl_seconds=self._config.cache_ttl_seconds)
         self._metrics = ServiceMetrics()
@@ -124,6 +122,8 @@ class QueryService:
             "service_latency_seconds",
             "Service-side latency of computed queries.")
         self._registry.register_collector(self._collect_metrics)
+        #: ``CacheKey -> Future`` of the computation a leader thread is
+        #: running right now; followers block on it instead of recomputing.
         self._inflight: dict = {}  # guarded-by: _lock
         self._lock = threading.Lock()
         self._watched: List[DatasetUpdater] = []  # guarded-by: _lock
@@ -252,26 +252,14 @@ class QueryService:
     def _resolve_algorithm(self, algorithm: Optional[str]) -> str:
         return algorithm or self._engine.config.algorithm
 
-    def _execute(self, key: CacheKey, query: Query, algorithm: str,
-                 parent_span=None) -> QueryResult:
+    def _execute(self, key: CacheKey, query: Query,
+                 algorithm: str) -> QueryResult:
         started = time.perf_counter()
         # Snapshot the invalidation epoch before computing: if an update
         # invalidates mid-computation, this (possibly pre-update) result must
         # not be cached past the invalidation.
         generation = self._cache.generation
-        tracer = obs_trace.get_tracer()
-        # Worker threads have no ambient span context: the submitting
-        # request's span is threaded through explicitly.  A NULL parent
-        # marks an unsampled request — suppress library spans below it so
-        # they do not start fragment traces of their own.
-        if tracer is None or parent_span is None:
-            span = obs_trace.NULL_SPAN
-        elif parent_span:
-            span = tracer.span("service.execute", parent=parent_span,
-                               algorithm=algorithm)
-        else:
-            span = tracer.suppress()
-        with span:
+        with obs_trace.span("service.execute", algorithm=algorithm):
             try:
                 result = self._engine.run(query, algorithm=algorithm)
             except Exception:
@@ -283,73 +271,62 @@ class QueryService:
         self._latency_histogram.observe(elapsed)
         return result
 
-    def _pop_inflight(self, key: CacheKey) -> None:
-        with self._lock:
-            self._inflight.pop(key, None)
+    def _answer(self, query: Query,
+                algorithm: Optional[str]) -> Tuple[QueryResult, str]:
+        """Cache probe, then join the key's in-flight run or lead a new one.
 
-    def _submit(self, query: Query, algorithm: Optional[str],
-                parent_span=None) -> "tuple[Future, str]":
+        The leader runs the engine on its own thread and publishes the
+        result — or the exception — to every follower that arrived while
+        it was computing.
+        """
         if self._closed:
-            raise ServiceError("cannot submit queries to a closed QueryService")
+            raise ServiceError("cannot serve queries from a closed QueryService")
         name = self._resolve_algorithm(algorithm)
         key = CacheKey.for_query(query, name)
         cached = self._cache.get(key)
         if cached is not None:
             self._metrics.record_request("hit")
-            future: Future = Future()
-            future.set_result(cached)
-            return future, "hit"
+            return cached, "hit"
         with self._lock:
-            if self._closed:
-                raise ServiceError("cannot submit queries to a closed QueryService")
-            if self._config.deduplicate:
-                inflight = self._inflight.get(key)
-                if inflight is not None:
-                    self._metrics.record_request("coalesced")
-                    return inflight, "coalesced"
-            future = self._executor.submit(self._execute, key, query, name,
-                                           parent_span)
-            if self._config.deduplicate:
-                self._inflight[key] = future
-        if self._config.deduplicate:
-            # Registered outside the lock: a future that already finished
-            # runs the callback synchronously, and _pop_inflight takes the
-            # same (non-reentrant) lock.
-            future.add_done_callback(lambda _f, key=key: self._pop_inflight(key))
+            leader = self._inflight.get(key)
+            if leader is None:
+                published = self._inflight[key] = Future()
+        if leader is not None:
+            self._metrics.record_request("coalesced")
+            return leader.result(), "coalesced"
         self._metrics.record_request("miss")
-        return future, "computed"
-
-    def submit(self, query: Query, algorithm: Optional[str] = None) -> Future:
-        """Enqueue ``query`` and return a future resolving to its :class:`QueryResult`."""
-        future, _ = self._submit(query, algorithm)
-        return future
+        try:
+            result = self._execute(key, query, name)
+        except BaseException as exc:
+            # Followers must never be left blocked, whatever ended the run.
+            published.set_exception(exc)
+            raise
+        else:
+            published.set_result(result)
+        finally:
+            with self._lock:
+                del self._inflight[key]
+        return result, "computed"
 
     def serve(self, query: Query, algorithm: Optional[str] = None,
               request_id: Optional[str] = None) -> ServedResult:
-        """Answer ``query`` synchronously, reporting how it was served.
+        """Answer ``query`` on the calling thread, reporting how it was served.
 
         When a tracer is installed the whole request — cache probe, any
-        queueing, the engine run — becomes one trace.  ``request_id``
-        (the HTTP layer's ``X-Request-Id``) binds the trace's id so
-        ``GET /trace/<id>`` finds it afterwards.
+        wait on a leader, the engine run — becomes one trace.
+        ``request_id`` (the HTTP layer's ``X-Request-Id``) binds the trace's
+        id so ``GET /trace/<id>`` finds it afterwards.
         """
         started = time.perf_counter()
         tracer = obs_trace.get_tracer()
         if tracer is None:
-            future, outcome = self._submit(query, algorithm)
-            result = future.result()
-            return ServedResult(result=result, outcome=outcome,
-                                latency_seconds=time.perf_counter() - started)
-        with tracer.trace("request", trace_id=request_id,
-                          seeker=query.seeker, tags=",".join(query.tags),
-                          k=query.k) as root:
-            # A sampled root is the worker's explicit parent; an unsampled
-            # one passes NULL so the worker suppresses its own spans too.
-            parent = tracer.current() if root else obs_trace.NULL_SPAN
-            future, outcome = self._submit(query, algorithm,
-                                           parent_span=parent)
-            result = future.result()
-            root.set(outcome=outcome)
+            result, outcome = self._answer(query, algorithm)
+        else:
+            with tracer.trace("request", trace_id=request_id,
+                              seeker=query.seeker, tags=",".join(query.tags),
+                              k=query.k) as root:
+                result, outcome = self._answer(query, algorithm)
+                root.set(outcome=outcome)
         return ServedResult(result=result, outcome=outcome,
                             latency_seconds=time.perf_counter() - started)
 
@@ -358,12 +335,6 @@ class QueryService:
         """One-call convenience mirroring :meth:`SocialSearchEngine.search`."""
         return self.serve(Query(seeker=seeker, tags=tuple(tags), k=k),
                           algorithm=algorithm).result
-
-    def run_many(self, queries: Iterable[Query],
-                 algorithm: Optional[str] = None) -> List[QueryResult]:
-        """Run a batch concurrently, preserving input order in the output."""
-        futures = [self.submit(query, algorithm) for query in queries]
-        return [future.result() for future in futures]
 
     def run_batch(self, queries: Iterable[Query],
                   algorithm: Optional[str] = None) -> List[QueryResult]:
@@ -374,11 +345,11 @@ class QueryService:
         once — and executed through :meth:`SocialSearchEngine.run_batch`,
         which groups them by (cluster, tags) and shares posting-list scans
         and proximity refinements.  Results land in the result cache and
-        come back in input order, identical to :meth:`run_many`.
+        come back in input order, identical to serving them one by one.
         """
         queries = list(queries)
         if self._closed:
-            raise ServiceError("cannot submit queries to a closed QueryService")
+            raise ServiceError("cannot serve queries from a closed QueryService")
         name = self._resolve_algorithm(algorithm)
         results: List[Optional[QueryResult]] = [None] * len(queries)
         misses: dict = {}
@@ -585,12 +556,11 @@ class QueryService:
         """Kick off one background compaction when the delta is large enough.
 
         Runs on the updater's thread right after an update notification;
-        the compaction itself runs on a dedicated daemon thread — never on
-        the query worker pool, which must stay free to serve traffic while
-        the fold is in progress.  Readers keep serving from the
-        pre-compaction epoch (delta-merged reads) until the fold lands; the
-        two are value-identical, so ``run_batch`` stays valid
-        mid-compaction.  Single-flight: at most one compaction is in
+        the compaction itself runs on a dedicated daemon thread, so the
+        update is acknowledged without waiting for the fold.  Readers keep
+        serving from the pre-compaction epoch (delta-merged reads) until
+        the fold lands; the two are value-identical, so ``run_batch`` stays
+        valid mid-compaction.  Single-flight: at most one compaction is in
         progress per service.
         """
         threshold = self._config.compact_threshold
@@ -641,7 +611,7 @@ class QueryService:
     # ------------------------------------------------------------------ #
 
     def close(self, wait: bool = True) -> None:
-        """Unsubscribe from watched updaters and shut the executor down."""
+        """Unsubscribe from watched updaters and join background compactions."""
         with self._lock:
             if self._closed:
                 return
@@ -650,7 +620,6 @@ class QueryService:
             self._watched.clear()
         for updater in watched:
             updater.unsubscribe(self._on_update)
-        self._executor.shutdown(wait=wait)
         with self._lock:
             threads = list(self._compaction_threads)
             self._compaction_threads.clear()

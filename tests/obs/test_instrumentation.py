@@ -141,3 +141,37 @@ class TestSpanTreeHonesty:
         assert attrs["partitions"] == 4
         assert attrs["partitions_scanned"] + attrs["partitions_pruned"] >= 1
         assert attrs["candidates"] >= 0
+
+
+class TestServedRequestTrace:
+    """A served request is one thread, hence one trace or none at all."""
+
+    def test_sampled_serve_is_one_trace(self, corpus):
+        from repro.service import QueryService
+
+        dataset, queries = corpus
+        with QueryService(partitioned_engine(dataset)) as service, \
+                use(Tracer(sample_rate=1.0)) as tracer:
+            served = service.serve(queries[0], request_id="req-1")
+            assert served.outcome == "computed"
+            assert tracer.retained() == 1
+            trace = tracer.get("req-1")
+        root = trace.root
+        assert root.name == "request"
+        assert root.attributes["outcome"] == "computed"
+        execute = trace.find("service.execute")
+        assert execute.parent_id == root.span_id
+        assert trace.find("engine.run").parent_id == execute.span_id
+        assert {span.thread for span in trace.spans} == {root.thread}
+
+    def test_unsampled_serve_retains_no_fragment(self, corpus):
+        from repro.service import QueryService
+
+        dataset, queries = corpus
+        with QueryService(partitioned_engine(dataset)) as service, \
+                use(Tracer(sample_rate=0.0, seed=1)) as tracer:
+            for query in queries:
+                assert service.serve(query).outcome == "computed"
+            assert tracer.roots_started == len(queries)
+            assert tracer.roots_sampled == 0
+            assert tracer.retained() == 0

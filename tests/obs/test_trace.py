@@ -82,26 +82,37 @@ class TestSpanTree:
             pass
         assert tracer.last().root.name == "standalone"
 
-    def test_explicit_parent_crosses_threads(self):
+    def test_context_does_not_cross_threads(self):
+        """Span context is thread-local: another thread's span never nests
+        under this thread's open root, it roots a trace of its own."""
         tracer = Tracer()
         results = {}
 
         with tracer.trace("query") as root:
-            parent = tracer.current()
+            def other_thread():
+                with tracer.span("elsewhere") as elsewhere:
+                    results["parent_id"] = elsewhere.parent_id
+                    results["trace"] = elsewhere.trace
 
-            def worker():
-                with tracer.span("shard.scan", parent=parent) as scan:
-                    results["parent_id"] = scan.parent_id
-
-            thread = threading.Thread(target=worker)
+            thread = threading.Thread(target=other_thread)
             thread.start()
-            thread.join()
-        assert results["parent_id"] == root.span_id
-        assert tracer.last().find("shard.scan") is not None
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+            with tracer.span("here") as here:
+                assert here.parent_id == root.span_id
+        assert results["parent_id"] is None
+        assert results["trace"] is not root.trace
+        assert root.trace.find("elsewhere") is None
 
-    def test_null_parent_yields_null_span(self):
-        tracer = Tracer()
-        assert tracer.span("child", parent=NULL_SPAN) is NULL_SPAN
+    def test_span_under_unsampled_root_is_null(self):
+        tracer = Tracer(sample_rate=0.0, seed=1)
+        with tracer.trace("query") as root:
+            assert not root
+            assert tracer.span("child") is NULL_SPAN
+        # Suppression ends with the root: the next orphan span is a root
+        # of its own again (and takes its own sampling coin flip).
+        assert tracer.span("orphan") is not NULL_SPAN
+        assert tracer.roots_started == 2
 
 
 class TestSampling:

@@ -107,11 +107,10 @@ def test_service_run_batch_matches_run_many(synthetic_dataset, mix):
         algorithm="exact", proximity=ProximityConfig(measure="ppr", materialize=True)))
     engine.proximity.build()
     trace = list(mix) * 2
-    with QueryService(engine, ServiceConfig(workers=2, cache_capacity=0,
-                                            cache_ttl_seconds=0.0,
-                                            deduplicate=False)) as service:
-        sequential = service.run_many(trace)
-    with QueryService(engine, ServiceConfig(workers=2, cache_capacity=64)) as service:
+    with QueryService(engine, ServiceConfig(cache_capacity=0,
+                                            cache_ttl_seconds=0.0)) as service:
+        sequential = [service.serve(query).result for query in trace]
+    with QueryService(engine, ServiceConfig(cache_capacity=64)) as service:
         batched = service.run_batch(trace)
         # Second pass: everything is a cache hit and still identical.
         repeated = service.run_batch(trace)

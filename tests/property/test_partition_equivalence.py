@@ -102,27 +102,6 @@ def test_partition_count_never_changes_answers(synthetic_dataset, mix,
     assert multi.partition_executor.statistics.searches >= len(mix)
 
 
-def test_worker_pool_scatter_is_identical(synthetic_dataset, mix, monkeypatch):
-    """The multi-core pool path (parallel per-shard scans) is also exact.
-
-    CI runs on small corpora and often a single core, so ``pool_worthy``
-    never fires naturally; force it by dropping the size gate and rebuilding
-    the executor with several workers.
-    """
-    from repro.core.partition_exec import PartitionedExecutor
-
-    monkeypatch.setattr(PartitionedExecutor, "PARALLEL_MIN_CANDIDATES", 1)
-    single = _engine(synthetic_dataset, 1)
-    multi = _engine(synthetic_dataset, 4)
-    multi._partition_executor = PartitionedExecutor(
-        synthetic_dataset, multi.proximity, multi.config, multi.partitions,
-        workers=4)
-    for query in mix:
-        assert _signature(multi.run(query)) == _signature(single.run(query))
-    stats = multi.partition_executor.statistics
-    assert stats.parallel_searches > 0
-
-
 def test_partitioned_without_materialized_bounds(synthetic_dataset, mix):
     """The scalar-bound fallback (no cluster bound vectors) is also exact."""
     single = _engine(synthetic_dataset, 1, materialize=False)
@@ -162,9 +141,8 @@ def test_partitioned_identical_after_live_updates():
 
     updater = DatasetUpdater(dataset)
     tags = dataset.tags()
-    with QueryService(multi, ServiceConfig(workers=1, cache_capacity=0,
-                                           cache_ttl_seconds=0.0,
-                                           deduplicate=False),
+    with QueryService(multi, ServiceConfig(cache_capacity=0,
+                                           cache_ttl_seconds=0.0),
                       updater=updater):
         actions = [
             TaggingAction(user_id=3, item_id=100 + offset, tag=tags[0],

@@ -150,7 +150,7 @@ def test_interleaved_updates_match_fresh_rebuild(backing, measure, tmp_path):
     ))
     engine.proximity.build()
     updater = DatasetUpdater(live)
-    with QueryService(engine, ServiceConfig(workers=1, cache_capacity=16),
+    with QueryService(engine, ServiceConfig(cache_capacity=16),
                       updater=updater):
         added_actions, added_edges, added_users = _apply(updater, _updates(base))
 
@@ -192,7 +192,7 @@ def test_arena_fast_path_survives_updates(tmp_path):
         ("actions", [a for a in payload if a.user_id < base.num_users])
         for kind, payload in _updates(base) if kind == "actions"
     ]
-    with QueryService(engine, ServiceConfig(workers=1), updater=updater):
+    with QueryService(engine, updater=updater):
         recorded = sum(updater.add_actions(payload).actions_added
                        for _kind, payload in action_steps)
     # The delta overlay absorbed the actions; the frozen arrays still serve.
@@ -221,7 +221,7 @@ def test_compaction_mid_stream_is_equivalent(tmp_path):
     updater = DatasetUpdater(live)
     steps = _updates(base)
     middle = len(steps) // 2
-    with QueryService(engine, ServiceConfig(workers=1), updater=updater):
+    with QueryService(engine, updater=updater):
         first = _apply(updater, steps[:middle])
         updater.compact()
         second = _apply(updater, steps[middle:])

@@ -1,5 +1,6 @@
 """Tests for the stdlib JSON HTTP front end (``repro serve``)."""
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -9,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro import QueryService, ServiceConfig, SocialSearchEngine
-from repro.service.http_api import ServiceHTTPServer
+from repro.service.http_api import MAX_BODY_BYTES, ServiceHTTPServer
 from repro.workload import tiny_dataset
 
 
@@ -18,7 +19,7 @@ def server():
     """A live server on an ephemeral port over a fresh tiny dataset."""
     dataset = tiny_dataset(seed=3)
     engine = SocialSearchEngine(dataset)
-    service = QueryService(engine, ServiceConfig(workers=2, port=0))
+    service = QueryService(engine, ServiceConfig(port=0))
     httpd = ServiceHTTPServer(("127.0.0.1", 0), service)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
@@ -38,6 +39,25 @@ def get_json(server, path):
         return response.status, json.load(response)
 
 
+def post_announcing(server, content_length):
+    """POST /query whose ``Content-Length`` header is ``content_length``.
+
+    No body follows the headers, so a reply proves the server decided
+    from the header alone.  Returns ``(status, body, Connection header)``.
+    """
+    connection = http.client.HTTPConnection("127.0.0.1", server.server_port,
+                                            timeout=10.0)
+    try:
+        connection.putrequest("POST", "/query")
+        connection.putheader("Content-Length", content_length)
+        connection.endheaders()
+        response = connection.getresponse()
+        return (response.status, json.load(response),
+                response.getheader("Connection"))
+    finally:
+        connection.close()
+
+
 def post_json(server, path, payload):
     request = urllib.request.Request(
         base_url(server) + path,
@@ -54,7 +74,6 @@ class TestHealthAndMetrics:
         assert status == 200
         assert body["status"] == "ok"
         assert body["dataset"] == "tiny"
-        assert body["workers"] == 2
 
     def test_stats_snapshot(self, server):
         tag = server.service.engine.dataset.tags()[0]
@@ -117,6 +136,31 @@ class TestQueryEndpoint:
             get_json(server, "/query?tags=jazz")
         assert excinfo.value.code == 400
         assert "seeker" in json.load(excinfo.value)["error"]
+
+    def test_oversized_body_is_413(self, server):
+        status, body, connection = post_announcing(
+            server, str(MAX_BODY_BYTES + 1))
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in body["error"]
+        assert connection == "close"
+
+    def test_negative_content_length_is_400(self, server):
+        status, body, _ = post_announcing(server, "-1")
+        assert status == 400
+        assert "Content-Length" in body["error"]
+
+    def test_non_integer_content_length_is_400(self, server):
+        status, body, _ = post_announcing(server, "lots")
+        assert status == 400
+        assert "Content-Length" in body["error"]
+
+    def test_body_at_the_limit_is_read(self, server):
+        tag = server.service.engine.dataset.tags()[0]
+        payload = {"seeker": 1, "tags": [tag], "k": 3, "pad": ""}
+        payload["pad"] = "x" * (MAX_BODY_BYTES - len(json.dumps(payload)))
+        assert len(json.dumps(payload)) == MAX_BODY_BYTES
+        status, body = post_json(server, "/query", payload)
+        assert status == 200 and body["outcome"] == "computed"
 
     def test_bad_seeker_is_400(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:

@@ -1,13 +1,14 @@
 """Tests for :class:`repro.service.QueryService`.
 
-Covers the three tentpole behaviours — concurrent execution with in-flight
-deduplication, result caching, and update-driven selective invalidation —
+Covers the three tentpole behaviours — inline execution with in-flight
+coalescing, result caching, and update-driven selective invalidation —
 plus the acceptance criteria of the serving scenario: a warmed cache must
 report a nonzero hit rate and serve hits at least 10x faster than a cold
 query, and a relevant update must change subsequent results (no stale
 reads).
 """
 
+import sys
 import threading
 import time
 
@@ -34,7 +35,7 @@ def live_engine():
 
 @pytest.fixture()
 def service(live_engine):
-    svc = QueryService(live_engine, ServiceConfig(workers=2))
+    svc = QueryService(live_engine)
     yield svc
     svc.close()
 
@@ -42,6 +43,68 @@ def service(live_engine):
 def hot_query(engine, seeker=1, k=5):
     tag = engine.dataset.tags()[0]
     return Query(seeker=seeker, tags=(tag,), k=k)
+
+
+def serve_from_threads(svc, queries, threads=8):
+    """Serve ``queries`` from ``threads`` client threads started together.
+
+    Returns one entry per query, in input order: the :class:`ServedResult`,
+    or the exception ``serve`` raised.
+    """
+    outcomes = [None] * len(queries)
+    start = threading.Barrier(threads)
+
+    def client(offset):
+        start.wait(timeout=10.0)
+        for index in range(offset, len(queries), threads):
+            try:
+                outcomes[index] = svc.serve(queries[index])
+            except Exception as exc:  # handed back to the asserting thread
+                outcomes[index] = exc
+
+    clients = [threading.Thread(target=client, args=(offset,))
+               for offset in range(threads)]
+    # Switch threads every few bytecodes, so the probe-register-publish
+    # steps of different clients interleave even on one core.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in clients:
+            thread.start()
+        for thread in clients:
+            thread.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in clients)
+    return outcomes
+
+
+class HeldEngine:
+    """Patches ``engine.run`` to record calls and hold each one until
+    ``release()`` is true (or ten seconds pass)."""
+
+    def __init__(self, engine, release, fail_first=False):
+        self.engine = engine
+        self.original = engine.run
+        self.release = release
+        self.fail_first = fail_first
+        self.calls = []
+
+    def run(self, query, algorithm=None):
+        self.calls.append(query)
+        deadline = time.monotonic() + 10.0
+        while not self.release() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        if self.fail_first and len(self.calls) == 1:
+            raise RuntimeError("leader failed")
+        return self.original(query, algorithm=algorithm)
+
+    def __enter__(self):
+        self.engine.run = self.run
+        return self
+
+    def __exit__(self, *exc_info):
+        self.engine.run = self.original
 
 
 class TestServing:
@@ -85,75 +148,53 @@ class TestServing:
         tags = live_engine.dataset.tags()
         queries = [Query(seeker=s, tags=(tags[s % len(tags)],), k=3)
                    for s in range(6)]
-        results = service.run_many(queries)
+        results = service.run_batch(queries)
         assert [r.query for r in results] == queries
 
     def test_closed_service_rejects_queries(self, live_engine):
-        svc = QueryService(live_engine, ServiceConfig(workers=1))
+        svc = QueryService(live_engine)
         svc.close()
         with pytest.raises(ServiceError):
-            svc.submit(hot_query(live_engine))
+            svc.serve(hot_query(live_engine))
 
     def test_closed_service_rejects_even_cached_queries(self, live_engine):
-        svc = QueryService(live_engine, ServiceConfig(workers=1))
+        svc = QueryService(live_engine)
         query = hot_query(live_engine)
         svc.serve(query)  # warm the cache
         svc.close()
         with pytest.raises(ServiceError):
-            svc.submit(query)
+            svc.serve(query)
 
 
-class TestDeduplication:
-    def test_identical_inflight_requests_coalesce(self, live_engine):
-        """N identical concurrent requests → one engine computation."""
-        gate = threading.Event()
-        calls = []
-        original_run = live_engine.run
+class TestCoalescing:
+    def test_identical_inflight_requests_coalesce(self, service, live_engine):
+        """Eight clients, one held query → one engine run, seven followers."""
+        query = hot_query(live_engine)
+        with HeldEngine(live_engine,
+                        lambda: service.metrics.coalesced == 7) as held:
+            served = serve_from_threads(service, [query] * 8)
+        assert len(held.calls) == 1
+        assert service.metrics.coalesced == 7
+        assert all(entry.result is served[0].result for entry in served)
+        assert sorted(entry.outcome for entry in served) == \
+            ["coalesced"] * 7 + ["computed"]
 
-        def slow_run(query, algorithm=None):
-            calls.append(query)
-            gate.wait(timeout=5.0)
-            return original_run(query, algorithm=algorithm)
-
-        live_engine.run = slow_run
-        svc = QueryService(live_engine, ServiceConfig(workers=4))
-        try:
-            query = hot_query(live_engine)
-            futures = [svc.submit(query) for _ in range(6)]
-            gate.set()
-            results = [future.result(timeout=10.0) for future in futures]
-            assert len(calls) == 1
-            assert all(result is results[0] for result in results)
-            assert svc.metrics.coalesced == 5
-        finally:
-            live_engine.run = original_run
-            svc.close()
-
-    def test_dedup_can_be_disabled(self, live_engine):
-        gate = threading.Event()
-        calls = []
-        original_run = live_engine.run
-
-        def slow_run(query, algorithm=None):
-            calls.append(query)
-            gate.wait(timeout=5.0)
-            return original_run(query, algorithm=algorithm)
-
-        live_engine.run = slow_run
-        svc = QueryService(
-            live_engine,
-            ServiceConfig(workers=4, deduplicate=False, cache_capacity=0),
-        )
-        try:
-            query = hot_query(live_engine)
-            futures = [svc.submit(query) for _ in range(3)]
-            gate.set()
-            for future in futures:
-                future.result(timeout=10.0)
-            assert len(calls) == 3
-        finally:
-            live_engine.run = original_run
-            svc.close()
+    def test_leader_failure_reaches_every_follower(self, service, live_engine):
+        """The leader's exception is the followers' answer; nothing lingers."""
+        query = hot_query(live_engine)
+        with HeldEngine(live_engine, lambda: service.metrics.coalesced == 7,
+                        fail_first=True) as held:
+            outcomes = serve_from_threads(service, [query] * 8)
+            assert len(held.calls) == 1
+            assert all(isinstance(entry, RuntimeError) for entry in outcomes)
+            assert all(entry is outcomes[0] for entry in outcomes)
+            assert service._inflight == {}
+            # Nothing was cached and no entry was left behind: the next
+            # request leads a fresh run and succeeds.
+            retried = service.serve(query)
+        assert retried.outcome == "computed"
+        assert len(held.calls) == 2
+        assert retried.result.item_ids == live_engine.run(query).item_ids
 
 
 class TestUpdateInvalidation:
@@ -192,7 +233,7 @@ class TestUpdateInvalidation:
     def test_new_friendship_invalidates_nearby_seekers_only(self, live_engine):
         dataset = live_engine.dataset
         graph = dataset.graph
-        svc = QueryService(live_engine, ServiceConfig(workers=2))
+        svc = QueryService(live_engine)
         updater = svc.watch(DatasetUpdater(dataset))
         try:
             tag = dataset.tags()[0]
@@ -265,7 +306,7 @@ class TestUpdateInvalidation:
             dataset, EngineConfig(algorithm="exact",
                                   proximity=ProximityConfig(measure="ppr")))
         assert "ppr" not in HOP_BOUNDED_MEASURES
-        svc = QueryService(engine, ServiceConfig(workers=1))
+        svc = QueryService(engine)
         updater = svc.watch(DatasetUpdater(dataset))
         try:
             tags = dataset.tags()
@@ -284,29 +325,26 @@ class TestUpdateInvalidation:
             svc.close()
 
 
-class TestParallelRunMany:
-    def test_parallel_matches_sequential(self, live_engine):
-        tags = live_engine.dataset.tags()
-        queries = [Query(seeker=s % live_engine.dataset.num_users,
-                         tags=(tags[s % len(tags)],), k=5)
-                   for s in range(10)]
-        sequential = live_engine.run_many(queries)
-        parallel = live_engine.run_many(queries, parallel=True, workers=4)
-        assert [r.item_ids for r in sequential] == [r.item_ids for r in parallel]
-        assert [r.scores for r in sequential] == [r.scores for r in parallel]
-
+class TestRunMany:
     def test_sequential_is_the_default(self, live_engine):
         query = hot_query(live_engine)
         assert live_engine.run_many([query])[0].item_ids == \
             live_engine.run(query).item_ids
 
-    def test_concurrent_distinct_queries_all_answered(self, service, live_engine):
+    def test_concurrent_distinct_queries_match_sequential(self, service,
+                                                          live_engine):
+        """Twelve distinct queries from eight threads == sequential runs."""
         tags = live_engine.dataset.tags()
         queries = [Query(seeker=s, tags=(tags[s % len(tags)],), k=3)
                    for s in range(12)]
-        futures = [service.submit(q) for q in queries]
-        results = [f.result(timeout=30.0) for f in futures]
-        assert all(r.query == q for r, q in zip(results, queries))
+        served = serve_from_threads(service, queries)
+        expected = [live_engine.run(query) for query in queries]
+        assert [entry.result.query for entry in served] == queries
+        assert [entry.result.item_ids for entry in served] == \
+            [result.item_ids for result in expected]
+        assert [entry.result.scores for entry in served] == \
+            [result.scores for result in expected]
+        assert all(entry.outcome == "computed" for entry in served)
 
 
 class TestWarmup:
@@ -334,7 +372,7 @@ class TestWarmup:
         dataset = tiny_dataset(seed=3)
         engine = SocialSearchEngine(dataset, EngineConfig(
             proximity=ProximityConfig(measure="ppr", materialize=True)))
-        with QueryService(engine, ServiceConfig(workers=1)) as svc:
+        with QueryService(engine) as svc:
             assert svc.warm_proximity([0, 1]) == 2
             assert engine.proximity.statistics.refinements == 2
             stats = svc.stats()
@@ -413,8 +451,8 @@ class TestStatsUnderLiveUpdates:
             partitions=2,
         ))
         updater = DatasetUpdater(dataset)
-        svc = QueryService(engine, ServiceConfig(
-            workers=2, cache_capacity=0, deduplicate=False), updater=updater)
+        svc = QueryService(engine, ServiceConfig(cache_capacity=0),
+                           updater=updater)
         try:
             tag = dataset.tags()[0]
             searches_seen = 0
@@ -485,7 +523,7 @@ class TestBackgroundCompaction:
         engine = SocialSearchEngine(dataset)
         updater = DatasetUpdater(dataset)
         svc = QueryService(engine, ServiceConfig(
-            workers=2, compact_threshold=threshold), updater=updater)
+            compact_threshold=threshold), updater=updater)
         return svc, updater, dataset
 
     def _wait(self, predicate, timeout=10.0):

@@ -227,8 +227,7 @@ class TestObservability:
     def test_service_exposes_durability_stats_and_metrics(self, store):
         engine = SocialSearchEngine(store.dataset)
         service = QueryService(
-            engine, ServiceConfig(workers=1, cache_capacity=0,
-                                  cache_ttl_seconds=0.0),
+            engine, ServiceConfig(cache_capacity=0, cache_ttl_seconds=0.0),
             durable=store)
         try:
             store.updater.add_actions(

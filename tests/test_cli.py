@@ -19,10 +19,9 @@ class TestParser:
 
     def test_serve_defaults(self):
         parser = build_parser()
-        args = parser.parse_args(["serve", "--port", "0", "--workers", "2"])
+        args = parser.parse_args(["serve", "--port", "0"])
         assert args.handler is not None
         assert args.port == 0
-        assert args.workers == 2
         assert args.cache_capacity == 1024
         assert args.ttl == 300.0
         assert args.warmup == 0
