@@ -12,7 +12,7 @@ main flows without writing any Python:
   estimates) without executing it.
 * ``repro bench`` — run a small latency/quality comparison over a workload,
   or the headless suites (``--suite topk`` / ``proximity`` / ``updates`` /
-  ``partitioned`` / ``durability`` / ``scale`` / ``anytime``).
+  ``partitioned`` / ``durability`` / ``scale`` / ``landmark``).
 * ``repro build-arena`` — serialise a dataset (and optionally materialized
   proximity shards) into the memory-mapped index arena.
 * ``repro serve`` — expose a dataset behind the concurrent JSON HTTP API
@@ -210,8 +210,8 @@ def _run_bench_suite(args: argparse.Namespace) -> int:
         return _run_durability_suite(args)
     if args.suite == "scale":
         return _run_scale_suite(args)
-    if args.suite == "anytime":
-        return _run_anytime_suite(args)
+    if args.suite == "landmark":
+        return _run_landmark_suite(args)
     report = run_topk_suite(
         num_users=args.users,
         num_queries=args.queries,
@@ -427,9 +427,9 @@ def _run_scale_suite(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_anytime_suite(args: argparse.Namespace) -> int:
-    """Anytime/landmark serving suite: quality-vs-latency + quality gates."""
-    from .eval.bench import format_anytime_report, run_anytime_suite, write_report
+def _run_landmark_suite(args: argparse.Namespace) -> int:
+    """Landmark serving suite: quality-vs-latency curve + recall gate."""
+    from .eval.bench import format_landmark_report, run_landmark_suite, write_report
 
     measure = args.proximity
     if measure == "shortest-path":
@@ -437,17 +437,14 @@ def _run_anytime_suite(args: argparse.Namespace) -> int:
         # exact path pays a per-query proximity row; PPR's power-iteration
         # row is the paper's case for that trade.
         measure = "ppr"
-        print("anytime suite: using measure 'ppr' (the suite measures the "
+        print("landmark suite: using measure 'ppr' (the suite measures the "
               "unmaterialized per-query-row serving regime)")
     kwargs = {}
-    if args.budgets:
-        kwargs["budgets"] = tuple(int(part) for part in args.budgets.split(",")
-                                  if part.strip())
     if args.landmark_counts:
         kwargs["landmark_counts"] = tuple(
             int(part) for part in args.landmark_counts.split(",")
             if part.strip())
-    report = run_anytime_suite(
+    report = run_landmark_suite(
         num_users=args.users,
         num_queries=args.queries,
         k=args.k,
@@ -457,22 +454,21 @@ def _run_anytime_suite(args: argparse.Namespace) -> int:
         seed=args.seed,
         **kwargs,
     )
-    print(format_anytime_report(report))
+    print(format_landmark_report(report))
     if args.json:
         path = write_report(report, args.json)
         print(f"wrote {path}")
-    if not report["equivalent"]:
-        print("FAIL: full-budget anytime answers diverge from the exact scan")
-        return 1
-    recall = float(report["recall_at_k_default"])
-    if args.min_recall > 0.0 and recall < args.min_recall:
-        print(f"FAIL: default-budget recall@k {recall:.3f} is below the "
-              f"required {args.min_recall:.3f}")
+    best_recall = max(
+        (float(point["quality"]["recall_mean"])
+         for point in report["landmark_curve"]), default=0.0)
+    if args.min_recall > 0.0 and best_recall < args.min_recall:
+        print(f"FAIL: no landmark point reaches recall@k "
+              f"{args.min_recall:.3f} (best {best_recall:.3f})")
         return 1
     gate = report["gate"]
     if args.min_speedup > 0.0:
         if not gate["point"]:
-            print("FAIL: no approximate serving point met the recall floor "
+            print("FAIL: no landmark point met the recall floor "
                   f"{gate['recall_floor']:.2f}")
             return 1
         speedup = float(gate["speedup"])
@@ -831,7 +827,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="algorithms to measure (both modes)")
     bench.add_argument("--suite", nargs="?", const="topk", default=None,
                        choices=("topk", "proximity", "updates", "partitioned",
-                                "durability", "scale", "anytime"),
+                                "durability", "scale", "landmark"),
                        help="run a headless bench_fig*-style suite: 'topk' "
                             "(p50/p95/qps + vectorized-vs-scalar speedup; "
                             "the default when no value is given), "
@@ -853,11 +849,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "per-size peak RSS, cold start and serving "
                             "p50/p95, a byte-identity equivalence gate and "
                             "an optional operating-point binary search) or "
-                            "'anytime' (budgeted anytime scan and landmark-"
-                            "sketch tier: latency-vs-quality curves with "
-                            "recall@k / rank correlation / error bounds, a "
-                            "default-budget quality gate and a full-budget "
-                            "exact-equivalence gate)")
+                            "'landmark' (the landmark-sketch tier against "
+                            "the exact baseline: a latency-vs-quality curve "
+                            "over sketch sizes with recall@k / rank "
+                            "correlation and a recall gate)")
     bench.add_argument("--users", type=int, default=200,
                        help="suite dataset size in users (default: 200, the "
                             "Figure-6 medium point)")
@@ -908,15 +903,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "streaming build peak-RSS ratio falls below "
                             "this factor (0 = report only)")
     bench.add_argument("--min-recall", type=float, default=0.0,
-                       help="anytime suite: exit non-zero when mean "
-                            "recall@k at the default anytime budget falls "
-                            "below this value (e.g. 0.95; 0 = report only)")
-    bench.add_argument("--budgets", default=None, metavar="N,N,...",
-                       help="anytime suite: comma-separated max-scanned "
-                            "budgets for the latency-vs-quality curve "
-                            "(default: 64,128,256,512,1024)")
+                       help="landmark suite: exit non-zero when no "
+                            "landmark point reaches this mean recall@k "
+                            "(e.g. 0.95; 0 = report only)")
     bench.add_argument("--landmark-counts", default=None, metavar="N,N,...",
-                       help="anytime suite: comma-separated landmark-sketch "
+                       help="landmark suite: comma-separated landmark-sketch "
                             "sizes for the approximate-tier curve "
                             "(default: 4,8,16,32)")
     _add_engine_arguments(bench)

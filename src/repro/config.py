@@ -103,9 +103,9 @@ class ProximityConfig:
         Size of the landmark-sketch serving tier
         (:class:`~repro.proximity.landmarks.LandmarkProximity`).  When
         positive, engines with a partitioned layout additionally build a
-        landmark executor the planner can route ``effort="fast"`` / tight
-        SLO queries to.  0 (the default) disables the tier; standalone
-        sketches then default to 16 landmarks.
+        landmark executor the planner routes ``effort="fast"`` queries to.
+        0 (the default) disables the tier — ``effort="fast"`` is then
+        served exact; standalone sketches default to 16 landmarks.
     """
 
     measure: str = "shortest-path"

@@ -20,6 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..config import EngineConfig, ScoringConfig
 from ..obs import trace as obs_trace
+from ..obs.trace import NULL_SPAN
 from ..proximity import CachedProximity, MaterializedProximity, create_proximity
 from ..proximity.base import ProximityMeasure
 from ..proximity.landmarks import LandmarkProximity
@@ -27,9 +28,9 @@ from ..storage.dataset import Dataset
 from ..storage.partitioned import CorpusPartitions
 from .batch import run_batch as _run_batch
 from .partition_exec import PartitionedExecutor
-from .plan import (EXECUTOR_PARTITIONED, SERVING_ANYTIME, SERVING_LANDMARK,
-                   ExecutionPlan, QueryPlanner)
-from .query import Query, QueryBudget, QueryResult
+from .plan import (EXECUTOR_PARTITIONED, SERVING_LANDMARK, ExecutionPlan,
+                   QueryPlanner)
+from .query import Query, QueryResult
 from .scoring import ScoringModel
 from .topk.base import TopKAlgorithm, available_algorithms, create_algorithm
 
@@ -91,8 +92,8 @@ class SocialSearchEngine:
             else None)
         # The approximate serving tier: a second partitioned executor over
         # landmark-sketch proximity.  ``effort="fast"`` queries route here;
-        # its results carry ``is_exact=False`` and no error bound (the
-        # sketch under-estimates social mass, so score bounds do not apply).
+        # its results carry ``is_exact=False`` (the sketch under-estimates
+        # social mass, so scores differ, not just scan order).
         if landmark_proximity is None and self._partition_executor is not None \
                 and self._config.proximity.landmarks > 0:
             landmark_proximity = LandmarkProximity(dataset.graph,
@@ -196,13 +197,7 @@ class SocialSearchEngine:
         if tracer is None:  # production default: zero per-query overhead
             executor, _reason = self._planner.route(name)
             if executor == EXECUTOR_PARTITIONED:
-                if not query.has_serving_hint:
-                    return self._partition_executor.search(query)
-                decision = self._planner.serving(query, executor)
-                if decision.mode == SERVING_LANDMARK:
-                    return self._landmark_executor.search(query)
-                return self._partition_executor.search(
-                    query, budget=decision.budget)
+                return self._serving_executor(query).search(query)
             return self._algorithm(name).search(query)
         with tracer.span("engine.run", seeker=query.seeker,
                          tags=",".join(query.tags), k=query.k,
@@ -214,31 +209,26 @@ class SocialSearchEngine:
                                lookups=self._planner.route_lookups)
             root.set(executor=executor, reason=reason)
             if executor == EXECUTOR_PARTITIONED:
-                if not query.has_serving_hint:
-                    return self._partition_executor.search(query)
-                decision = self._planner.serving(query, executor)
-                root.set(serving_mode=decision.mode,
-                         serving_reason=decision.reason)
-                if decision.mode == SERVING_LANDMARK:
-                    return self._landmark_executor.search(query)
-                return self._partition_executor.search(
-                    query, budget=decision.budget)
+                return self._serving_executor(query, root).search(query)
             with tracer.span("algorithm.search", algorithm=name):
                 return self._algorithm(name).search(query)
+
+    def _serving_executor(self, query: Query,
+                          span=NULL_SPAN) -> PartitionedExecutor:
+        """The partitioned-route executor serving ``query``: the landmark
+        sketch when the planner says so, the exact scan otherwise."""
+        if query.has_serving_hint:
+            decision = self._planner.serving(query)
+            span.set(serving_mode=decision.mode,
+                     serving_reason=decision.reason)
+            if decision.mode == SERVING_LANDMARK:
+                return self._landmark_executor
+        return self._partition_executor
 
     def execute(self, query: Query, plan: ExecutionPlan) -> QueryResult:
         """Drive a planned query through its chosen executor."""
         if plan.executor == EXECUTOR_PARTITIONED:
-            if plan.serving_mode == SERVING_LANDMARK \
-                    and self._landmark_executor is not None:
-                return self._landmark_executor.search(query)
-            budget = None
-            if plan.serving_mode == SERVING_ANYTIME and (
-                    plan.budget_deadline_ms is not None
-                    or plan.budget_max_scanned is not None):
-                budget = QueryBudget(deadline_ms=plan.budget_deadline_ms,
-                                     max_scanned=plan.budget_max_scanned)
-            return self._partition_executor.search(query, budget=budget)
+            return self._serving_executor(query).search(query)
         return self._algorithm(plan.algorithm).search(query)
 
     def explain_plan(self, query: Query,

@@ -53,7 +53,7 @@ from ..storage.dataset import Dataset
 from ..storage.partitioned import CorpusPartitions
 from .accounting import AccessAccountant
 from .batch import _subset_social_mass
-from .query import Query, QueryBudget, QueryResult, ScoredItem
+from .query import Query, QueryResult, ScoredItem
 from .scoring import ScoringModel
 from .topk.exact import select_topk
 
@@ -78,13 +78,6 @@ class PartitionExecStatistics:
     candidates_pruned: int = 0
     #: Individual candidates whose exact score was actually computed.
     candidates_scanned: int = 0
-    #: Searches that carried a per-query budget (the anytime path).
-    anytime_searches: int = 0
-    #: Budgeted searches that actually stopped before exhausting their
-    #: surviving shards (the rest ran to completion and are exact).
-    budget_stops: int = 0
-    #: Surviving shards left unscanned because the budget ran out.
-    partitions_skipped_budget: int = 0
 
     def to_dict(self) -> Dict[str, float]:
         return {
@@ -93,9 +86,6 @@ class PartitionExecStatistics:
             "partitions_pruned": self.partitions_pruned,
             "candidates_pruned": self.candidates_pruned,
             "candidates_scanned": self.candidates_scanned,
-            "anytime_searches": self.anytime_searches,
-            "budget_stops": self.budget_stops,
-            "partitions_skipped_budget": self.partitions_skipped_budget,
         }
 
 
@@ -205,11 +195,11 @@ class PartitionedExecutor:
     partitions:
         The corpus layout queries scatter over.
     label:
-        Algorithm label stamped on unbudgeted results.  ``"exact"`` for the
-        standard executor; the engine's landmark-sketch executor passes
+        Algorithm label stamped on results.  ``"exact"`` for the standard
+        executor; the engine's landmark-sketch executor passes
         ``"landmark"``, which also marks results as approximate
-        (``is_exact=False``, no error bound) — the sketch's admissible
-        under-estimates change scores, not just scan order.
+        (``is_exact=False``) — the sketch's admissible under-estimates
+        change scores, not just scan order.
     """
 
     def __init__(self, dataset: Dataset, proximity: ProximityMeasure,
@@ -525,8 +515,7 @@ class PartitionedExecutor:
     # Execution
     # ------------------------------------------------------------------ #
 
-    def search(self, query: Query,
-               budget: Optional[QueryBudget] = None) -> QueryResult:
+    def search(self, query: Query) -> QueryResult:
         """Answer ``query`` by partitioned scatter-gather (exact semantics).
 
         When a tracer is installed and the request is sampled, the scatter
@@ -536,25 +525,16 @@ class PartitionedExecutor:
         threshold is fixed, and the top-k fold is associative, so both
         orders produce bit-identical results — the traced path trades one
         concatenated scan for visibility, never for correctness.
-
-        With a ``budget`` (explicit, or carried by the query) the sweep
-        runs the same shard-by-shard order but may stop between shards once
-        the deadline or scanned-items cap is hit, returning best-so-far
-        results plus an admissible error bound; a budget generous enough to
-        scan every surviving shard returns results bit-identical to the
-        unbudgeted path (same fixed threshold, same associative fold).
         """
-        if budget is None:
-            budget = query.budget
         started_at = time.perf_counter()
         tracer = obs_trace.get_tracer()
         make_span = tracer.span if tracer is not None else _no_span
         with make_span("executor.search",
                        partitions=self.num_partitions) as root:
-            return self._search(query, started_at, make_span, root, budget)
+            return self._search(query, started_at, make_span, root)
 
-    def _search(self, query: Query, started_at: float, make_span, root,
-                budget: Optional[QueryBudget] = None) -> QueryResult:
+    def _search(self, query: Query, started_at: float, make_span,
+                root) -> QueryResult:
         self._dataset.graph.validate_user(query.seeker)
         seeker = query.seeker
         alpha = self._config.scoring.alpha
@@ -623,7 +603,6 @@ class PartitionedExecutor:
         threshold = plan.static_threshold
         pruned = plan.pruned_static
         scanned = 0
-        stop_index: Optional[int] = None
         merged = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64),
                   np.zeros(0, dtype=np.float64))
         with make_span("scatter.sweep") as sweep_span:
@@ -649,14 +628,7 @@ class PartitionedExecutor:
                 if union.shape[0]:
                     starts = [0] + plan.residual_offsets
                     stops = plan.residual_offsets[:keep]
-                    if budget is not None:
-                        merged, stop_index = self._sweep_budgeted(
-                            plan, starts, stops, threshold, merged, candidates,
-                            query, context, upper_items, proximity, alpha,
-                            make_span, budget, started_at, keep)
-                        if stop_index is not None:
-                            scanned = stop_index
-                    elif root:
+                    if root:
                         merged = self._sweep_traced(
                             plan, starts, stops, threshold, merged, candidates,
                             query, context, upper_items, proximity, alpha,
@@ -668,8 +640,7 @@ class PartitionedExecutor:
                                              upper_items, proximity, alpha),
                             candidates, query.k)
             sweep_span.set(partitions_scanned=scanned,
-                           partitions_pruned=pruned,
-                           budget_stop=stop_index is not None)
+                           partitions_pruned=pruned)
 
         with make_span("gather.materialize"):
             top, top_scores, top_social = merged
@@ -682,45 +653,19 @@ class PartitionedExecutor:
                     candidates[top].tolist(), top_scores.tolist(),  # lint: allow(hot-path-materialisation) -- k-sized top-k slices
                     context.textual[top].tolist(), top_social.tolist())  # lint: allow(hot-path-materialisation) -- k-sized top-k slices
             ]
-        # The admissible gap of a budget-stopped sweep.  Surviving shards
-        # are ordered by descending bound, so the first unscanned shard's
-        # bound dominates every unscanned candidate — including candidates
-        # cut by the (weaker) threshold at shard or item level — and every
-        # scanned non-returned candidate scores at most the returned k-th.
-        # Hence the true k-th exact score never exceeds
-        # ``returned k-th + error_bound``.
-        skipped = (keep - stop_index) if stop_index is not None else 0
-        error_bound = 0.0
-        if stop_index is not None:
-            kth = (float(top_scores[query.k - 1])
-                   if top_scores.shape[0] >= query.k else 0.0)
-            error_bound = max(
-                0.0, float(plan.residual_uppers[stop_index]) - kth)
-        is_exact = not self._approximate and error_bound <= 0.0
         with self._lock:
             self.statistics.searches += 1
             self.statistics.partitions_scanned += scanned
             self.statistics.partitions_pruned += pruned
-            if budget is not None:
-                self.statistics.anytime_searches += 1
-                if stop_index is not None:
-                    self.statistics.budget_stops += 1
-                    self.statistics.partitions_skipped_budget += skipped
         root.set(candidates=n, partitions_scanned=scanned,
                  partitions_pruned=pruned)
-        if budget is not None:
-            root.set(budget_stop=stop_index is not None,
-                     partitions_skipped_budget=skipped,
-                     error_bound=error_bound)
         return QueryResult(
             query=query,
             items=items,
-            algorithm="anytime" if budget is not None else self._label,
+            algorithm=self._label,
             latency_seconds=time.perf_counter() - started_at,
             accounting=accountant,
-            terminated_early=stop_index is not None,
-            is_exact=is_exact,
-            error_bound=None if self._approximate else error_bound,
+            is_exact=not self._approximate,
         )
 
     def _sweep_traced(self, plan: _ScatterPlan, starts, stops,
@@ -744,47 +689,6 @@ class PartitionedExecutor:
                     upper_items, proximity, alpha, span=shard_span)
             merged = self._merge_topk(merged, partial, candidates, query.k)
         return merged
-
-    def _sweep_budgeted(self, plan: _ScatterPlan, starts, stops,
-                        threshold: Optional[float], merged, candidates,
-                        query: Query, context: _TagSetContext, upper_items,
-                        proximity, alpha: float, make_span,
-                        budget: QueryBudget, started_at: float,
-                        keep: int) -> Tuple[object, Optional[int]]:
-        """The anytime sweep: shard-by-shard with budget checks in between.
-
-        Identical to :meth:`_sweep_traced` — same fixed post-probe
-        threshold, same associative fold, same shard order — except the
-        loop may stop *between* shards once the deadline passes or the
-        scanned-items cap is reached.  Returns ``(merged, stop_index)``
-        where ``stop_index`` is the bound-descending index of the first
-        unscanned surviving shard (``None`` when the budget covered the
-        whole sweep, in which case the result is bit-identical to the
-        unbudgeted path).  The probe's items count against the cap, so a
-        zero cap degrades to probe-only results.
-        """
-        deadline = (None if budget.deadline_ms is None
-                    else started_at + budget.deadline_ms / 1000.0)
-        scanned_items = int(plan.probe.shape[0]) if plan.probe is not None else 0
-        for index in range(keep):
-            start, stop = starts[index], stops[index]
-            if stop <= start:
-                continue
-            over_items = (budget.max_scanned is not None
-                          and scanned_items >= budget.max_scanned)
-            over_time = (deadline is not None
-                         and time.perf_counter() >= deadline)
-            if over_items or over_time:
-                return merged, index
-            with make_span("shard.scan",
-                           partition=plan.residual_partitions[index],
-                           upper_bound=plan.residual_uppers[index]) as shard_span:
-                partial = self._scan_shard(
-                    plan.residual_union[start:stop], threshold, context,
-                    upper_items, proximity, alpha, span=shard_span)
-            merged = self._merge_topk(merged, partial, candidates, query.k)
-            scanned_items += stop - start
-        return merged, None
 
     @staticmethod
     def _merge_topk(merged, partial, candidates: np.ndarray, k: int):

@@ -13,8 +13,13 @@ partition layout) and emits an :class:`ExecutionPlan` per query — a plain,
 inspectable record of *how* the query will run — which the engine then
 merely drives.  ``repro explain`` and the service's ``/explain`` endpoint
 print plans without executing them; the equivalence property tests pin the
-contract that every route a planner can emit returns identical rankings,
-scores and access accounting.
+contract that every exact route a planner can emit returns identical
+rankings, scores and access accounting.
+
+The one approximate route is opt-in: on the partitioned route a query
+carrying ``effort="fast"`` is served by the landmark-sketch executor when
+the engine built a sketch, and by the exact scan otherwise
+(:meth:`QueryPlanner.serving`).
 """
 
 from __future__ import annotations
@@ -23,40 +28,25 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .batch import MIN_SHARED_GROUP, group_queries
-from .query import Query, QueryBudget
+from .query import Query
 from .topk.base import available_algorithms
 
 #: Executor routes a plan can select.
 EXECUTOR_PARTITIONED = "partitioned-exact"
 EXECUTOR_ALGORITHM = "algorithm"
 
-#: Serving modes of the partitioned route: the exact scan, the budgeted
-#: anytime scan (best-so-far + admissible error bound), and the
+#: Serving modes of the partitioned route: the exact scan, and the
 #: landmark-sketch executor (approximate proximity, no per-seeker
 #: precomputation).
 SERVING_EXACT = "exact"
-SERVING_ANYTIME = "anytime"
 SERVING_LANDMARK = "landmark"
-
-
-def default_budget(k: int) -> QueryBudget:
-    """The scanned-items cap of ``effort="balanced"`` (and the bench suite's
-    default anytime operating point)."""
-    return QueryBudget(max_scanned=max(512, 64 * k))
-
-
-def fast_budget(k: int) -> QueryBudget:
-    """The tighter cap ``effort="fast"`` falls back to when no landmark
-    executor is configured."""
-    return QueryBudget(max_scanned=max(128, 16 * k))
 
 
 @dataclass(frozen=True)
 class ServingDecision:
-    """How the partitioned route will serve one query's latency hint."""
+    """How the partitioned route will serve one query's effort hint."""
 
     mode: str
-    budget: Optional[QueryBudget]
     reason: str
 
 
@@ -107,12 +97,9 @@ class ExecutionPlan:
     frontier_bound: Optional[float] = None
     prune_threshold: Optional[float] = None
     partition_previews: Optional[Tuple[PartitionPreview, ...]] = None
-    #: How the route serves the query's latency hint (exact / anytime /
-    #: landmark) plus the budget the anytime mode will enforce.
+    #: How the route serves the query's effort hint (exact / landmark).
     serving_mode: str = SERVING_EXACT
     serving_reason: str = ""
-    budget_deadline_ms: Optional[float] = None
-    budget_max_scanned: Optional[int] = None
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable view (the ``/explain`` payload)."""
@@ -132,10 +119,6 @@ class ExecutionPlan:
         }
         if self.serving_reason:
             data["serving_reason"] = self.serving_reason
-        if self.budget_deadline_ms is not None:
-            data["budget_deadline_ms"] = self.budget_deadline_ms
-        if self.budget_max_scanned is not None:
-            data["budget_max_scanned"] = self.budget_max_scanned
         if self.frontier_bound is not None:
             data["frontier_bound"] = self.frontier_bound
         if self.prune_threshold is not None:
@@ -159,13 +142,7 @@ class ExecutionPlan:
             f"reason:     {self.reason}",
         ]
         if self.serving_mode != SERVING_EXACT or self.serving_reason:
-            budget_bits = []
-            if self.budget_deadline_ms is not None:
-                budget_bits.append(f"deadline={self.budget_deadline_ms:g}ms")
-            if self.budget_max_scanned is not None:
-                budget_bits.append(f"max-scanned={self.budget_max_scanned}")
-            budget_txt = f" ({', '.join(budget_bits)})" if budget_bits else ""
-            lines.append(f"serving:    {self.serving_mode}{budget_txt}"
+            lines.append(f"serving:    {self.serving_mode}"
                          + (f" -- {self.serving_reason}"
                             if self.serving_reason else ""))
         if self.frontier_bound is not None:
@@ -282,20 +259,18 @@ class QueryPlanner:
         return None
 
     # ------------------------------------------------------------------ #
-    # SLO-aware serving decisions
+    # Serving decisions
     # ------------------------------------------------------------------ #
 
     def serving(self, query: Query,
                 executor: str = EXECUTOR_PARTITIONED) -> ServingDecision:
-        """Pick the serving mode for one query's latency hint.
+        """Pick the serving mode for one query's effort hint.
 
-        Precedence: an explicit :class:`QueryBudget` wins, then ``effort``,
-        then ``slo_ms``.  ``effort="fast"`` routes to the landmark executor
-        when the engine built one (``proximity.landmarks > 0``), otherwise
-        it degrades to a tightly budgeted anytime scan.  Serving modes only
-        exist on the partitioned route — the registry algorithms have their
-        own early-termination semantics — so other routes always serve
-        exact.
+        ``effort="fast"`` routes to the landmark executor when the engine
+        built one (``proximity.landmarks > 0``); everything else serves
+        exact.  Serving modes only exist on the partitioned route — the
+        registry algorithms have their own early-termination semantics —
+        so other routes always serve exact.
         """
         decision = self._serving(query, executor)
         self._serving_decisions[decision.mode] = (
@@ -305,36 +280,20 @@ class QueryPlanner:
     def _serving(self, query: Query, executor: str) -> ServingDecision:
         if executor != EXECUTOR_PARTITIONED:
             return ServingDecision(
-                SERVING_EXACT, None,
+                SERVING_EXACT,
                 "serving hints apply to the partitioned route only; this "
                 "route keeps its own termination semantics")
-        if query.budget is not None:
+        if query.effort != "fast":
             return ServingDecision(
-                SERVING_ANYTIME, query.budget,
-                "explicit per-query budget requested")
-        if query.effort == "exact":
+                SERVING_EXACT, "exact unless the query says effort=fast")
+        if getattr(self._engine, "landmark_executor", None) is None:
             return ServingDecision(
-                SERVING_EXACT, None, "effort=exact pins the exact scan")
-        if query.effort == "fast":
-            if getattr(self._engine, "landmark_executor", None) is not None:
-                return ServingDecision(
-                    SERVING_LANDMARK, None,
-                    "effort=fast routes to the landmark-sketch executor")
-            return ServingDecision(
-                SERVING_ANYTIME, fast_budget(query.k),
-                "effort=fast with no landmark tier configured; tightly "
-                "budgeted anytime scan instead")
-        if query.effort == "balanced":
-            return ServingDecision(
-                SERVING_ANYTIME, default_budget(query.k),
-                "effort=balanced caps the scan at the default budget")
-        if query.slo_ms is not None:
-            return ServingDecision(
-                SERVING_ANYTIME, QueryBudget(deadline_ms=query.slo_ms),
-                f"slo_ms={query.slo_ms:g} enforced as an anytime deadline")
+                SERVING_EXACT,
+                "effort=fast with no landmark tier configured; serving the "
+                "exact scan")
         return ServingDecision(
-            SERVING_EXACT, None,
-            "no budget/effort/SLO hint; exact is the default")
+            SERVING_LANDMARK,
+            "effort=fast routes to the landmark-sketch executor")
 
     def serving_stats(self) -> Dict[str, int]:
         """Per-mode decision counts for hinted queries."""
@@ -378,15 +337,10 @@ class QueryPlanner:
             frontier = self._engine.proximity.frontier_bound(query.seeker)
         serving_mode = SERVING_EXACT
         serving_reason = ""
-        deadline_ms: Optional[float] = None
-        max_scanned: Optional[int] = None
         if query.has_serving_hint:
             decision = self.serving(query, route)
             serving_mode = decision.mode
             serving_reason = decision.reason
-            if decision.budget is not None:
-                deadline_ms = decision.budget.deadline_ms
-                max_scanned = decision.budget.max_scanned
         return ExecutionPlan(
             seeker=query.seeker,
             tags=query.tags,
@@ -405,8 +359,6 @@ class QueryPlanner:
             partition_previews=previews,
             serving_mode=serving_mode,
             serving_reason=serving_reason,
-            budget_deadline_ms=deadline_ms,
-            budget_max_scanned=max_scanned,
         )
 
     def route(self, algorithm: Optional[str] = None) -> Tuple[str, str]:

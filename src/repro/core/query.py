@@ -16,40 +16,8 @@ from ..errors import InvalidQueryError
 from .accounting import AccessAccountant
 
 
-@dataclass(frozen=True)
-class QueryBudget:
-    """A per-query work limit for the anytime execution path.
-
-    Either limit (or both) may be set: ``deadline_ms`` stops the scatter
-    sweep once the query's wall clock crosses the deadline, ``max_scanned``
-    once that many candidates have been submitted to exact scoring.  The
-    sweep only stops *between* shards, so both limits are soft by at most
-    one shard's worth of work.  An unlimited budget (both ``None``) is
-    rejected — use the exact path instead.
-    """
-
-    deadline_ms: Optional[float] = None
-    max_scanned: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.deadline_ms is None and self.max_scanned is None:
-            raise InvalidQueryError(
-                "a budget needs a deadline_ms or a max_scanned limit")
-        if self.deadline_ms is not None and self.deadline_ms <= 0.0:
-            raise InvalidQueryError(
-                f"deadline_ms must be positive, got {self.deadline_ms}")
-        if self.max_scanned is not None and self.max_scanned < 0:
-            raise InvalidQueryError(
-                f"max_scanned must be non-negative, got {self.max_scanned}")
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable representation."""
-        return {"deadline_ms": self.deadline_ms,
-                "max_scanned": self.max_scanned}
-
-
-#: Effort hints a query may carry instead of a hard SLO or budget.
-EFFORT_LEVELS = ("exact", "balanced", "fast")
+#: Effort hints a query may carry.
+EFFORT_LEVELS = ("exact", "fast")
 
 
 @dataclass(frozen=True)
@@ -65,32 +33,22 @@ class Query:
         preserving first occurrence.
     k:
         Number of results requested.
-    slo_ms:
-        Optional latency target.  The planner translates it into a serving
-        mode (exact / anytime / landmark); it is a hint, not a guarantee.
     effort:
-        Optional coarse hint (``"exact"``, ``"balanced"``, ``"fast"``) for
-        clients that care about the latency/quality trade-off but have no
-        millisecond number in mind.
-    budget:
-        Optional explicit :class:`QueryBudget`; overrides ``slo_ms`` and
-        ``effort`` when present.
+        Optional serving hint: ``"fast"`` accepts the landmark-sketch
+        answer when the engine built a sketch (exact otherwise);
+        ``"exact"`` — like no hint — always gets the exact scan.
     """
 
     seeker: int
     tags: Tuple[str, ...]
     k: int = 10
-    slo_ms: Optional[float] = None
     effort: Optional[str] = None
-    budget: Optional[QueryBudget] = None
 
     def __post_init__(self) -> None:
         if self.seeker < 0:
             raise InvalidQueryError(f"seeker id must be non-negative, got {self.seeker}")
         if self.k < 1:
             raise InvalidQueryError(f"k must be >= 1, got {self.k}")
-        if self.slo_ms is not None and self.slo_ms <= 0.0:
-            raise InvalidQueryError(f"slo_ms must be positive, got {self.slo_ms}")
         if self.effort is not None and self.effort not in EFFORT_LEVELS:
             raise InvalidQueryError(
                 f"effort must be one of {EFFORT_LEVELS}, got {self.effort!r}")
@@ -120,20 +78,15 @@ class Query:
 
     @property
     def has_serving_hint(self) -> bool:
-        """Whether the query carries any SLO / effort / budget hint."""
-        return (self.slo_ms is not None or self.effort is not None
-                or self.budget is not None)
+        """Whether the query carries an effort hint."""
+        return self.effort is not None
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable representation."""
         data: Dict[str, object] = {"seeker": self.seeker,
                                    "tags": list(self.tags), "k": self.k}
-        if self.slo_ms is not None:
-            data["slo_ms"] = self.slo_ms
         if self.effort is not None:
             data["effort"] = self.effort
-        if self.budget is not None:
-            data["budget"] = self.budget.to_dict()
         return data
 
 
@@ -161,10 +114,7 @@ class QueryResult:
     """The outcome of running one query with one algorithm.
 
     ``is_exact`` records whether the result is provably identical to the
-    exact path; ``error_bound`` is the admissible gap of an anytime result:
-    the true k-th exact score never exceeds the returned k-th score plus
-    the bound (0.0 for provably exact answers, ``None`` when no bound is
-    computed, e.g. the landmark-sketch route).
+    exact path; only landmark-sketch answers set it false.
     """
 
     query: Query
@@ -174,7 +124,6 @@ class QueryResult:
     accounting: AccessAccountant = field(default_factory=AccessAccountant)
     terminated_early: bool = False
     is_exact: bool = True
-    error_bound: Optional[float] = 0.0
 
     @property
     def item_ids(self) -> List[int]:
@@ -198,7 +147,6 @@ class QueryResult:
             "latency_seconds": self.latency_seconds,
             "terminated_early": self.terminated_early,
             "is_exact": self.is_exact,
-            "error_bound": self.error_bound,
             "accounting": self.accounting.to_dict(),
             "items": [item.to_dict() for item in self.items],
         }

@@ -24,11 +24,11 @@ from .timing import (
 )
 from .runner import AlgorithmReport, ExperimentRunner, WorkloadReport, sweep
 from .bench import (
-    format_anytime_report,
+    format_landmark_report,
     format_proximity_report,
     format_report,
     format_updates_report,
-    run_anytime_suite,
+    run_landmark_suite,
     run_proximity_suite,
     run_topk_suite,
     run_updates_suite,
@@ -62,13 +62,13 @@ __all__ = [
     "AlgorithmReport",
     "WorkloadReport",
     "sweep",
-    "run_anytime_suite",
+    "run_landmark_suite",
     "run_proximity_suite",
     "run_scale_suite",
     "run_topk_suite",
     "run_updates_suite",
     "write_report",
-    "format_anytime_report",
+    "format_landmark_report",
     "format_proximity_report",
     "format_report",
     "format_scale_report",

@@ -32,12 +32,10 @@ Three suites:
   from-scratch rebuild, across the online/materialized/batched paths;
   also measures WAL fsync-policy overhead, replay latency, and that
   concurrent queries see no downtime during a generation swap;
-* ``anytime`` — the accuracy-for-latency story: latency-vs-quality curves
-  for the budgeted anytime scan (a ``max_scanned`` sweep) and the
-  landmark-sketch tier (a sketch-size sweep), with recall@k / rank
-  correlation / measured admissible error bounds per point, gated on the
-  default-budget operating point and on full-budget anytime answers
-  being bit-identical to exact.
+* ``landmark`` — the accuracy-for-latency story: the latency-vs-quality
+  curve of the landmark-sketch tier over a sketch-size sweep against the
+  exact baseline, with recall@k / rank correlation per point and a gate
+  point (the fastest sketch holding recall@k >= 0.95).
 """
 
 from __future__ import annotations
@@ -790,45 +788,32 @@ def format_partitioned_report(report: Dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-def run_anytime_suite(num_users: int = 600, num_queries: int = 20,
-                      k: int = 10, rounds: int = 3, alpha: float = 0.5,
-                      measure: str = "ppr", partitions: int = 8,
-                      seed: int = 23,
-                      budgets: Sequence[int] = (64, 128, 256, 512, 1024),
-                      landmark_counts: Sequence[int] = (4, 8, 16, 32),
-                      ) -> Dict[str, object]:
-    """Run the anytime/approximate serving suite; returns the JSON report.
+def run_landmark_suite(num_users: int = 600, num_queries: int = 20,
+                       k: int = 10, rounds: int = 3, alpha: float = 0.5,
+                       measure: str = "ppr", partitions: int = 8,
+                       seed: int = 23,
+                       landmark_counts: Sequence[int] = (4, 8, 16, 32),
+                       ) -> Dict[str, object]:
+    """Run the approximate (landmark) serving suite; returns the JSON report.
 
     The corpus and Zipf workload are the partitioned suite's (community
     graph, community-correlated vocabularies), but the engine serves in
-    the regime ROADMAP item 2 targets: **no precomputed proximity** — no
+    the regime the sketch exists for: **no precomputed proximity** — no
     materialized rows, no row cache — so the exact path pays a full
     power-iteration proximity row per query, exactly the precomputation
-    vs. on-line work trade the paper family studies.  One engine serves
-    every mode, so measured differences are pure work avoidance.  The
-    headline blocks:
+    vs. on-line work trade the paper family studies.  The headline blocks:
 
-    * ``default_budget`` — latency and quality at the planner's default
-      anytime budget (``effort="balanced"``); ``recall_at_k_default`` is
-      the CI-gated quality number;
-    * ``anytime_curve`` — the latency-vs-quality curve over a
-      ``max_scanned`` budget sweep, each point carrying recall@k, rank
-      correlation and the measured admissible error bounds;
-    * ``landmark_curve`` — the same trade-off over landmark-sketch sizes
+    * ``exact`` — the baseline latencies; its answers are the reference
+      every quality number compares against;
+    * ``landmark_curve`` — latency and quality over landmark-sketch sizes
       (``effort="fast"`` through a landmark executor per sketch size),
       plus each sketch's build time and memory;
-    * ``gate`` — the headline serving point: the fastest approximate
-      configuration whose measured recall@k stays >= 0.95, with its p50
-      speedup over exact (the CI-gated latency number);
-    * ``full_budget`` — a hard gate: an anytime scan whose budget covers
-      the whole sweep must be bit-identical (rankings, scores, access
-      accounting) to the exact scan.
+    * ``gate`` — the headline serving point: the fastest sketch whose
+      measured recall@k stays >= 0.95, with its p50 speedup over exact.
     """
     from dataclasses import replace as _replace
 
     from ..config import DatasetConfig
-    from ..core.plan import default_budget
-    from ..core.query import QueryBudget
     from ..proximity.landmarks import LandmarkProximity
     from ..workload.datasets import build_dataset
 
@@ -836,10 +821,10 @@ def run_anytime_suite(num_users: int = 600, num_queries: int = 20,
     # touch thousands of candidates, and — deliberately — no materialized
     # proximity and no row cache: at corpus scale the O(users^2) row table
     # cannot be precomputed, so the serving question this suite answers is
-    # what each approximation buys when the exact path must run a full
+    # what the sketch buys when the exact path must run a full
     # power-iteration row per query.
     config = DatasetConfig(
-        name=f"anytime-{num_users}",
+        name=f"landmark-{num_users}",
         num_users=num_users,
         num_items=num_users * 10,
         num_tags=max(24, num_users // 40),
@@ -862,7 +847,7 @@ def run_anytime_suite(num_users: int = 600, num_queries: int = 20,
     ))
 
     report: Dict[str, object] = {
-        "suite": "anytime",
+        "suite": "landmark",
         "dataset": {
             "name": dataset.name,
             "num_users": dataset.num_users,
@@ -875,7 +860,6 @@ def run_anytime_suite(num_users: int = 600, num_queries: int = 20,
         "workload": {"num_queries": len(queries), "k": k, "rounds": rounds,
                      "alpha": alpha, "proximity": measure,
                      "partitions": partitions,
-                     "budgets": list(budgets),
                      "landmark_counts": list(landmark_counts)},
         "platform": {"python": platform.python_version(),
                      "machine": platform.machine()},
@@ -888,32 +872,8 @@ def run_anytime_suite(num_users: int = 600, num_queries: int = 20,
     report["exact"] = _summarise(exact_samples)
     exact_p50 = percentile(exact_samples, 0.5) * 1000.0
 
-    def measure_point(point_queries: Sequence[Query]) -> Dict[str, object]:
-        return _measure_serving_point(engine, point_queries, exact_results,
-                                exact_p50, rounds, k)
-
-    # 2. Anytime curve: a max_scanned budget sweep (deadlines would make
-    # the curve hostage to scheduler noise on a 1-CPU runner).
-    curve: List[Dict[str, object]] = []
-    for cap in budgets:
-        budgeted = [_replace(query, budget=QueryBudget(max_scanned=int(cap)))
-                    for query in queries]
-        point = dict(measure_point(budgeted), max_scanned=int(cap))
-        curve.append(point)
-    report["anytime_curve"] = curve
-
-    # 3. The gated operating point: the planner's default anytime budget.
-    default = default_budget(k)
-    budgeted = [_replace(query, budget=default) for query in queries]
-    default_point = dict(measure_point(budgeted),
-                         max_scanned=default.max_scanned)
-    report["default_budget"] = default_point
-    report["speedup_anytime_default"] = default_point["speedup"]
-    report["recall_at_k_default"] = (
-        default_point["quality"]["recall_mean"])  # type: ignore[index]
-
-    # 4. Landmark curve: one sketch per size, sharing the engine's corpus
-    # partitions and materialized proximity (only the sketch differs).
+    # 2. Landmark curve: one sketch per size, sharing the engine's corpus
+    # partitions and proximity measure (only the sketch differs).
     landmark_curve: List[Dict[str, object]] = []
     fast = [_replace(query, effort="fast") for query in queries]
     for count in landmark_counts:
@@ -932,20 +892,16 @@ def run_anytime_suite(num_users: int = 600, num_queries: int = 20,
                                    sketch_bytes=sketch.memory_bytes()))
     report["landmark_curve"] = landmark_curve
 
-    # 5. Headline serving point: the fastest measured configuration that
-    # holds recall@k >= 0.95.  CI gates its speedup; an empty gate (no
-    # configuration met the floor) is itself a failure downstream.
-    candidates = [("anytime-default", default_point)]
-    candidates += [(f"anytime-budget-{p['max_scanned']}", p) for p in curve]
-    candidates += [(f"landmarks-{p['num_landmarks']}", p)
-                   for p in landmark_curve]
-    qualifying = [(label, point) for label, point in candidates
+    # 3. Headline serving point: the fastest sketch that holds
+    # recall@k >= 0.95.  An empty gate (no sketch met the floor) is itself
+    # a failure downstream.
+    qualifying = [point for point in landmark_curve
                   if point["quality"]["recall_mean"] >= 0.95]  # type: ignore[index]
     if qualifying:
-        gate_label, gate_point = max(
-            qualifying, key=lambda item: float(item[1]["speedup"]))  # type: ignore[arg-type]
+        gate_point = max(qualifying,
+                         key=lambda point: float(point["speedup"]))  # type: ignore[arg-type]
         report["gate"] = {
-            "point": gate_label,
+            "point": f"landmarks-{gate_point['num_landmarks']}",
             "speedup": gate_point["speedup"],
             "recall_at_k": gate_point["quality"]["recall_mean"],  # type: ignore[index]
             "p50_ms": gate_point["latency"]["p50_ms"],  # type: ignore[index]
@@ -954,31 +910,6 @@ def run_anytime_suite(num_users: int = 600, num_queries: int = 20,
     else:
         report["gate"] = {"point": None, "speedup": 0.0, "recall_at_k": 0.0,
                           "p50_ms": None, "recall_floor": 0.95}
-
-    # 6. Full-budget equivalence gate: a budget that covers every shard
-    # must reproduce the exact scan bit for bit — accounting included.
-    full = [_replace(query,
-                     budget=QueryBudget(max_scanned=dataset.num_items + 1))
-            for query in queries]
-    mismatches: List[Dict[str, object]] = []
-    for query, expected, budgeted_query in zip(queries, exact_results, full):
-        result = engine.run(budgeted_query)
-        want = _result_signature(expected)
-        got = _result_signature(result)
-        if got != want or not result.is_exact or result.error_bound != 0.0:
-            mismatches.append({
-                "query": query.to_dict(),
-                "expected": want,
-                "got": got,
-                "is_exact": result.is_exact,
-                "error_bound": result.error_bound,
-            })
-    report["full_budget"] = {
-        "queries_checked": len(queries),
-        "mismatches": mismatches[:10],
-        "num_mismatches": len(mismatches),
-    }
-    report["equivalent"] = not mismatches
     executor = engine.partition_executor
     if executor is not None:
         report["pruning"] = executor.statistics.to_dict()
@@ -1001,32 +932,18 @@ def _measure_serving_point(engine: SocialSearchEngine, queries: Sequence[Query],
     }
 
 
-def format_anytime_report(report: Dict[str, object]) -> str:
-    """Human-readable one-screen summary of an anytime-suite report."""
+def format_landmark_report(report: Dict[str, object]) -> str:
+    """Human-readable one-screen summary of a landmark-suite report."""
     exact = report["exact"]
-    default = report["default_budget"]
     lines = [
-        "anytime/approximate serving suite "
+        "approximate serving suite: the landmark tier "
         f"({report['dataset']['num_users']} users, "  # type: ignore[index]
         f"{report['workload']['num_queries']} queries x "  # type: ignore[index]
         f"{report['workload']['rounds']} rounds, "  # type: ignore[index]
         f"P={report['workload']['partitions']}, "  # type: ignore[index]
         f"measure={report['workload']['proximity']})",  # type: ignore[index]
         f"exact          p50 {exact['p50_ms']:.3f} ms",  # type: ignore[index]
-        f"default budget p50 {default['latency']['p50_ms']:.3f} ms"  # type: ignore[index]
-        f" (max-scanned={default['max_scanned']})"  # type: ignore[index]
-        f" | speedup {default['speedup']:.2f}x"  # type: ignore[index]
-        f" | recall@k {default['quality']['recall_mean']:.3f}"  # type: ignore[index]
-        f" | tau {default['quality']['rank_correlation_mean']:.3f}"  # type: ignore[index]
-        f" | bound max {default['quality']['error_bound_max']:.4f}",  # type: ignore[index]
     ]
-    for point in report["anytime_curve"]:  # type: ignore[union-attr]
-        lines.append(
-            f"  budget {point['max_scanned']:>5}: "
-            f"p50 {point['latency']['p50_ms']:.3f} ms"
-            f" | speedup {point['speedup']:.2f}x"
-            f" | recall@k {point['quality']['recall_mean']:.3f}"
-            f" | exact {point['quality']['exact_fraction']:.2f}")
     for point in report["landmark_curve"]:  # type: ignore[union-attr]
         lines.append(
             f"  landmarks {point['num_landmarks']:>3}: "
@@ -1044,10 +961,6 @@ def format_anytime_report(report: Dict[str, object]) -> str:
             f" (floor {gate['recall_floor']:.2f})")
     else:
         lines.append("gate point     NONE met the recall floor")
-    lines.append(
-        f"full budget    {'OK' if report['equivalent'] else 'FAILED'} "
-        f"({report['full_budget']['queries_checked']} checks, "  # type: ignore[index]
-        f"{report['full_budget']['num_mismatches']} mismatches)")  # type: ignore[index]
     lines.extend(_memory_line(report))
     return "\n".join(lines)
 

@@ -1,7 +1,7 @@
-"""Quality metering for approximate serving (anytime / landmark answers).
+"""Quality metering for approximate serving (landmark-sketch answers).
 
-The anytime and landmark tiers trade accuracy for latency; this module
-measures what the trade actually buys.  Everything compares an approximate
+The landmark tier trades accuracy for latency; this module measures what
+the trade actually buys.  Everything compares an approximate
 :class:`~repro.core.query.QueryResult` against the exact answer for the
 same query, delegating the metric math to :mod:`repro.eval.metrics`:
 
@@ -10,8 +10,7 @@ same query, delegating the metric math to :mod:`repro.eval.metrics`:
 * :func:`rank_correlation` — Kendall tau between the exact and approximate
   rankings over their common items;
 * :func:`quality_summary` — the aggregate block a bench suite emits for a
-  whole workload (mean/min recall, mean correlation, exact fraction and
-  the measured admissible error bounds).
+  whole workload (mean/min recall, mean correlation).
 
 :func:`result_signature` is the strict bit-identity form used by the
 equivalence gates — rankings, scores *and* access accounting — shared by
@@ -80,22 +79,13 @@ def quality_summary(exact_results: Sequence[QueryResult],
             f"{len(approx_results)} approximate results")
     recalls: List[float] = []
     correlations: List[float] = []
-    bounds: List[float] = []
-    exact_answers = 0
     for expected, observed in zip(exact_results, approx_results):
         recalls.append(recall_at_k(expected, observed, k=k))
         correlations.append(rank_correlation(expected, observed))
-        if observed.is_exact:
-            exact_answers += 1
-        if observed.error_bound is not None:
-            bounds.append(float(observed.error_bound))
     count = len(recalls) or 1
     return {
         "queries": float(len(recalls)),
         "recall_mean": sum(recalls) / count,
         "recall_min": min(recalls) if recalls else 1.0,
         "rank_correlation_mean": sum(correlations) / count,
-        "exact_fraction": exact_answers / count,
-        "error_bound_mean": (sum(bounds) / len(bounds)) if bounds else 0.0,
-        "error_bound_max": max(bounds) if bounds else 0.0,
     }

@@ -27,29 +27,23 @@ class CacheKey(NamedTuple):
     """Identity of a cacheable request.
 
     Tags are stored sorted so that ``(a, b)`` and ``(b, a)`` — which rank
-    identically — share one entry.  Serving hints are part of the identity:
-    an anytime or landmark answer must never be served to a request that
-    asked for exact results (or for a different budget).
+    identically — share one entry.  ``fast`` is part of the identity: a
+    landmark answer must never be served to a request that did not say
+    ``effort="fast"``; no hint and ``effort="exact"`` share an entry.
     """
 
     seeker: int
     tags: Tuple[str, ...]
     k: int
     algorithm: str
-    serving: Optional[Tuple[Optional[float], Optional[str],
-                            Optional[float], Optional[int]]] = None
+    fast: bool = False
 
     @classmethod
     def for_query(cls, query: Query, algorithm: str) -> "CacheKey":
         """Build the cache key of ``query`` answered by ``algorithm``."""
-        serving = None
-        if query.has_serving_hint:
-            budget = query.budget
-            serving = (query.slo_ms, query.effort,
-                       budget.deadline_ms if budget is not None else None,
-                       budget.max_scanned if budget is not None else None)
         return cls(seeker=query.seeker, tags=tuple(sorted(query.tags)),
-                   k=query.k, algorithm=algorithm, serving=serving)
+                   k=query.k, algorithm=algorithm,
+                   fast=query.effort == "fast")
 
 
 @dataclass

@@ -26,10 +26,10 @@ reply itself; nothing is handed to another thread.  Endpoints:
 ``POST /query`` with ``{"seeker": 4, "tags": ["jazz"], "k": 10}``
     Answer one query; the response carries the ranked items, the serving
     outcome (``hit`` / ``coalesced`` / ``computed``) and both engine- and
-    service-side latency.  Optional serving hints — ``slo_ms``, ``effort``
-    (``exact`` / ``balanced`` / ``fast``), ``deadline_ms``,
-    ``max_scanned`` — let the planner trade accuracy for latency; anytime
-    answers carry ``is_exact`` and an admissible ``error_bound``.
+    service-side latency.  The one optional serving hint is ``effort``
+    (``exact`` / ``fast``): ``fast`` accepts the landmark-sketch answer
+    when the engine built a sketch, and the reply's ``is_exact`` says
+    which was served.  Any other field is a ``400`` naming it.
 ``GET /explain?seeker=4&tags=jazz,vinyl&k=10[&algorithm=exact]``
 ``POST /explain`` with the same body as ``/query``
     Return the planner's :class:`~repro.core.plan.ExecutionPlan` for the
@@ -54,7 +54,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from ..core.query import Query, QueryBudget
+from ..core.query import Query
 from ..errors import ReproError
 from ..obs import trace as obs_trace
 from ..storage.tagging import TaggingAction
@@ -65,9 +65,23 @@ from .service import QueryService
 #: client's claim, and the handler allocates what it announces.
 MAX_BODY_BYTES = 1 << 20
 
+#: Every field a ``/query`` or ``/explain`` request may carry.
+QUERY_FIELDS = frozenset({"seeker", "tags", "k", "algorithm", "effort"})
+
 
 class _BodyTooLarge(ValueError):
     """``Content-Length`` announced more than :data:`MAX_BODY_BYTES`."""
+
+
+def _int_field(value: Any, name: str) -> int:
+    """An integer request field: a JSON integer or a digit string (GET).
+
+    Bare ``int()`` overflows on ``1e999``, truncates ``1.7`` and takes
+    ``true`` for 1; all three are the client's mistake and a ``400``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"field {name!r} must be an integer, got {value!r}")
+    return int(value)
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
@@ -176,17 +190,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             elif parsed.path.startswith("/trace/"):
                 self._handle_trace(parsed.path[len("/trace/"):])
             elif parsed.path in ("/query", "/explain"):
-                params = parse_qs(parsed.query)
-                payload = {
-                    "seeker": params.get("seeker", [None])[0],
-                    "tags": params.get("tags", [""])[0].split(","),
-                    "k": params.get("k", [10])[0],
-                    "algorithm": params.get("algorithm", [None])[0],
-                    "slo_ms": params.get("slo_ms", [None])[0],
-                    "effort": params.get("effort", [None])[0],
-                    "deadline_ms": params.get("deadline_ms", [None])[0],
-                    "max_scanned": params.get("max_scanned", [None])[0],
-                }
+                payload: Dict[str, Any] = {
+                    key: values[0]
+                    for key, values in parse_qs(parsed.query).items()}
+                payload["tags"] = payload.get("tags", "").split(",")
                 if parsed.path == "/explain":
                     self._handle_explain(payload)
                 else:
@@ -230,27 +237,22 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     @staticmethod
     def _parse_query(payload: Dict[str, Any]) -> Query:
         """One parsing rule for every query-shaped payload (/query, /explain)."""
+        unknown = payload.keys() - QUERY_FIELDS
+        if unknown:
+            raise ValueError(f"unknown field {min(unknown)!r}; a query takes "
+                             f"{sorted(QUERY_FIELDS)}")
         if payload.get("seeker") is None:
             raise ValueError("missing required field 'seeker'")
-        tags = [tag for tag in (payload.get("tags") or []) if str(tag).strip()]
-        budget = None
-        if payload.get("max_scanned") is not None \
-                or payload.get("deadline_ms") is not None:
-            deadline = payload.get("deadline_ms")
-            scanned = payload.get("max_scanned")
-            budget = QueryBudget(
-                deadline_ms=float(deadline) if deadline is not None else None,
-                max_scanned=int(scanned) if scanned is not None else None,
-            )
-        slo_ms = payload.get("slo_ms")
-        effort = payload.get("effort")
+        tags = payload.get("tags") or []
+        if not isinstance(tags, list) \
+                or not all(isinstance(tag, str) for tag in tags):
+            raise ValueError("field 'tags' must be a list of strings")
+        k = payload.get("k")
         return Query(
-            seeker=int(payload["seeker"]),
-            tags=tuple(str(tag) for tag in tags),
-            k=int(payload.get("k") or 10),
-            slo_ms=float(slo_ms) if slo_ms is not None else None,
-            effort=str(effort) if effort is not None else None,
-            budget=budget,
+            seeker=_int_field(payload["seeker"], "seeker"),
+            tags=tuple(tag for tag in tags if tag.strip()),
+            k=10 if k is None else _int_field(k, "k"),
+            effort=payload.get("effort"),
         )
 
     def _handle_query(self, payload: Dict[str, Any]) -> None:
@@ -294,14 +296,22 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self._reply(200, plan.to_dict())
 
     def _handle_update(self, payload: Dict[str, Any]) -> None:
-        actions = [TaggingAction.from_dict(entry)
-                   for entry in payload.get("actions") or []]
-        friendships = [(int(u), int(v), float(w))
+        actions = [
+            TaggingAction(
+                user_id=_int_field(entry["user_id"], "user_id"),
+                item_id=_int_field(entry["item_id"], "item_id"),
+                tag=str(entry["tag"]),
+                timestamp=_int_field(entry.get("timestamp", 0), "timestamp"))
+            for entry in payload.get("actions") or []]
+        friendships = [(_int_field(u, "friendships"),
+                        _int_field(v, "friendships"), float(w))
                        for u, v, w in payload.get("friendships") or []]
+        new_users = payload.get("new_users")
         summary = self.server.updater.apply(
             actions=actions or None,
             friendships=friendships or None,
-            new_users=int(payload.get("new_users") or 0),
+            new_users=0 if new_users is None
+            else _int_field(new_users, "new_users"),
         )
         self._reply(200, {"applied": summary.changed, **summary.to_dict()})
 

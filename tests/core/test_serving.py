@@ -1,8 +1,8 @@
-"""SLO-aware serving decisions: planner, engine routing, and cache keys.
+"""Serving decisions: planner, engine routing, and cache keys.
 
-The planner picks exact vs. anytime vs. landmark per query from the
-serving hints (explicit budget > effort > slo_ms), records the decision in
-the :class:`~repro.core.plan.ExecutionPlan`, and the engine routes
+The planner serves a query exact unless it says ``effort="fast"`` *and*
+the engine built a landmark sketch, records the decision in the
+:class:`~repro.core.plan.ExecutionPlan`, and the engine routes
 accordingly — never serving an approximate answer to a query that did not
 opt in, including through the service cache.
 """
@@ -13,13 +13,11 @@ from repro.config import EngineConfig, ProximityConfig, ScoringConfig
 from repro.core import Query, SocialSearchEngine
 from repro.core.plan import (
     EXECUTOR_PARTITIONED,
-    SERVING_ANYTIME,
     SERVING_EXACT,
     SERVING_LANDMARK,
-    default_budget,
-    fast_budget,
 )
-from repro.core.query import QueryBudget
+from repro.errors import InvalidQueryError
+from repro.eval.quality import result_signature
 from repro.service.cache import CacheKey
 
 
@@ -52,38 +50,18 @@ class TestServingDecision:
     def test_no_hints_serves_exact(self, serving_engine):
         decision = serving_engine.planner.serving(_query())
         assert decision.mode == SERVING_EXACT
-        assert decision.budget is None
-
-    def test_explicit_budget_wins_over_everything(self, serving_engine):
-        budget = QueryBudget(max_scanned=77)
-        decision = serving_engine.planner.serving(
-            _query(budget=budget, effort="fast", slo_ms=5.0))
-        assert decision.mode == SERVING_ANYTIME
-        assert decision.budget == budget
 
     def test_effort_exact_pins_exact(self, serving_engine):
-        decision = serving_engine.planner.serving(
-            _query(effort="exact", slo_ms=5.0))
+        decision = serving_engine.planner.serving(_query(effort="exact"))
         assert decision.mode == SERVING_EXACT
 
     def test_effort_fast_picks_landmark_when_available(self, serving_engine):
         decision = serving_engine.planner.serving(_query(effort="fast"))
         assert decision.mode == SERVING_LANDMARK
 
-    def test_effort_fast_degrades_to_tight_anytime(self, plain_engine):
-        decision = plain_engine.planner.serving(_query(effort="fast"))
-        assert decision.mode == SERVING_ANYTIME
-        assert decision.budget == fast_budget(5)
-
-    def test_effort_balanced_uses_default_budget(self, serving_engine):
-        decision = serving_engine.planner.serving(_query(effort="balanced"))
-        assert decision.mode == SERVING_ANYTIME
-        assert decision.budget == default_budget(5)
-
-    def test_slo_becomes_deadline_budget(self, serving_engine):
-        decision = serving_engine.planner.serving(_query(slo_ms=12.5))
-        assert decision.mode == SERVING_ANYTIME
-        assert decision.budget == QueryBudget(deadline_ms=12.5)
+    def test_removed_effort_level_is_rejected(self):
+        with pytest.raises(InvalidQueryError):
+            _query(effort="balanced")
 
     def test_hints_apply_to_partitioned_route_only(self, serving_engine):
         decision = serving_engine.planner.serving(
@@ -98,24 +76,22 @@ class TestServingDecision:
                                       landmarks=4),
             partitions=4))
         engine.planner.serving(_query(effort="fast"))
-        engine.planner.serving(_query(slo_ms=3.0))
+        engine.planner.serving(_query(effort="exact"))
         engine.planner.serving(_query())
         stats = engine.planner.serving_stats()
         assert stats[SERVING_LANDMARK] == 1
-        assert stats[SERVING_ANYTIME] == 1
-        assert stats[SERVING_EXACT] == 1
+        assert stats[SERVING_EXACT] == 2
         assert engine.planner.route_stats()["serving_decisions"] == stats
 
 
 class TestPlanRecord:
     def test_plan_records_serving_fields(self, serving_engine):
-        plan = serving_engine.planner.plan(_query(effort="balanced"))
+        plan = serving_engine.planner.plan(_query(effort="fast"))
         assert plan.executor == EXECUTOR_PARTITIONED
-        assert plan.serving_mode == SERVING_ANYTIME
-        assert plan.budget_max_scanned == default_budget(5).max_scanned
+        assert plan.serving_mode == SERVING_LANDMARK
         data = plan.to_dict()
-        assert data["serving_mode"] == SERVING_ANYTIME
-        assert data["budget_max_scanned"] == default_budget(5).max_scanned
+        assert data["serving_mode"] == SERVING_LANDMARK
+        assert data["serving_reason"]
         assert "serving:" in plan.describe()
 
     def test_unhinted_plan_stays_exact(self, serving_engine):
@@ -130,23 +106,26 @@ class TestEngineRouting:
         assert result.algorithm == "landmark"
         assert not result.is_exact
 
-    def test_tight_budget_yields_bounded_answer(self, serving_engine):
-        result = serving_engine.run(
-            _query(budget=QueryBudget(max_scanned=1)))
-        assert result.error_bound is not None
-        assert result.error_bound >= 0.0
+    def test_fast_effort_without_a_sketch_is_the_exact_answer(
+            self, plain_engine):
+        exact = plain_engine.run(_query())
+        result = plain_engine.run(_query(effort="fast"))
+        assert result_signature(result) == result_signature(exact)
+        assert result.algorithm == "exact"
+        assert result.is_exact
+        plan = plain_engine.planner.plan(_query(effort="fast"))
+        assert plan.serving_mode == SERVING_EXACT
+        assert "no landmark tier" in plan.serving_reason
 
     def test_unhinted_query_is_exact(self, serving_engine):
         result = serving_engine.run(_query())
         assert result.is_exact
-        assert (result.error_bound or 0.0) == 0.0
 
 
 class TestCacheKeySeparation:
-    def test_hinted_and_unhinted_queries_never_share_entries(self):
-        exact_key = CacheKey.for_query(_query(), algorithm="exact")
-        fast_key = CacheKey.for_query(_query(effort="fast"),
-                                      algorithm="exact")
-        budget_key = CacheKey.for_query(
-            _query(budget=QueryBudget(max_scanned=64)), algorithm="exact")
-        assert len({exact_key, fast_key, budget_key}) == 3
+    def test_only_fast_gets_its_own_entry(self):
+        unhinted = CacheKey.for_query(_query(), algorithm="exact")
+        exact = CacheKey.for_query(_query(effort="exact"), algorithm="exact")
+        fast = CacheKey.for_query(_query(effort="fast"), algorithm="exact")
+        assert unhinted == exact
+        assert fast != unhinted

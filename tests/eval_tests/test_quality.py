@@ -1,7 +1,7 @@
 """Quality meter: recall@k, rank correlation and workload aggregates.
 
 The meter compares approximate answers against the exact ones; its numbers
-feed the anytime bench suite's curves and the CI recall gate, so the
+feed the landmark bench suite's curve and the CI recall gate, so the
 arithmetic is pinned on hand-built results with known overlaps.
 """
 
@@ -16,13 +16,12 @@ from repro.eval.quality import (
 )
 
 
-def _result(item_ids, scores=None, is_exact=True, error_bound=0.0):
+def _result(item_ids, scores=None):
     scores = scores or [1.0 - 0.1 * rank for rank in range(len(item_ids))]
     items = [ScoredItem(item_id=item_id, score=score)
              for item_id, score in zip(item_ids, scores)]
     query = Query(seeker=0, tags=("jazz",), k=len(item_ids) or 1)
-    return QueryResult(query=query, items=items, algorithm="exact",
-                       is_exact=is_exact, error_bound=error_bound)
+    return QueryResult(query=query, items=items, algorithm="exact")
 
 
 class TestRecall:
@@ -67,22 +66,12 @@ class TestRankCorrelation:
 class TestQualitySummary:
     def test_aggregates_over_workload(self):
         exact = [_result([1, 2, 3, 4]), _result([5, 6, 7, 8])]
-        approx = [_result([1, 2, 3, 4], is_exact=True, error_bound=0.0),
-                  _result([5, 6, 9, 8], is_exact=False, error_bound=0.25)]
+        approx = [_result([1, 2, 3, 4]), _result([5, 6, 9, 8])]
         summary = quality_summary(exact, approx)
         assert summary["queries"] == 2.0
         assert summary["recall_mean"] == pytest.approx(0.875)
         assert summary["recall_min"] == pytest.approx(0.75)
-        assert summary["exact_fraction"] == pytest.approx(0.5)
-        assert summary["error_bound_mean"] == pytest.approx(0.125)
-        assert summary["error_bound_max"] == pytest.approx(0.25)
-
-    def test_unbounded_results_do_not_enter_bound_stats(self):
-        exact = [_result([1, 2])]
-        approx = [_result([1, 2], is_exact=False, error_bound=None)]
-        summary = quality_summary(exact, approx)
-        assert summary["error_bound_mean"] == 0.0
-        assert summary["error_bound_max"] == 0.0
+        assert summary["rank_correlation_mean"] == pytest.approx(1.0)
 
     def test_workload_length_mismatch_raises(self):
         with pytest.raises(ValueError):

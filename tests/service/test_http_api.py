@@ -68,6 +68,24 @@ def post_json(server, path, payload):
         return response.status, json.load(response)
 
 
+def post_raw(server, path, body):
+    """POST ``body`` (bytes) exactly as given; ``(status, json)`` whatever
+    the status, so a test can send what ``json.dumps`` would not write."""
+    connection = http.client.HTTPConnection("127.0.0.1", server.server_port,
+                                            timeout=10.0)
+    try:
+        connection.request("POST", path, body=body,
+                           headers={"Content-Type": "application/json"})
+        response = connection.getresponse()
+        return response.status, json.load(response)
+    finally:
+        connection.close()
+
+
+#: JSON spellings ``int()`` mishandles: overflow, truncation, bool-as-1.
+NOT_INTEGERS = ["1e999", "1.7", "true"]
+
+
 class TestHealthAndMetrics:
     def test_health_reports_dataset(self, server):
         status, body = get_json(server, "/health")
@@ -137,6 +155,58 @@ class TestQueryEndpoint:
         assert excinfo.value.code == 400
         assert "seeker" in json.load(excinfo.value)["error"]
 
+    @pytest.mark.parametrize("value", NOT_INTEGERS)
+    def test_non_integer_seeker_is_400(self, server, value):
+        status, body = post_raw(
+            server, "/query",
+            b'{"seeker": %s, "tags": ["jazz"], "k": 3}' % value.encode())
+        assert status == 400
+        assert "seeker" in body["error"]
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS)
+    def test_non_integer_k_is_400(self, server, value):
+        status, body = post_raw(
+            server, "/query",
+            b'{"seeker": 1, "tags": ["jazz"], "k": %s}' % value.encode())
+        assert status == 400
+        assert "'k'" in body["error"]
+
+    def test_only_an_absent_k_defaults(self, server):
+        tag = server.service.engine.dataset.tags()[0]
+        _, body = post_json(server, "/query", {"seeker": 1, "tags": [tag]})
+        assert body["query"]["k"] == 10
+        status, body = post_raw(
+            server, "/query",
+            json.dumps({"seeker": 1, "tags": [tag], "k": 0}).encode())
+        assert status == 400
+        assert "k must be >= 1" in body["error"]
+
+    def test_tags_must_be_a_list_of_strings(self, server):
+        for tags in ("jazz", [1, 2], {"jazz": 1}):
+            status, body = post_raw(
+                server, "/query",
+                json.dumps({"seeker": 1, "tags": tags, "k": 3}).encode())
+            assert status == 400
+            assert "tags" in body["error"]
+
+    @pytest.mark.parametrize("field, value", [
+        ("slo_ms", 5.0), ("deadline_ms", 5.0), ("max_scanned", 64),
+        ("effort", "balanced")])
+    def test_removed_hints_are_named_in_a_400(self, server, field, value):
+        tag = server.service.engine.dataset.tags()[0]
+        for path in ("/query", "/explain"):
+            status, body = post_raw(
+                server, path,
+                json.dumps({"seeker": 1, "tags": [tag], "k": 3,
+                            field: value}).encode())
+            assert status == 400
+            assert field in body["error"]
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                get_json(server,
+                         f"{path}?seeker=1&tags={tag}&k=3&{field}={value}")
+            assert excinfo.value.code == 400
+            assert field in json.load(excinfo.value)["error"]
+
     def test_oversized_body_is_413(self, server):
         status, body, connection = post_announcing(
             server, str(MAX_BODY_BYTES + 1))
@@ -156,10 +226,11 @@ class TestQueryEndpoint:
 
     def test_body_at_the_limit_is_read(self, server):
         tag = server.service.engine.dataset.tags()[0]
-        payload = {"seeker": 1, "tags": [tag], "k": 3, "pad": ""}
-        payload["pad"] = "x" * (MAX_BODY_BYTES - len(json.dumps(payload)))
-        assert len(json.dumps(payload)) == MAX_BODY_BYTES
-        status, body = post_json(server, "/query", payload)
+        payload = json.dumps({"seeker": 1, "tags": [tag], "k": 3}).encode()
+        # Trailing whitespace is valid JSON; an unknown padding field is not
+        # a valid query.
+        status, body = post_raw(server, "/query",
+                                payload.ljust(MAX_BODY_BYTES))
         assert status == 200 and body["outcome"] == "computed"
 
     def test_bad_seeker_is_400(self, server):
@@ -204,6 +275,24 @@ class TestUpdateEndpoint:
             server, "/update", {"friendships": [[1, stranger, 1.0]]})
         assert status == 200
         assert summary["edges_added"] == 1
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS)
+    def test_non_integer_new_users_is_400(self, server, value):
+        status, body = post_raw(server, "/update",
+                                b'{"new_users": %s}' % value.encode())
+        assert status == 400
+        assert "new_users" in body["error"]
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS)
+    def test_non_integer_ids_inside_an_update_are_400(self, server, value):
+        for template in (
+                b'{"actions": [{"user_id": %s, "item_id": 1, "tag": "t"}]}',
+                b'{"actions": [{"user_id": 1, "item_id": %s, "tag": "t"}]}',
+                b'{"friendships": [[%s, 2, 1.0]]}'):
+            status, body = post_raw(server, "/update",
+                                    template % value.encode())
+            assert status == 400
+            assert "must be an integer" in body["error"]
 
     def test_empty_update_is_noop(self, server):
         status, summary = post_json(server, "/update", {})

@@ -48,6 +48,17 @@ class TestParser:
         assert args.rss_ceiling_mb == 2048.0
         assert args.min_rss_ratio == 5.0
 
+    def test_removed_bench_spellings_are_argparse_errors(self, capsys):
+        parser = build_parser()
+        assert parser.parse_args(["bench", "--suite", "landmark"]).suite \
+            == "landmark"
+        for argv in (["bench", "--suite", "anytime"],
+                     ["bench", "--suite", "landmark", "--budgets", "64"]):
+            with pytest.raises(SystemExit) as excinfo:
+                parser.parse_args(argv)
+            assert excinfo.value.code == 2
+        capsys.readouterr()
+
     def test_partitions_flag_parses(self):
         parser = build_parser()
         args = parser.parse_args(["serve", "--partitions", "4"])
@@ -114,6 +125,31 @@ class TestExplain:
         assert report["suite"] == "partitioned"
         assert report["equivalent"] is True
         assert set(report["p50_by_partitions"]) == {"1", "2", "4"}
+
+    def test_bench_landmark_suite_writes_json(self, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "BENCH_landmark.json"
+        assert main(["bench", "--suite", "landmark", "--users", "80",
+                     "--queries", "4", "--rounds", "1",
+                     "--landmark-counts", "4,8", "--json", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "the landmark tier" in out
+        report = json.loads(path.read_text())
+        assert report["suite"] == "landmark"
+        assert [point["num_landmarks"]
+                for point in report["landmark_curve"]] == [4, 8]
+        assert set(report["gate"]) == {"point", "speedup", "recall_at_k",
+                                       "p50_ms", "recall_floor"}
+
+    def test_bench_landmark_suite_min_recall_gate(self, capsys):
+        # Recall cannot exceed 1, so the gate must flip the exit code
+        # whatever --min-speedup says.
+        assert main(["bench", "--suite", "landmark", "--users", "80",
+                     "--queries", "4", "--rounds", "1",
+                     "--landmark-counts", "4", "--min-recall", "1.01",
+                     "--min-speedup", "0"]) == 1
+        assert "no landmark point reaches recall@k" in capsys.readouterr().out
 
 
 class TestDemo:
