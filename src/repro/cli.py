@@ -17,8 +17,8 @@ main flows without writing any Python:
   proximity shards) into the memory-mapped index arena.
 * ``repro serve`` — expose a dataset behind the concurrent JSON HTTP API
   (``--arena`` for mmap cold start, ``--warmup N`` for cache pre-population).
-* ``repro profile`` — cProfile a batched run over a query trace and print
-  the top cumulative hotspots.
+* ``repro profile`` — cProfile the per-query path (``engine.run_many``, what
+  the server runs) over a query trace and print the top cumulative hotspots.
 * ``repro lint`` — run the repo's static-analysis rules (lock discipline,
   byte-identity, durability ordering, RNG determinism, hot-path
   materialisation) and gate against the committed baseline.
@@ -40,6 +40,7 @@ from .config import (
 )
 from .core.engine import SocialSearchEngine
 from .core.topk.base import available_algorithms
+from .errors import ReproError
 from .eval.runner import ExperimentRunner
 from .eval.tables import format_table
 from .storage.persistence import load_dataset, save_dataset
@@ -276,7 +277,7 @@ def _run_proximity_suite(args: argparse.Namespace) -> int:
         path = write_report(report, args.json)
         print(f"wrote {path}")
     if not report["equivalent"]:
-        print("FAIL: materialized/batched rankings diverge from the online path")
+        print("FAIL: materialized rankings diverge from the online path")
         return 1
     speedup = float(report["speedup_cold_seeker"])
     if args.min_speedup > 0.0 and speedup < args.min_speedup:
@@ -749,7 +750,7 @@ def _command_build_arena(args: argparse.Namespace) -> int:
 
 
 def _command_profile(args: argparse.Namespace) -> int:
-    """cProfile a batched run over a query trace (hotspot regression guard)."""
+    """cProfile the per-query path over a trace (hotspot regression guard)."""
     import cProfile
     import io
     import pstats
@@ -765,7 +766,7 @@ def _command_profile(args: argparse.Namespace) -> int:
     profiler = cProfile.Profile()
     profiler.enable()
     for _ in range(args.rounds):
-        engine.run_batch(queries)
+        engine.run_many(queries)
     profiler.disable()
     buffer = io.StringIO()
     stats = pstats.Stats(profiler, stream=buffer)
@@ -1065,8 +1066,8 @@ def build_parser() -> argparse.ArgumentParser:
     recover.set_defaults(handler=_command_recover)
 
     profile = subparsers.add_parser(
-        "profile", help="cProfile a batched run over a query trace and "
-                        "print the top cumulative hotspots")
+        "profile", help="cProfile the per-query path over a query trace "
+                        "and print the top cumulative hotspots")
     profile.add_argument("queries_file",
                          help="query trace (JSON lines, see "
                               "repro.workload.trace.save_queries)")
@@ -1080,7 +1081,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "given")
     profile.add_argument("--seed", type=int, default=7)
     profile.add_argument("--rounds", type=int, default=3,
-                         help="batched passes over the trace (default: 3)")
+                         help="passes over the trace (default: 3)")
     profile.add_argument("--top", type=int, default=20,
                          help="number of cumulative hotspots to print "
                               "(default: 20)")
@@ -1115,7 +1116,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not getattr(args, "handler", None):
         parser.print_help()
         return 1
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ReproError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

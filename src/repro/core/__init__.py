@@ -3,7 +3,7 @@
 from .accounting import AccessAccountant
 from .query import Query, QueryResult, ScoredItem, make_queries
 from .scoring import ScoreBreakdown, ScoringModel
-from .plan import BatchPlan, ExecutionPlan, PartitionPreview, QueryPlanner
+from .plan import ExecutionPlan, PartitionPreview, QueryPlanner
 from .partition_exec import PartitionedExecutor
 from .engine import SocialSearchEngine
 from .topk import (
@@ -29,7 +29,6 @@ __all__ = [
     "ScoreBreakdown",
     "SocialSearchEngine",
     "ExecutionPlan",
-    "BatchPlan",
     "PartitionPreview",
     "QueryPlanner",
     "PartitionedExecutor",

@@ -18,7 +18,7 @@ import threading
 from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..config import EngineConfig, ScoringConfig
+from ..config import EngineConfig
 from ..obs import trace as obs_trace
 from ..obs.trace import NULL_SPAN
 from ..proximity import CachedProximity, MaterializedProximity, create_proximity
@@ -26,7 +26,6 @@ from ..proximity.base import ProximityMeasure
 from ..proximity.landmarks import LandmarkProximity
 from ..storage.dataset import Dataset
 from ..storage.partitioned import CorpusPartitions
-from .batch import run_batch as _run_batch
 from .partition_exec import PartitionedExecutor
 from .plan import (EXECUTOR_PARTITIONED, SERVING_LANDMARK, ExecutionPlan,
                    QueryPlanner)
@@ -225,12 +224,6 @@ class SocialSearchEngine:
                 return self._landmark_executor
         return self._partition_executor
 
-    def execute(self, query: Query, plan: ExecutionPlan) -> QueryResult:
-        """Drive a planned query through its chosen executor."""
-        if plan.executor == EXECUTOR_PARTITIONED:
-            return self._serving_executor(query).search(query)
-        return self._algorithm(plan.algorithm).search(query)
-
     def explain_plan(self, query: Query,
                      algorithm: Optional[str] = None) -> ExecutionPlan:
         """The full execution plan for ``query`` — with per-partition bound
@@ -242,18 +235,6 @@ class SocialSearchEngine:
         """Run queries one after another on the calling thread."""
         return [self.run(query, algorithm=algorithm) for query in queries]
 
-    def run_batch(self, queries: Iterable[Query],
-                  algorithm: Optional[str] = None) -> List[QueryResult]:
-        """Run a batch with shared scans, coalesced by (cluster, tags).
-
-        Queries over the same tags share one candidate scan (and, with
-        materialized proximity, cluster-bound pruning of the social
-        gather); see :mod:`repro.core.batch`.  Results are returned in
-        input order and are identical — rankings, scores and access
-        accounting — to :meth:`run_many` over the same queries.
-        """
-        return _run_batch(self, list(queries), algorithm=algorithm)
-
     # ------------------------------------------------------------------ #
     # Reconfiguration
     # ------------------------------------------------------------------ #
@@ -264,12 +245,8 @@ class SocialSearchEngine:
         The proximity measure (and its cache) is shared, so sweeping α in an
         experiment does not recompute proximity vectors.
         """
-        scoring = ScoringConfig(
-            alpha=alpha,
-            include_seeker=self._config.scoring.include_seeker,
-            proximity_floor=self._config.scoring.proximity_floor,
-        )
-        config = replace(self._config, scoring=scoring)
+        config = replace(self._config,
+                         scoring=replace(self._config.scoring, alpha=alpha))
         return SocialSearchEngine(self._dataset, config, proximity=self._proximity,
                                   partitions=self._partitions,
                                   landmark_proximity=self._landmark_proximity)

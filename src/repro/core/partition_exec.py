@@ -25,8 +25,9 @@ single-partition exact scan — same rankings, same scores, same access
 accounting.  That falls out of three facts:
 
 * per-item scores depend only on that item's posting/endorser segments,
-  and the subset gather (:func:`_subset_social_mass`) reduces each segment
-  in the same element order as the full ``reduceat``;
+  and the subset gather (:meth:`TagEndorsers.subset_social_mass
+  <repro.storage.endorser_index.TagEndorsers.subset_social_mass>`) reduces
+  each segment in the same element order as the full ``reduceat``;
 * access charges are defined by what the scalar path *would* do; they are
   cheap integer arithmetic over the whole candidate block and are computed
   globally, so pruning never changes them;
@@ -52,7 +53,6 @@ from ..proximity.base import ProximityMeasure
 from ..storage.dataset import Dataset
 from ..storage.partitioned import CorpusPartitions
 from .accounting import AccessAccountant
-from .batch import _subset_social_mass
 from .query import Query, QueryResult, ScoredItem
 from .scoring import ScoringModel
 from .topk.exact import select_topk
@@ -218,10 +218,10 @@ class PartitionedExecutor:
         self._tagsets: Dict[Tuple[str, ...], _TagSetContext] = {}  # guarded-by: _lock
         self._tagset_token: Optional[Tuple[object, int]] = None  # guarded-by: _lock
         # Bound-weighted endorser masses per (cluster bound vector, tag),
-        # shared across every seeker of the cluster and across queries —
-        # the cross-query analogue of core.batch's per-group cache.  Keys
-        # hold the bound array and bundle by reference, so a shard repair
-        # (new bound array) or a delta merge (new bundle) misses cleanly.
+        # shared across every seeker of the cluster and across queries.
+        # Keys hold the bound array and bundle by reference, so a shard
+        # repair (new bound array) or a delta merge (new bundle) misses
+        # cleanly.
         self._bound_mass_cache: Dict[Tuple[int, str],  # guarded-by: _lock
                                      Tuple[object, object, np.ndarray]] = {}
         self.statistics = PartitionExecStatistics()
@@ -732,10 +732,10 @@ class PartitionedExecutor:
 
         Candidates whose admissible per-item bound falls strictly below the
         threshold are dropped *before* the social gather — the item-level
-        form of the shard cut, mirroring the batched executor's candidate
-        pruning — so a mostly-beaten shard pays for its handful of
-        contenders, not its whole block.  Returns ``(positions, scores,
-        social)`` with ``positions`` indexing the global candidate block.
+        form of the shard cut — so a mostly-beaten shard pays for its
+        handful of contenders, not its whole block.  Returns ``(positions,
+        scores, social)`` with ``positions`` indexing the global candidate
+        block.
         The arithmetic replays :meth:`ScoringModel.score_block` per segment
         — same per-tag order, same per-segment reduction order — so scores
         are bit-identical to the single-partition scan.
@@ -757,9 +757,8 @@ class PartitionedExecutor:
                 continue
             if tag_context.all_found:
                 if count:
-                    mass = _subset_social_mass(
-                        tag_context.bundle, proximity,
-                        tag_context.positions[shard])
+                    mass = tag_context.bundle.subset_social_mass(
+                        proximity, tag_context.positions[shard])
                     social_total += np.minimum(
                         1.0, mass / tag_context.normaliser)
                 continue
@@ -767,9 +766,8 @@ class PartitionedExecutor:
             hit = np.nonzero(found)[0]
             mass = np.zeros(count, dtype=np.float64)
             if hit.shape[0]:
-                mass[hit] = _subset_social_mass(
-                    tag_context.bundle, proximity,
-                    tag_context.positions[shard][hit])
+                mass[hit] = tag_context.bundle.subset_social_mass(
+                    proximity, tag_context.positions[shard][hit])
             social_total += np.minimum(
                 1.0, np.where(found, mass, 0.0) / tag_context.normaliser)
         social = social_total / context.m

@@ -3,9 +3,8 @@
 Four PRs of optimisation left the engine with many implicit execution
 paths — scalar vs vectorized scoring, online vs cached vs materialized
 proximity, python-dict vs arena-array storage (with or without pending
-delta overlays), single vs shared-scan batches, and now single- vs
-multi-partition scans — chosen by ``if`` checks scattered across
-``SocialSearchEngine``, ``core.batch`` and ``QueryService``.
+delta overlays), and single- vs multi-partition scans — chosen by ``if``
+checks scattered across ``SocialSearchEngine`` and ``QueryService``.
 
 This module centralises those decisions.  A :class:`QueryPlanner` inspects
 the engine once (dataset backing, proximity wrapper, scoring mode,
@@ -25,9 +24,8 @@ the engine built a sketch, and by the exact scan otherwise
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
-from .batch import MIN_SHARED_GROUP, group_queries
 from .query import Query
 from .topk.base import available_algorithms
 
@@ -159,41 +157,6 @@ class ExecutionPlan:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class BatchGroup:
-    """One execution group of a batch plan (same tags, cluster-ordered)."""
-
-    indices: Tuple[int, ...]
-    tags: Tuple[str, ...]
-    #: ``"shared-scan"`` (one candidate scan for the whole group) or
-    #: ``"per-query"`` (each query runs through its own single-query plan).
-    strategy: str
-
-
-@dataclass(frozen=True)
-class BatchPlan:
-    """How a batch of queries will execute: groups plus their strategies."""
-
-    algorithm: str
-    groups: Tuple[BatchGroup, ...]
-    #: Whether seekers were ordered by proximity cluster inside groups.
-    cluster_ordered: bool
-
-    @property
-    def shared_groups(self) -> int:
-        """Number of groups taking the shared-scan route."""
-        return sum(1 for group in self.groups
-                   if group.strategy == "shared-scan")
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "algorithm": self.algorithm,
-            "groups": len(self.groups),
-            "shared_scan_groups": self.shared_groups,
-            "cluster_ordered": self.cluster_ordered,
-        }
-
-
 class QueryPlanner:
     """Chooses an execution route per query by inspecting the engine once.
 
@@ -251,12 +214,6 @@ class QueryPlanner:
 
     def _resolve(self, algorithm: Optional[str]) -> str:
         return algorithm or self._engine.config.algorithm
-
-    def _cluster_of(self):
-        proximity = self._engine.proximity
-        if getattr(proximity, "built", False):
-            return getattr(proximity, "cluster_of", None)
-        return None
 
     # ------------------------------------------------------------------ #
     # Serving decisions
@@ -407,35 +364,6 @@ class QueryPlanner:
                 "exact vectorized scan scatters over the item shards; "
                 "shards whose admissible bound cannot reach the top-k "
                 "are skipped")
-
-    # ------------------------------------------------------------------ #
-    # Batch planning
-    # ------------------------------------------------------------------ #
-
-    def plan_batch(self, queries: Sequence[Query],
-                   algorithm: Optional[str] = None) -> BatchPlan:
-        """Group a batch and pick each group's execution strategy.
-
-        Same-tag queries form one group (their posting-list work is
-        identical); groups of at least :data:`MIN_SHARED_GROUP` exact
-        vectorized queries take the shared-scan route, everything else runs
-        per query through :meth:`plan` (in cluster order, which still
-        shares lazy proximity refinements).
-        """
-        name = self._resolve(algorithm)
-        cluster_of = self._cluster_of()
-        shared_eligible = (name == "exact"
-                           and self._engine.config.scoring.vectorized)
-        groups: List[BatchGroup] = []
-        for indices in group_queries(queries, cluster_of):
-            strategy = ("shared-scan"
-                        if shared_eligible and len(indices) >= MIN_SHARED_GROUP
-                        else "per-query")
-            groups.append(BatchGroup(indices=tuple(indices),
-                                     tags=queries[indices[0]].tags,
-                                     strategy=strategy))
-        return BatchPlan(algorithm=name, groups=tuple(groups),
-                         cluster_ordered=cluster_of is not None)
 
     # ------------------------------------------------------------------ #
     # Introspection

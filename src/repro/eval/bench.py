@@ -11,25 +11,25 @@ Three suites:
   exact scoring on the Figure-6 medium corpus (PR 2's kernel layer);
 * ``proximity`` — the offline/online materialization trade-off: cold-seeker
   latency with shard-served vs online-computed proximity, mmap-arena vs
-  JSON-snapshot cold start, batched vs sequential execution, and a strict
-  equivalence check (rankings *and* access accounting) across the online,
-  materialized and batched paths that doubles as a CI gate;
+  JSON-snapshot cold start, and a strict equivalence check (rankings *and*
+  access accounting) across the online and materialized paths that doubles
+  as a CI gate;
 * ``updates`` — the live-update write path: an interleaved query/update
   trace over an arena-backed, shard-served dataset, reporting post-update
   vs pre-update query p50 (the delta overlays + incremental shard repair
   must keep the fast path) and gating on exact equivalence with a dataset
-  rebuilt from scratch after the same updates, for the online,
-  materialized and batched execution paths;
+  rebuilt from scratch after the same updates, for the online and
+  materialized execution paths;
 * ``partitioned`` — the planner/scatter-gather layer: query p50 against
   partition counts 1/2/4 on a community corpus with community-correlated
   vocabularies, reporting per-shard bound pruning, with a strict
   equivalence gate (rankings, scores, accounting) across partition counts
-  and the online/materialized/batched execution paths;
+  and the online/materialized execution paths;
 * ``durability`` — the crash-safety story: a chaos sweep that kills the
   durable write path at every named fault-injection point (plus a torn
   final WAL record), recovers each directory, and gates on **zero
   acknowledged updates lost** and bit-identical recovered reads vs a
-  from-scratch rebuild, across the online/materialized/batched paths;
+  from-scratch rebuild, across the online/materialized paths;
   also measures WAL fsync-policy overhead, replay latency, and that
   concurrent queries see no downtime during a generation swap;
 * ``landmark`` — the accuracy-for-latency story: the latency-vs-quality
@@ -45,7 +45,7 @@ import platform
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..config import EngineConfig, ProximityConfig, ScoringConfig
 from ..core.engine import SocialSearchEngine
@@ -259,21 +259,19 @@ def run_proximity_suite(num_users: int = MEDIUM_USERS, num_queries: int = 20,
                         measure: str = "ppr",
                         algorithms: Sequence[str] = ("exact", "social-first"),
                         seed: int = 23) -> Dict[str, object]:
-    """Run the materialization/arena/batching suite; returns the JSON report.
+    """Run the materialization/arena suite; returns the JSON report.
 
-    The three headline numbers:
+    The two headline numbers:
 
     * ``speedup_cold_seeker`` — p50 latency of online proximity computation
       (no cache, every query recomputes, e.g. a PPR power iteration) over
       p50 latency with prebuilt materialized shards;
     * ``speedup_cold_start`` — JSON-snapshot load time over mmap-arena load
-      time for the same corpus;
-    * ``speedup_batched`` — sequential ``run_many`` throughput vs coalesced
-      ``run_batch`` throughput on the exact algorithm.
+      time for the same corpus.
 
     ``equivalent`` is a hard correctness verdict: rankings, scores and
-    access accounting must be identical across the online, materialized and
-    batched execution paths for every query and algorithm measured.
+    access accounting must be identical across the online and materialized
+    execution paths for every query and algorithm measured.
     """
     dataset = scaled_dataset(num_users, seed=seed, homophily=0.5)
     queries = dataset_workload(dataset, num_queries=num_queries, k=k, seed=3)
@@ -358,62 +356,17 @@ def run_proximity_suite(num_users: int = MEDIUM_USERS, num_queries: int = 20,
     report["speedup_cold_start"] = (
         snapshot_seconds / arena_seconds if arena_seconds else 0.0)
 
-    # 3. Batched execution: shared scans + in-batch coalescing vs sequential
-    # runs (warm engine) over a Zipf-skewed serving trace — the request mix
-    # QueryService.run_batch sees when concurrent clients hammer the hot
-    # head of the query distribution (cf. bench_fig10_serving).
-    import numpy as _np
-
-    rng = _np.random.default_rng(seed)
-    zipf_weights = 1.0 / _np.arange(1, len(queries) + 1, dtype=_np.float64) ** 1.1
-    zipf_weights /= zipf_weights.sum()
-    trace = [queries[int(position)] for position in
-             rng.choice(len(queries), size=4 * len(queries), p=zipf_weights)]
-    batch_engine = materialized_engine()
-    batch_engine.proximity.build()
-    batch_engine.run_many(trace, algorithm="exact")  # warm-up pass
-    sequential_seconds = min(
-        _timed(lambda: batch_engine.run_many(trace, algorithm="exact"))
-        for _ in range(rounds))
-    batched_seconds = min(
-        _timed(lambda: batch_engine.run_batch(trace, algorithm="exact"))
-        for _ in range(rounds))
-    report["batched"] = {
-        "sequential_ms": sequential_seconds * 1000.0,
-        "batched_ms": batched_seconds * 1000.0,
-        "queries": len(trace),
-        "distinct_queries": len(queries),
-    }
-    report["speedup_batched"] = (
-        sequential_seconds / batched_seconds if batched_seconds else 0.0)
-
-    # 4. Equivalence gate: identical rankings, scores and access accounting
-    # across online / materialized / batched execution.
-    mismatches: List[Dict[str, object]] = []
-    verify_online = online_engine()
+    # 3. Equivalence gate: identical rankings, scores and access accounting
+    # with proximity computed online and served from materialized shards.
     verify_materialized = materialized_engine()
     verify_materialized.proximity.build()
-    for algorithm in algorithms:
-        baseline = [verify_online.run(query, algorithm=algorithm)
-                    for query in queries]
-        shard_served = [verify_materialized.run(query, algorithm=algorithm)
-                        for query in queries]
-        batched = verify_materialized.run_batch(queries, algorithm=algorithm)
-        for query, expected, *observed in zip(queries, baseline, shard_served,
-                                              batched):
-            want = _result_signature(expected)
-            for path_name, result in zip(("materialized", "batched"), observed):
-                got = _result_signature(result)
-                if got != want:
-                    mismatches.append({
-                        "algorithm": algorithm,
-                        "path": path_name,
-                        "query": query.to_dict(),
-                        "expected": want,
-                        "got": got,
-                    })
+    mismatches = _path_mismatches(
+        online_engine(), {"materialized": verify_materialized},
+        queries, algorithms)
     report["equivalence"] = {
         "algorithms": list(algorithms),
+        # "online" is the baseline the materialized path is compared with.
+        "paths": ["online", "materialized"],
         "queries_checked": len(queries) * len(algorithms),
         "mismatches": mismatches[:10],
         "num_mismatches": len(mismatches),
@@ -445,8 +398,7 @@ def run_updates_suite(num_users: int = MEDIUM_USERS, num_queries: int = 20,
       regression gate for that cliff.
     * ``equivalent`` — post-update rankings, scores and access accounting
       must be identical to a dataset rebuilt from scratch from the merged
-      action/edge log, for the online, materialized and batched execution
-      paths.
+      action/edge log, for the online and materialized execution paths.
 
     Mid-trace the delta overlays are compacted once (the epoch swap), so
     both the merged and the freshly-folded read paths are measured.
@@ -568,7 +520,7 @@ def run_updates_suite(num_users: int = MEDIUM_USERS, num_queries: int = 20,
 
         # Equivalence gate: the live (updated in place) dataset must answer
         # exactly like a dataset rebuilt from scratch from the merged logs,
-        # across the online, materialized and batched execution paths.
+        # across the online and materialized execution paths.
         builder = SocialGraphBuilder(live.num_users)
         for u, v, w in base_edges:
             builder.add_edge(u, v, w)
@@ -580,33 +532,13 @@ def run_updates_suite(num_users: int = MEDIUM_USERS, num_queries: int = 20,
             fresh, ProximityConfig(measure=measure, cache_size=0), alpha)
         live_online = _engine_with(
             live, ProximityConfig(measure=measure, cache_size=0), alpha)
-        mismatches: List[Dict[str, object]] = []
-        for algorithm in algorithms:
-            baseline = [fresh_online.run(query, algorithm=algorithm)
-                        for query in queries]
-            observed_paths = (
-                ("online", [live_online.run(query, algorithm=algorithm)
-                            for query in queries]),
-                ("materialized", [engine.run(query, algorithm=algorithm)
-                                  for query in queries]),
-                ("batched", engine.run_batch(queries, algorithm=algorithm)),
-            )
-            for path_name, observed in observed_paths:
-                for query, expected, result in zip(queries, baseline, observed):
-                    want = _result_signature(expected)
-                    got = _result_signature(result)
-                    if got != want:
-                        mismatches.append({
-                            "algorithm": algorithm,
-                            "path": path_name,
-                            "query": query.to_dict(),
-                            "expected": want,
-                            "got": got,
-                        })
+        mismatches = _path_mismatches(
+            fresh_online, {"online": live_online, "materialized": engine},
+            queries, algorithms)
     report["equivalence"] = {
         "algorithms": list(algorithms),
-        "paths": ["online", "materialized", "batched"],
-        "queries_checked": len(queries) * len(algorithms) * 3,
+        "paths": ["online", "materialized"],
+        "queries_checked": len(queries) * len(algorithms) * 2,
         "mismatches": mismatches[:10],
         "num_mismatches": len(mismatches),
     }
@@ -637,7 +569,7 @@ def run_partitioned_suite(num_users: int = 600, num_queries: int = 20,
 
     ``equivalent`` is a hard correctness verdict: rankings, scores and
     access accounting must be identical across every partition count and
-    the online / materialized / batched execution paths.
+    the online / materialized execution paths.
     """
     from ..config import DatasetConfig
     from ..workload.datasets import build_dataset
@@ -713,44 +645,23 @@ def run_partitioned_suite(num_users: int = 600, num_queries: int = 20,
         for partitions in partition_counts
     }
 
-    # 2. Equivalence gate: every partition count, across the online,
-    # materialized and batched paths, must answer exactly like the
-    # single-partition online baseline.
+    # 2. Equivalence gate: every partition count, across the online and
+    # materialized paths, must answer exactly like the single-partition
+    # online baseline.
     mismatches: List[Dict[str, object]] = []
     baseline_engine = partitioned_engine(partition_counts[0],
                                          materialize=False)
-    for algorithm in algorithms:
-        baseline = [baseline_engine.run(query, algorithm=algorithm)
-                    for query in queries]
-        for partitions in partition_counts:
-            online = partitioned_engine(partitions, materialize=False)
-            served = engines[partitions]
-            observed_paths = (
-                ("online", [online.run(query, algorithm=algorithm)
-                            for query in queries]),
-                ("materialized", [served.run(query, algorithm=algorithm)
-                                  for query in queries]),
-                ("batched", served.run_batch(queries, algorithm=algorithm)),
-            )
-            for path_name, observed in observed_paths:
-                for query, expected, result in zip(queries, baseline,
-                                                   observed):
-                    want = _result_signature(expected)
-                    got = _result_signature(result)
-                    if got != want:
-                        mismatches.append({
-                            "algorithm": algorithm,
-                            "partitions": partitions,
-                            "path": path_name,
-                            "query": query.to_dict(),
-                            "expected": want,
-                            "got": got,
-                        })
+    for partitions in partition_counts:
+        mismatches.extend(_path_mismatches(
+            baseline_engine,
+            {"online": partitioned_engine(partitions, materialize=False),
+             "materialized": engines[partitions]},
+            queries, algorithms, partitions=partitions))
     report["equivalence"] = {
         "algorithms": list(algorithms),
-        "paths": ["online", "materialized", "batched"],
+        "paths": ["online", "materialized"],
         "queries_checked": len(queries) * len(algorithms)
-        * len(partition_counts) * 3,
+        * len(partition_counts) * 2,
         "mismatches": mismatches[:10],
         "num_mismatches": len(mismatches),
     }
@@ -1034,7 +945,7 @@ def run_durability_suite(num_users: int = MEDIUM_USERS, num_queries: int = 10,
     * ``equivalent`` — the recovered store must answer queries
       bit-identically (rankings, scores, access accounting) to a dataset
       rebuilt from scratch from base + the durable log, across the
-      online, materialized and batched execution paths; and the
+      online and materialized execution paths; and the
       concurrent-query thread of the generation-swap check must complete
       with zero errors (no downtime during a checkpoint).
 
@@ -1213,33 +1124,10 @@ def run_durability_suite(num_users: int = MEDIUM_USERS, num_queries: int = 10,
                 recovered.dataset,
                 ProximityConfig(measure=measure, materialize=True), alpha)
             served.proximity.build()
-            scenario_mismatches = 0
-            for algorithm in algorithms:
-                baseline = [fresh_online.run(query, algorithm=algorithm)
-                            for query in queries]
-                observed_paths = (
-                    ("online", [live_online.run(query, algorithm=algorithm)
-                                for query in queries]),
-                    ("materialized", [served.run(query, algorithm=algorithm)
-                                      for query in queries]),
-                    ("batched", served.run_batch(queries,
-                                                 algorithm=algorithm)),
-                )
-                for path_name, observed in observed_paths:
-                    for query, expected, result in zip(queries, baseline,
-                                                       observed):
-                        want = _result_signature(expected)
-                        got = _result_signature(result)
-                        if got != want:
-                            scenario_mismatches += 1
-                            all_mismatches.append({
-                                "point": point,
-                                "algorithm": algorithm,
-                                "path": path_name,
-                                "query": query.to_dict(),
-                                "expected": want,
-                                "got": got,
-                            })
+            scenario_mismatches = _path_mismatches(
+                fresh_online, {"online": live_online, "materialized": served},
+                queries, algorithms, point=point)
+            all_mismatches.extend(scenario_mismatches)
             recovered.close()
             scenario_rows.append({
                 "point": point,
@@ -1256,7 +1144,7 @@ def run_durability_suite(num_users: int = MEDIUM_USERS, num_queries: int = 10,
                 "strays_removed": len(recovery.strays_removed),
                 "generation": recovered.generation,
                 "epoch": recovery.epoch,
-                "mismatches": scenario_mismatches,
+                "mismatches": len(scenario_mismatches),
             })
 
         # ------------------------------------------------------------- #
@@ -1367,8 +1255,8 @@ def run_durability_suite(num_users: int = MEDIUM_USERS, num_queries: int = 10,
     report["replay"] = replay
     report["equivalence"] = {
         "algorithms": list(algorithms),
-        "paths": ["online", "materialized", "batched"],
-        "queries_checked": len(queries) * len(algorithms) * 3
+        "paths": ["online", "materialized"],
+        "queries_checked": len(queries) * len(algorithms) * 2
         * len(scenario_rows),
         "mismatches": all_mismatches[:10],
         "num_mismatches": len(all_mismatches),
@@ -1444,6 +1332,37 @@ def _best_of_rounds(engine: SocialSearchEngine, queries: Sequence[Query],
     return best
 
 
+def _path_mismatches(baseline: SocialSearchEngine,
+                     paths: Mapping[str, SocialSearchEngine],
+                     queries: Sequence[Query], algorithms: Sequence[str],
+                     **labels: object) -> List[Dict[str, object]]:
+    """Every answer of a ``{path name: engine}`` that differs from ``baseline``'s.
+
+    The equivalence gate of the proximity, updates, partitioned and
+    durability suites: each engine answers each query with each algorithm
+    through ``engine.run``, and the result signatures (rankings, scores,
+    access accounting) must equal the baseline engine's.  ``labels`` (the
+    partition count, the fault point) are copied into every mismatch record.
+    """
+    mismatches: List[Dict[str, object]] = []
+    for algorithm in algorithms:
+        wanted = [_result_signature(baseline.run(query, algorithm=algorithm))
+                  for query in queries]
+        for path_name, engine in paths.items():
+            for query, want in zip(queries, wanted):
+                got = _result_signature(engine.run(query, algorithm=algorithm))
+                if got != want:
+                    mismatches.append({
+                        **labels,
+                        "algorithm": algorithm,
+                        "path": path_name,
+                        "query": query.to_dict(),
+                        "expected": want,
+                        "got": got,
+                    })
+    return mismatches
+
+
 def _engine_with(dataset: Dataset, proximity: ProximityConfig,
                  alpha: float) -> SocialSearchEngine:
     return SocialSearchEngine(dataset, EngineConfig(
@@ -1463,7 +1382,6 @@ def format_proximity_report(report: Dict[str, object]) -> str:
     """Human-readable one-screen summary of a proximity-suite report."""
     cold = report["cold_seeker"]
     start = report["cold_start"]
-    batched = report["batched"]
     lines = [
         "proximity materialization suite "
         f"({report['dataset']['num_users']} users, "  # type: ignore[index]
@@ -1476,9 +1394,6 @@ def format_proximity_report(report: Dict[str, object]) -> str:
         f"cold start    snapshot {start['snapshot_ms']:.2f} ms"  # type: ignore[index]
         f" | arena {start['arena_ms']:.2f} ms"  # type: ignore[index]
         f" | speedup {report['speedup_cold_start']:.2f}x",
-        f"batched       sequential {batched['sequential_ms']:.2f} ms"  # type: ignore[index]
-        f" | batched {batched['batched_ms']:.2f} ms"  # type: ignore[index]
-        f" | speedup {report['speedup_batched']:.2f}x",
         f"offline build {cold['offline_build_seconds'] * 1000.0:.1f} ms"  # type: ignore[index]
         f" for {cold['rows_built']} rows"  # type: ignore[index]
         f" ({cold['shard_bytes']} bytes)",  # type: ignore[index]

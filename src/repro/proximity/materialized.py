@@ -16,7 +16,7 @@ O(touch):
   wrapped measure computes online) plus one dense **upper-bound vector**,
   the element-wise maximum over the member rows.  The bound is admissible
   for every member, which is what lets threshold-style algorithms and the
-  batched executor prune candidates without touching exact rows.
+  partitioned executor prune candidates without touching exact rows.
 * :class:`MaterializedProximity` serves any seeker from their shard row
   (``cluster bound → row lookup``), falling back to **lazy refinement**
   through the wrapped measure for seekers that were never materialized
@@ -363,8 +363,8 @@ class MaterializedProximity(ProximityMeasure):
     def upper_bound_array(self, seeker: int) -> Optional[np.ndarray]:
         """The seeker's cluster bound vector (admissible, read-only), or ``None``.
 
-        ``bound[v] >= prox(seeker, v)`` for every user ``v``; batched
-        execution uses this to prune candidates for a whole cluster with one
+        ``bound[v] >= prox(seeker, v)`` for every user ``v``; the partitioned
+        executor uses this to prune candidates for a whole cluster with one
         gather instead of one per member.
         """
         with self._lock:

@@ -29,8 +29,8 @@ updates on top of frozen memory-mapped arrays) grow past
 ``ServiceConfig.compact_threshold``, a background **compaction** folds
 them into fresh contiguous arrays.  Readers never block on the compaction
 and never notice it — a delta-merged read and a compacted read are
-value-identical — which is what keeps :meth:`QueryService.run_batch` valid
-mid-update.
+value-identical — which is what keeps a query that straddles the fold
+valid.
 """
 
 from __future__ import annotations
@@ -336,53 +336,6 @@ class QueryService:
         return self.serve(Query(seeker=seeker, tags=tuple(tags), k=k),
                           algorithm=algorithm).result
 
-    def run_batch(self, queries: Iterable[Query],
-                  algorithm: Optional[str] = None) -> List[QueryResult]:
-        """Answer a batch with request coalescing and shared scans.
-
-        Cache hits are peeled off first (each recorded as a ``hit``); the
-        distinct misses are coalesced — duplicate requests in the batch run
-        once — and executed through :meth:`SocialSearchEngine.run_batch`,
-        which groups them by (cluster, tags) and shares posting-list scans
-        and proximity refinements.  Results land in the result cache and
-        come back in input order, identical to serving them one by one.
-        """
-        queries = list(queries)
-        if self._closed:
-            raise ServiceError("cannot serve queries from a closed QueryService")
-        name = self._resolve_algorithm(algorithm)
-        results: List[Optional[QueryResult]] = [None] * len(queries)
-        misses: dict = {}
-        for index, query in enumerate(queries):
-            key = CacheKey.for_query(query, name)
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._metrics.record_request("hit")
-                results[index] = cached
-            else:
-                misses.setdefault(key, (query, []))[1].append(index)
-        if misses:
-            generation = self._cache.generation
-            distinct = [query for query, _indices in misses.values()]
-            try:
-                computed = self._engine.run_batch(distinct, algorithm=name)
-            except Exception:
-                self._metrics.record_error()
-                raise
-            for (key, (_query, indices)), result in zip(misses.items(), computed):
-                self._cache.put(key, result, generation=generation)
-                self._metrics.record_request("miss")
-                # Per-query latency, not the batch average: the batch
-                # executor apportions each result's own compute time plus
-                # its share of the shared scan, so the recorded
-                # distribution keeps its tail.
-                self._metrics.record_latency(result.latency_seconds)
-                for position, index in enumerate(indices):
-                    if position:
-                        self._metrics.record_request("coalesced")
-                    results[index] = result
-        return results  # type: ignore[return-value]
-
     def warm_proximity(self, seekers: Iterable[int]) -> int:
         """Pre-populate the proximity cache/shards for the given seekers.
 
@@ -559,9 +512,9 @@ class QueryService:
         the compaction itself runs on a dedicated daemon thread, so the
         update is acknowledged without waiting for the fold.  Readers keep
         serving from the pre-compaction epoch (delta-merged reads) until
-        the fold lands; the two are value-identical, so ``run_batch`` stays
-        valid mid-compaction.  Single-flight: at most one compaction is in
-        progress per service.
+        the fold lands; the two are value-identical, so a query in flight
+        mid-compaction stays valid.  Single-flight: at most one compaction
+        is in progress per service.
         """
         threshold = self._config.compact_threshold
         if threshold <= 0:

@@ -72,6 +72,29 @@ class TagEndorsers:
             return np.zeros(0, dtype=np.float64)
         return np.add.reduceat(proximity[self.taggers], self.offsets[:-1])
 
+    def subset_social_mass(self, proximity: np.ndarray,
+                           positions: np.ndarray) -> np.ndarray:
+        """Proximity-weighted endorser mass of a subset of the tag's items.
+
+        ``positions`` index :attr:`item_ids`; every referenced segment is
+        non-empty by index construction, which keeps ``reduceat`` exact.
+        Returns one float per requested position — bit-identical to
+        ``social_mass(proximity)[positions]``, because element order inside
+        each segment matches the full reduction.
+        """
+        starts = self.offsets[positions]
+        lengths = (self.offsets[positions + 1] - starts).astype(np.int64)
+        total = int(lengths.sum())
+        if total == 0:
+            return np.zeros(positions.shape[0], dtype=np.float64)
+        segment_offsets = np.zeros(positions.shape[0], dtype=np.int64)
+        np.cumsum(lengths[:-1], out=segment_offsets[1:])
+        # Flat gather indices: each segment's start repeated, plus the offset
+        # within the segment.
+        flat = np.repeat(starts, lengths) \
+            + (np.arange(total, dtype=np.int64) - np.repeat(segment_offsets, lengths))
+        return np.add.reduceat(proximity[self.taggers[flat]], segment_offsets)
+
     def positions_of(self, item_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Locate ``item_ids`` (ascending) in this tag's item array.
 

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Iterable, List, Union
 
 from ..core.query import Query
-from ..errors import PersistenceError
+from ..errors import InvalidQueryError, PersistenceError
 
 PathLike = Union[str, Path]
 
@@ -45,8 +45,10 @@ def load_queries(path: PathLike) -> List[Query]:
                         seeker=int(record["seeker"]),
                         tags=tuple(str(tag) for tag in record["tags"]),
                         k=int(record.get("k", 10)),
+                        effort=record.get("effort"),
                     ))
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+                        InvalidQueryError) as exc:
                     raise PersistenceError(
                         f"{path}:{lineno}: malformed query record: {exc}"
                     ) from exc

@@ -1,5 +1,7 @@
 """Tests for the SocialSearchEngine facade."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import EngineConfig, ProximityConfig, ScoringConfig
@@ -58,6 +60,16 @@ class TestEngineReconfiguration:
         assert other.proximity is engine.proximity
         assert other.config.scoring.alpha == pytest.approx(0.9)
         assert engine.config.scoring.alpha == pytest.approx(0.5)
+
+    def test_with_alpha_keeps_every_other_scoring_field(self, synthetic_dataset):
+        # A scalar engine must stay scalar: only alpha changes.
+        scoring = ScoringConfig(alpha=0.5, include_seeker=True,
+                                proximity_floor=0.01, vectorized=False)
+        scalar = SocialSearchEngine(synthetic_dataset,
+                                    EngineConfig(scoring=scoring))
+        other = scalar.with_alpha(0.3)
+        assert other.config.scoring == replace(scoring, alpha=0.3)
+        assert other.planner.scoring_path() == "scalar"
 
     def test_with_algorithm(self, engine, workload):
         other = engine.with_algorithm("nra")

@@ -4,7 +4,6 @@ import pytest
 
 from repro import SocialSearchEngine
 from repro.config import EngineConfig, ProximityConfig, ScoringConfig
-from repro.core.batch import MIN_SHARED_GROUP
 from repro.core.plan import EXECUTOR_ALGORITHM, EXECUTOR_PARTITIONED
 from repro.core.query import Query
 
@@ -93,6 +92,13 @@ class TestPlanRecord:
         assert "partitions:" in text
         assert "shard 0:" in text
 
+    def test_describe_block(self, synthetic_dataset):
+        engine = _engine(synthetic_dataset, partitions=4)
+        block = engine.planner.describe()
+        assert block["partitions"] == 4
+        assert block["backing"] == "python"
+        assert block["scoring_path"] == "vectorized"
+
     def test_arena_backing_reported(self, synthetic_dataset, tmp_path):
         from repro.storage import Dataset
 
@@ -123,46 +129,7 @@ class TestPreview:
         engine = _engine(synthetic_dataset, partitions=4, materialize=True)
         query = _query(synthetic_dataset)
         plan = engine.planner.plan(query)
-        result = engine.execute(query, plan)
-        assert result.algorithm == "exact"
+        result = engine.run(query)
+        assert plan.executor == EXECUTOR_PARTITIONED
+        assert result.algorithm == plan.algorithm == "exact"
         assert engine.partition_executor.statistics.searches == 1
-
-
-class TestBatchPlan:
-    def test_groups_by_tags_and_strategy(self, synthetic_dataset):
-        engine = _engine(synthetic_dataset, materialize=True)
-        tags = synthetic_dataset.tags()
-        hot = tuple(tags[:2])
-        queries = [Query(seeker=s, tags=hot, k=5) for s in range(4)] \
-            + [Query(seeker=9, tags=(tags[3],), k=5)]
-        plan = engine.planner.plan_batch(queries)
-        assert plan.algorithm == "exact"
-        assert len(plan.groups) == 2
-        strategies = {group.tags: group.strategy for group in plan.groups}
-        assert strategies[Query(seeker=0, tags=hot, k=5).tags] == "shared-scan"
-        assert strategies[(tags[3],)] == "per-query"
-        assert plan.shared_groups == 1
-        assert plan.cluster_ordered
-
-    def test_small_groups_run_per_query(self, synthetic_dataset):
-        engine = _engine(synthetic_dataset)
-        tags = synthetic_dataset.tags()
-        queries = [Query(seeker=s, tags=(tags[s],), k=3)
-                   for s in range(MIN_SHARED_GROUP - 1)]
-        plan = engine.planner.plan_batch(queries)
-        assert all(group.strategy == "per-query" for group in plan.groups)
-
-    def test_non_exact_batches_never_share_scans(self, synthetic_dataset):
-        engine = _engine(synthetic_dataset, algorithm="social-first")
-        tags = tuple(synthetic_dataset.tags()[:1])
-        queries = [Query(seeker=s, tags=tags, k=3) for s in range(5)]
-        plan = engine.planner.plan_batch(queries)
-        assert plan.shared_groups == 0
-        assert plan.to_dict()["groups"] == 1
-
-    def test_describe_block(self, synthetic_dataset):
-        engine = _engine(synthetic_dataset, partitions=4)
-        block = engine.planner.describe()
-        assert block["partitions"] == 4
-        assert block["backing"] == "python"
-        assert block["scoring_path"] == "vectorized"

@@ -79,7 +79,7 @@ class TestUpdatesSuite:
         assert updates_report["equivalent"] is True
         assert updates_report["equivalence"]["num_mismatches"] == 0
         assert updates_report["equivalence"]["paths"] \
-            == ["online", "materialized", "batched"]
+            == ["online", "materialized"]
 
     def test_updates_actually_applied(self, updates_report):
         updates = updates_report["updates"]
@@ -99,3 +99,22 @@ class TestUpdatesSuite:
 
         path = write_report(updates_report, tmp_path / "BENCH_updates.json")
         assert json.loads(path.read_text())["suite"] == "updates"
+
+
+class TestPathMismatches:
+    """The one compare loop behind the four suites' equivalence gates."""
+
+    def test_reports_exactly_the_divergent_path(self, engine, workload):
+        from repro.eval.bench import _path_mismatches
+
+        queries = list(workload)[:4]
+        mismatches = _path_mismatches(
+            engine, {"same": engine, "other-alpha": engine.with_alpha(0.9)},
+            queries, ("exact", "social-first"), partitions=4)
+        assert mismatches, "a different alpha must change some signature"
+        assert {m["path"] for m in mismatches} == {"other-alpha"}
+        for record in mismatches:
+            assert record["partitions"] == 4  # labels ride along
+            assert record["expected"] != record["got"]
+            assert record["algorithm"] in ("exact", "social-first")
+            assert record["query"] in [query.to_dict() for query in queries]

@@ -10,7 +10,7 @@ a torn-final-record run.  Every recovery must
   independently of the recovery code), and
 * answer queries **bit-identically** (rankings, scores, access accounting)
   to a dataset rebuilt from scratch from base + the durable log, across
-  the online, materialized and batched execution paths.
+  the online and materialized execution paths.
 """
 
 import pytest
@@ -116,7 +116,6 @@ def _assert_recovery_exact(directory, hand_dataset, base_actions, base_edges,
         observed = {
             "online": [_signature(online.run(q)) for q in QUERIES],
             "materialized": [_signature(served.run(q)) for q in QUERIES],
-            "batched": [_signature(r) for r in served.run_batch(QUERIES)],
         }
         for path, signatures in observed.items():
             assert signatures == baseline, f"{path} diverged after recovery"

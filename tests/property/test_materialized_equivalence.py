@@ -1,10 +1,9 @@
 """Equivalence properties of the offline/online proximity split.
 
 The contract the tentpole rests on: serving proximity from materialized
-shards, and executing queries through the batched shared-scan path, are
-*execution strategies* — every observable of a query answer (ranking,
-exact scores, access accounting) must be identical to the online path that
-computes proximity per seeker on demand.
+shards is an *execution strategy* — every observable of a query answer
+(ranking, exact scores, access accounting) must be identical to the online
+path that computes proximity per seeker on demand.
 """
 
 import pytest
@@ -59,10 +58,7 @@ def test_online_materialized_batched_identical(synthetic_dataset, mix,
                 for query in mix]
     shard_served = [_signature(materialized.run(query, algorithm=algorithm))
                     for query in mix]
-    batched = [_signature(result)
-               for result in materialized.run_batch(mix, algorithm=algorithm)]
     assert shard_served == baseline
-    assert batched == baseline
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
@@ -83,9 +79,6 @@ def test_equivalence_across_alpha(synthetic_dataset, mix, alpha):
     for query in mix:
         want = _signature(online.run(query))
         assert _signature(materialized.run(query)) == want
-    batched = materialized.run_batch(mix)
-    assert [_signature(result) for result in batched] \
-        == [_signature(online.run(query)) for query in mix]
 
 
 def test_lazy_refinement_is_also_identical(synthetic_dataset, mix):
@@ -97,23 +90,3 @@ def test_lazy_refinement_is_also_identical(synthetic_dataset, mix):
     for query in mix:
         assert _signature(lazy.run(query)) == _signature(online.run(query))
     assert lazy.proximity.statistics.refinements > 0
-
-
-def test_service_run_batch_matches_run_many(synthetic_dataset, mix):
-    from repro.config import ServiceConfig
-    from repro.service import QueryService
-
-    engine = SocialSearchEngine(synthetic_dataset, EngineConfig(
-        algorithm="exact", proximity=ProximityConfig(measure="ppr", materialize=True)))
-    engine.proximity.build()
-    trace = list(mix) * 2
-    with QueryService(engine, ServiceConfig(cache_capacity=0,
-                                            cache_ttl_seconds=0.0)) as service:
-        sequential = [service.serve(query).result for query in trace]
-    with QueryService(engine, ServiceConfig(cache_capacity=64)) as service:
-        batched = service.run_batch(trace)
-        # Second pass: everything is a cache hit and still identical.
-        repeated = service.run_batch(trace)
-    want = [_signature(result) for result in sequential]
-    assert [_signature(result) for result in batched] == want
-    assert [_signature(result) for result in repeated] == want

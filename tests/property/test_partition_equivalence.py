@@ -5,8 +5,7 @@ an *execution strategy*, never a different algorithm.  For every top-k
 algorithm, every storage backing (python dict stores and the mmap arena),
 and before and after live updates, an engine configured with P partitions
 must return identical rankings, identical scores and identical access
-accounting to the classic single-partition engine — whether queries run
-one at a time or through the batched executor.
+accounting to the classic single-partition engine.
 """
 
 import pytest
@@ -71,10 +70,7 @@ def test_partitioned_identical_python_backing(synthetic_dataset, mix,
                 for query in mix]
     observed = [_signature(multi.run(query, algorithm=algorithm))
                 for query in mix]
-    batched = [_signature(result)
-               for result in multi.run_batch(mix, algorithm=algorithm)]
     assert observed == baseline
-    assert batched == baseline
 
 
 @pytest.mark.parametrize("algorithm", ("exact", "social-first"))
@@ -85,10 +81,7 @@ def test_partitioned_identical_arena_backing(arena_dataset, mix, algorithm):
                 for query in mix]
     observed = [_signature(multi.run(query, algorithm=algorithm))
                 for query in mix]
-    batched = [_signature(result)
-               for result in multi.run_batch(mix, algorithm=algorithm)]
     assert observed == baseline
-    assert batched == baseline
 
 
 @pytest.mark.parametrize("partitions", PARTITION_COUNTS)
@@ -160,9 +153,6 @@ def test_partitioned_identical_after_live_updates():
         for query in queries:
             assert _signature(multi.run(query)) \
                 == _signature(single.run(query))
-        batched = multi.run_batch(queries)
-        assert [_signature(result) for result in batched] \
-            == [_signature(single.run(query)) for query in queries]
         # The freshly written items were routed to real partitions (the
         # first endorser's community), not left to the hash fallback.
         layout = multi.partitions

@@ -7,9 +7,8 @@ actions, friendships, user growth) applied through
 and shard repair run exactly as they would in production — every observable
 of a query answer (ranking, exact scores, access accounting) must be
 identical to a dataset rebuilt from scratch from the merged action/edge
-log.  That must hold for the online, materialized and batched execution
-paths, and for both the in-memory and the arena-backed (delta-overlay)
-storage.
+log.  That must hold for the online and materialized execution paths, and
+for both the in-memory and the arena-backed (delta-overlay) storage.
 """
 
 import numpy as np
@@ -173,9 +172,6 @@ def test_interleaved_updates_match_fresh_rebuild(backing, measure, tmp_path):
                 for q in queries] == baseline, f"online/{algorithm}"
         assert [_signature(engine.run(q, algorithm=algorithm))
                 for q in queries] == baseline, f"materialized/{algorithm}"
-        assert [_signature(r)
-                for r in engine.run_batch(queries, algorithm=algorithm)] \
-            == baseline, f"batched/{algorithm}"
 
 
 def test_arena_fast_path_survives_updates(tmp_path):

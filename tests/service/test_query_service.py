@@ -148,7 +148,7 @@ class TestServing:
         tags = live_engine.dataset.tags()
         queries = [Query(seeker=s, tags=(tags[s % len(tags)],), k=3)
                    for s in range(6)]
-        results = service.run_batch(queries)
+        results = [service.serve(query).result for query in queries]
         assert [r.query for r in results] == queries
 
     def test_closed_service_rejects_queries(self, live_engine):
@@ -377,19 +377,6 @@ class TestWarmup:
             assert engine.proximity.statistics.refinements == 2
             stats = svc.stats()
             assert "proximity_shards" in stats
-
-
-class TestBatchedServing:
-    def test_run_batch_outcomes_and_metrics(self, service, live_engine):
-        queries = [hot_query(live_engine, seeker=s) for s in (1, 2, 1)]
-        results = service.run_batch(queries)
-        assert [r.query for r in results] == queries
-        # Duplicate in the batch coalesced; repeat serves from cache.
-        snapshot = service.metrics.to_dict()
-        assert snapshot["requests"] == 3
-        repeat = service.run_batch(queries)
-        assert [r.item_ids for r in repeat] == [r.item_ids for r in results]
-        assert service.metrics.to_dict()["cache_hits"] >= 3
 
 
 class TestNoOpUpdates:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import UnknownTagError
 from repro.storage import (
+    Dataset,
     EndorserIndex,
     InvertedIndex,
     SocialIndex,
@@ -181,6 +182,55 @@ class TestEndorserIndex:
         assert endorsers.num_entries() == tagging.num_distinct_triples()
         assert endorsers.memory_bytes() > 0
         assert len(endorsers) == 2
+
+
+class TestSubsetSocialMass:
+    """``subset_social_mass`` is the full reduction restricted to positions.
+
+    The partitioned executor scores a shard's candidates through the subset
+    gather and promises scores bit-identical to the full scan, so equality
+    here is ``array_equal`` — not ``allclose``.
+    """
+
+    @pytest.fixture(scope="class", params=["in-memory", "arena"])
+    def endorser_index(self, request, synthetic_dataset, tmp_path_factory):
+        if request.param == "in-memory":
+            return synthetic_dataset.endorser_index
+        path = tmp_path_factory.mktemp("subset-mass") / "corpus.arena"
+        synthetic_dataset.to_arena(path)
+        return Dataset.from_arena(path).endorser_index
+
+    @staticmethod
+    def _positions(case, size, rng):
+        if case == "empty":
+            return np.zeros(0, dtype=np.int64)
+        if case == "single":
+            return np.array([int(rng.integers(0, size))], dtype=np.int64)
+        if case == "last-segment":
+            return np.array([size - 1], dtype=np.int64)
+        if case == "unsorted":
+            # Repeats and descending runs: any order the caller hands in.
+            return rng.integers(0, size, size=2 * size).astype(np.int64)
+        return np.arange(size, dtype=np.int64)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("case", ["empty", "single", "last-segment",
+                                      "unsorted", "full"])
+    def test_equals_full_reduction_bit_for_bit(self, endorser_index,
+                                               synthetic_dataset, case, seed):
+        rng = np.random.default_rng(seed)
+        # Many-digit floats, so a different summation order would show.
+        proximity = rng.random(synthetic_dataset.num_users) ** 3
+        checked = 0
+        for tag in endorser_index.tags():
+            bundle = endorser_index.for_tag(tag)
+            positions = self._positions(case, len(bundle), rng)
+            subset = bundle.subset_social_mass(proximity, positions)
+            assert subset.dtype == np.float64
+            assert np.array_equal(subset,
+                                  bundle.social_mass(proximity)[positions])
+            checked += 1
+        assert checked == len(endorser_index) > 0
 
 
 class TestSocialIndex:

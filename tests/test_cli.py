@@ -313,6 +313,35 @@ class TestProfile:
         assert "no queries" in capsys.readouterr().out
 
 
+class TestLibraryErrors:
+    """A ``ReproError`` ends the command with exit 2, never a traceback."""
+
+    @pytest.fixture
+    def bad_seeker_trace(self, tmp_path):
+        trace = tmp_path / "bad-seeker.jsonl"
+        trace.write_text('{"seeker": 999999, "tags": ["tag-000"], "k": 3}\n')
+        return str(trace)
+
+    @pytest.mark.parametrize("argv", [
+        ["profile", "<bad-seeker-trace>", "--scale", "0.1", "--rounds", "1"],
+        ["demo", "--scale", "0.1", "--algorithm", "nope"],
+        ["explain", "1", "x", "--scale", "0.1", "--algorithm", "nope",
+         "--analyze"],
+        ["query", "/nonexistent", "1", "x"],
+        ["profile", "/nonexistent.jsonl"],
+    ], ids=["unknown-user", "demo-unknown-algorithm",
+            "explain-unknown-algorithm", "missing-snapshot", "missing-trace"])
+    def test_exits_2_with_one_line_on_stderr(self, argv, bad_seeker_trace,
+                                             capsys):
+        argv = [bad_seeker_trace if arg == "<bad-seeker-trace>" else arg
+                for arg in argv]
+        assert main(argv) == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("repro: error: ")
+        assert len(stderr.strip().splitlines()) == 1
+        assert "Traceback" not in stderr
+
+
 class TestWarmupHelpers:
     def test_warmup_seekers_orders_by_frequency(self):
         from repro.cli import _warmup_seekers

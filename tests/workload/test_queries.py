@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import WorkloadConfig
+from repro.core.query import Query
 from repro.errors import PersistenceError, WorkloadError
 from repro.workload import (
     QueryWorkloadGenerator,
@@ -85,10 +86,36 @@ class TestQueryTrace:
         assert written == len(workload)
         assert loaded == list(workload)
 
+    def test_roundtrip_keeps_effort(self, tmp_path):
+        # A replayed effort="fast" trace must not be silently served exact.
+        queries = [Query(seeker=1, tags=("a",), k=3, effort="fast"),
+                   Query(seeker=2, tags=("b", "c"), k=5, effort="exact"),
+                   Query(seeker=3, tags=("a",), k=1)]
+        path = tmp_path / "trace.jsonl"
+        save_queries(queries, path)
+        loaded = load_queries(path)
+        assert loaded == queries
+        assert [query.effort for query in loaded] == ["fast", "exact", None]
+
     def test_malformed_trace_raises(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text('{"seeker": 1}\n')
         with pytest.raises(PersistenceError):
+            load_queries(path)
+
+    @pytest.mark.parametrize("record", [
+        '{"seeker": 1, "tags": ["a"], "k": 0}',
+        '{"seeker": -4, "tags": ["a"], "k": 3}',
+        '{"seeker": 1, "tags": ["a"], "k": 3, "effort": "balanced"}',
+        '{"seeker": 1, "tags": [""], "k": 3}',
+    ])
+    def test_invalid_query_line_names_file_and_line(self, tmp_path, record):
+        # Out-of-range values get the same path:lineno error as any other
+        # malformed line, not a bare InvalidQueryError.
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"seeker": 1, "tags": ["a"], "k": 3}\n\n'
+                        + record + "\n")
+        with pytest.raises(PersistenceError, match=r"trace\.jsonl:3: "):
             load_queries(path)
 
     def test_missing_file_raises(self, tmp_path):
