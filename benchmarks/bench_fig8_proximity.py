@@ -17,6 +17,9 @@ from conftest import make_engine, make_workload, write_result
 
 MEASURES = ["shortest-path", "ppr", "katz", "adamic-adar", "jaccard", "landmark"]
 
+#: Fresh-engine passes per measure; each measure reports its fastest.
+ROUNDS = 3
+
 
 def test_fig8_proximity_measures(benchmark, delicious_dataset):
     """Compare proximity measures on latency and holdout quality."""
@@ -26,10 +29,17 @@ def test_fig8_proximity_measures(benchmark, delicious_dataset):
     def run():
         rows = []
         for measure in MEASURES:
-            engine = make_engine(delicious_dataset, alpha=0.5, measure=measure)
-            report = ExperimentRunner(engine).run(workload, ["social-first"],
-                                                  compare_to_reference=False)
-            row = dict(report.rows()[0])
+            # A fresh engine per pass keeps every pass cold; the minimum
+            # over passes keeps one stall on a shared host from deciding
+            # the latency comparison below.  Rankings are deterministic, so
+            # the quality columns are the same in every pass.
+            passes = [
+                ExperimentRunner(make_engine(delicious_dataset, alpha=0.5,
+                                             measure=measure))
+                .run(workload, ["social-first"], compare_to_reference=False)
+                .rows()[0]
+                for _ in range(ROUNDS)]
+            row = dict(min(passes, key=lambda row: row["mean_latency_ms"]))
             row["measure"] = measure
             rows.append(row)
         return rows
@@ -40,7 +50,7 @@ def test_fig8_proximity_measures(benchmark, delicious_dataset):
         columns=["measure", "mean_latency_ms", "users_visited_per_query",
                  "precision_at_k", "ndcg_at_k", "early_termination_rate"],
         title="Figure 8 — effect of the proximity measure "
-              "(social-first, alpha=0.5, k=10)",
+              f"(social-first, alpha=0.5, k=10, fastest of {ROUNDS} passes)",
     )
     write_result("fig8_proximity", table)
 
@@ -51,7 +61,7 @@ def test_fig8_proximity_measures(benchmark, delicious_dataset):
         assert by_measure[measure]["mean_latency_ms"] > 0.0
         # Every measure drives some social exploration at alpha=0.5.
         assert by_measure[measure]["users_visited_per_query"] > 0.0
-    # The landmark sketch exists to be cheap: it must not be drastically
-    # slower than the exact path-based walk it approximates.
+    # The landmark sketch exists to be cheap: its fastest pass must not be
+    # drastically slower than PPR's fastest.
     assert by_measure["landmark"]["mean_latency_ms"] <= \
         by_measure["ppr"]["mean_latency_ms"] * 2.0

@@ -6,9 +6,7 @@ bit) only hold if every array the writers allocate has an explicit dtype
 on others) and every order-defining sort is ``kind="stable"`` (the default
 introsort's tie order is an implementation detail numpy is free to
 change).  This rule enforces both, scoped to the writer modules — any
-module whose file name mentions ``arena``, ``stream`` or ``landmark``
-(the landmark sketch persists as an arena section, so its selection and
-distance arrays define arena bytes too).
+module whose file name mentions ``arena`` or ``stream``.
 
 ``np.asarray``/``np.ascontiguousarray`` are exempt: they preserve their
 input's dtype.  ``np.lexsort`` is exempt: it is always stable.
@@ -43,7 +41,7 @@ class ByteIdentityRule(LintRule):
 
     def applies_to(self, module: str) -> bool:
         name = module.rsplit("/", 1)[-1]
-        return "arena" in name or "stream" in name or "landmark" in name
+        return "arena" in name or "stream" in name
 
     def check(self, context: ModuleContext) -> Iterator[Finding]:
         for node in ast.walk(context.tree):

@@ -8,11 +8,11 @@ main flows without writing any Python:
 * ``repro generate`` — build a synthetic dataset and save it as a snapshot.
 * ``repro query`` — load a snapshot and answer an ad-hoc query.
 * ``repro explain`` — print the planner's execution plan for a query
-  (storage backing, proximity path, executor, partition fan-out, bound
-  estimates) without executing it.
+  (storage backing, proximity path, executor, frontier bound) without
+  executing it.
 * ``repro bench`` — run a small latency/quality comparison over a workload,
   or the headless suites (``--suite topk`` / ``proximity`` / ``updates`` /
-  ``partitioned`` / ``durability`` / ``scale`` / ``landmark``).
+  ``durability`` / ``scale``).
 * ``repro build-arena`` — serialise a dataset (and optionally materialized
   proximity shards) into the memory-mapped index arena.
 * ``repro serve`` — expose a dataset behind the concurrent JSON HTTP API
@@ -58,7 +58,6 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
             materialize=getattr(args, "materialize", False),
             cluster_rounds=getattr(args, "cluster_rounds", 5),
         ),
-        partitions=getattr(args, "partitions", 1),
     )
 
 
@@ -72,11 +71,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scalar", action="store_true",
                         help="disable the vectorized numpy scoring kernels "
                              "(scalar fallback; identical results, slower)")
-    parser.add_argument("--partitions", type=int, default=1,
-                        help="item shards for scatter-gather execution of "
-                             "the exact scan (default: 1 = classic "
-                             "single-partition layout; results are "
-                             "identical at any setting)")
 
 
 def _command_demo(args: argparse.Namespace) -> int:
@@ -131,8 +125,8 @@ def _command_explain(args: argparse.Namespace) -> int:
 
     With ``--analyze`` the query is *executed* under a fresh tracer and the
     plan is followed by the recorded span tree — per-stage wall-clock
-    timings, per-shard scan/prune counts and the share of the wall time
-    each stage covers (EXPLAIN ANALYZE).
+    timings and the share of the wall time each stage covers (EXPLAIN
+    ANALYZE).
     """
     from .core.query import Query
 
@@ -205,14 +199,10 @@ def _run_bench_suite(args: argparse.Namespace) -> int:
         return _run_proximity_suite(args)
     if args.suite == "updates":
         return _run_updates_suite(args)
-    if args.suite == "partitioned":
-        return _run_partitioned_suite(args)
     if args.suite == "durability":
         return _run_durability_suite(args)
     if args.suite == "scale":
         return _run_scale_suite(args)
-    if args.suite == "landmark":
-        return _run_landmark_suite(args)
     report = run_topk_suite(
         num_users=args.users,
         num_queries=args.queries,
@@ -251,7 +241,7 @@ def _run_bench_suite(args: argparse.Namespace) -> int:
 
 
 def _run_proximity_suite(args: argparse.Namespace) -> int:
-    """Materialization/arena/batching suite with its equivalence gate."""
+    """Materialization/arena suite with its equivalence gate."""
     from .eval.bench import format_proximity_report, run_proximity_suite, write_report
 
     measure = args.proximity
@@ -325,44 +315,6 @@ def _run_updates_suite(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_partitioned_suite(args: argparse.Namespace) -> int:
-    """Scatter-gather suite: p50 vs partition count + equivalence gate."""
-    from .eval.bench import format_partitioned_report, run_partitioned_suite, write_report
-
-    measure = args.proximity
-    if measure == "shortest-path":
-        # Shard pruning leans on materialized cluster bounds; the suite
-        # defaults to the paper's PPR case like the proximity suite does.
-        measure = "ppr"
-        print("partitioned suite: using measure 'ppr' (shard bounds come "
-              "from materialized cluster bound vectors)")
-    report = run_partitioned_suite(
-        num_users=args.users,
-        num_queries=args.queries,
-        k=args.k,
-        rounds=args.rounds,
-        alpha=args.alpha,
-        measure=measure,
-        seed=args.seed,
-    )
-    print(format_partitioned_report(report))
-    if args.json:
-        path = write_report(report, args.json)
-        print(f"wrote {path}")
-    if not report["equivalent"]:
-        print("FAIL: partitioned rankings diverge from single-partition "
-              "execution")
-        return 1
-    speedups = report["speedup_partitions"]
-    top = str(report["workload"]["partition_counts"][-1])  # type: ignore[index]
-    speedup = float(speedups[top])  # type: ignore[index]
-    if args.min_speedup > 0.0 and speedup < args.min_speedup:
-        print(f"FAIL: P={top} p50 speedup {speedup:.2f}x is below the "
-              f"required {args.min_speedup:.2f}x")
-        return 1
-    return 0
-
-
 def _run_durability_suite(args: argparse.Namespace) -> int:
     """Chaos sweep: kill at every injection point, recover, verify, time."""
     from .eval.bench import format_durability_report, run_durability_suite, write_report
@@ -425,59 +377,6 @@ def _run_scale_suite(args: argparse.Namespace) -> int:
               f"{ratio:.2f}x is below the required "
               f"{args.min_rss_ratio:.2f}x")
         return 1
-    return 0
-
-
-def _run_landmark_suite(args: argparse.Namespace) -> int:
-    """Landmark serving suite: quality-vs-latency curve + recall gate."""
-    from .eval.bench import format_landmark_report, run_landmark_suite, write_report
-
-    measure = args.proximity
-    if measure == "shortest-path":
-        # The suite measures the unmaterialized serving regime, where the
-        # exact path pays a per-query proximity row; PPR's power-iteration
-        # row is the paper's case for that trade.
-        measure = "ppr"
-        print("landmark suite: using measure 'ppr' (the suite measures the "
-              "unmaterialized per-query-row serving regime)")
-    kwargs = {}
-    if args.landmark_counts:
-        kwargs["landmark_counts"] = tuple(
-            int(part) for part in args.landmark_counts.split(",")
-            if part.strip())
-    report = run_landmark_suite(
-        num_users=args.users,
-        num_queries=args.queries,
-        k=args.k,
-        rounds=args.rounds,
-        alpha=args.alpha,
-        measure=measure,
-        seed=args.seed,
-        **kwargs,
-    )
-    print(format_landmark_report(report))
-    if args.json:
-        path = write_report(report, args.json)
-        print(f"wrote {path}")
-    best_recall = max(
-        (float(point["quality"]["recall_mean"])
-         for point in report["landmark_curve"]), default=0.0)
-    if args.min_recall > 0.0 and best_recall < args.min_recall:
-        print(f"FAIL: no landmark point reaches recall@k "
-              f"{args.min_recall:.3f} (best {best_recall:.3f})")
-        return 1
-    gate = report["gate"]
-    if args.min_speedup > 0.0:
-        if not gate["point"]:
-            print("FAIL: no landmark point met the recall floor "
-                  f"{gate['recall_floor']:.2f}")
-            return 1
-        speedup = float(gate["speedup"])
-        if speedup < args.min_speedup:
-            print(f"FAIL: best qualifying p50 speedup {speedup:.2f}x "
-                  f"({gate['point']}) is below the required "
-                  f"{args.min_speedup:.2f}x")
-            return 1
     return 0
 
 
@@ -827,20 +726,18 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--algorithms", nargs="*", default=None,
                        help="algorithms to measure (both modes)")
     bench.add_argument("--suite", nargs="?", const="topk", default=None,
-                       choices=("topk", "proximity", "updates", "partitioned",
-                                "durability", "scale", "landmark"),
+                       choices=("topk", "proximity", "updates", "durability",
+                                "scale"),
                        help="run a headless bench_fig*-style suite: 'topk' "
                             "(p50/p95/qps + vectorized-vs-scalar speedup; "
                             "the default when no value is given), "
                             "'proximity' (materialized shards vs online "
-                            "computation, arena cold start, batching, with "
+                            "computation and arena cold start, with "
                             "an exact-equivalence gate), 'updates' "
                             "(interleaved query/update trace over an "
                             "arena-backed dataset: post- vs pre-update p50 "
                             "plus a fresh-rebuild equivalence gate) or "
-                            "'partitioned' (scatter-gather p50 vs partition "
-                            "count 1/2/4 with per-shard bound pruning and "
-                            "an exact-equivalence gate) or 'durability' "
+                            "'durability' "
                             "(chaos sweep killing the write path at every "
                             "fault-injection point, with an acked-update-"
                             "loss gate, recovery equivalence gate, replay "
@@ -849,11 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "arena builds vs the in-memory builder with "
                             "per-size peak RSS, cold start and serving "
                             "p50/p95, a byte-identity equivalence gate and "
-                            "an optional operating-point binary search) or "
-                            "'landmark' (the landmark-sketch tier against "
-                            "the exact baseline: a latency-vs-quality curve "
-                            "over sketch sizes with recall@k / rank "
-                            "correlation and a recall gate)")
+                            "an optional operating-point binary search)")
     bench.add_argument("--users", type=int, default=200,
                        help="suite dataset size in users (default: 200, the "
                             "Figure-6 medium point)")
@@ -903,14 +796,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scale suite: exit non-zero when the in-memory/"
                             "streaming build peak-RSS ratio falls below "
                             "this factor (0 = report only)")
-    bench.add_argument("--min-recall", type=float, default=0.0,
-                       help="landmark suite: exit non-zero when no "
-                            "landmark point reaches this mean recall@k "
-                            "(e.g. 0.95; 0 = report only)")
-    bench.add_argument("--landmark-counts", default=None, metavar="N,N,...",
-                       help="landmark suite: comma-separated landmark-sketch "
-                            "sizes for the approximate-tier curve "
-                            "(default: 4,8,16,32)")
     _add_engine_arguments(bench)
     bench.set_defaults(handler=_command_bench)
 
@@ -950,8 +835,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     explain = subparsers.add_parser(
         "explain", help="print the planner's execution plan for a query "
-                        "(backing, proximity path, executor, partition "
-                        "fan-out, bound estimates) without executing it")
+                        "(backing, proximity path, executor, frontier "
+                        "bound) without executing it")
     explain.add_argument("seeker", type=int, help="seeker user id")
     explain.add_argument("tags", nargs="+", help="query tags")
     explain.add_argument("--k", type=int, default=10)
@@ -973,9 +858,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "plan shows the shard-served bound estimates")
     explain.add_argument("--analyze", action="store_true",
                          help="execute the query under a tracer and print "
-                              "the recorded span tree — per-stage timings, "
-                              "per-shard scan/prune counts and stage "
-                              "coverage of the wall time (EXPLAIN ANALYZE)")
+                              "the recorded span tree — per-stage timings "
+                              "and stage coverage of the wall time "
+                              "(EXPLAIN ANALYZE)")
     explain.add_argument("--trace-out", default=None, metavar="PATH",
                          help="with --analyze: write the recorded spans as "
                               "JSON lines to PATH")

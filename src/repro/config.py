@@ -99,13 +99,6 @@ class ProximityConfig:
         warm-up, not on the query path.
     cluster_rounds:
         Label-propagation rounds used to partition seekers into shards.
-    landmarks:
-        Size of the landmark-sketch serving tier
-        (:class:`~repro.proximity.landmarks.LandmarkProximity`).  When
-        positive, engines with a partitioned layout additionally build a
-        landmark executor the planner routes ``effort="fast"`` queries to.
-        0 (the default) disables the tier — ``effort="fast"`` is then
-        served exact; standalone sketches default to 16 landmarks.
     """
 
     measure: str = "shortest-path"
@@ -119,7 +112,6 @@ class ProximityConfig:
     materialize: bool = False
     materialize_eager: bool = False
     cluster_rounds: int = 5
-    landmarks: int = 0
 
     def __post_init__(self) -> None:
         _require(bool(self.measure), "measure name must be a non-empty string")
@@ -132,8 +124,6 @@ class ProximityConfig:
         _require(self.cache_size >= 0, "cache_size must be non-negative")
         _require(self.cluster_rounds >= 1,
                  f"cluster_rounds must be >= 1, got {self.cluster_rounds}")
-        _require(self.landmarks >= 0,
-                 f"landmarks must be non-negative, got {self.landmarks}")
         _require(not (self.materialize_eager and not self.materialize),
                  "materialize_eager requires materialize")
 
@@ -159,16 +149,6 @@ class EngineConfig:
     batch_size:
         Number of sequential accesses performed per scheduling decision in
         interleaving algorithms.
-    partitions:
-        Number of item shards the corpus is partitioned into for
-        scatter-gather execution (see :mod:`repro.core.partition_exec`).
-        1 (the default) keeps the classic single-partition layout; the
-        planner only fans exact vectorized scans out, so every other route
-        is unaffected by this knob.
-    partition_seed:
-        Seed of the label-propagation pass that groups users into the
-        communities the item shards follow; fixed so partition layouts are
-        reproducible across processes and CI runs.
     """
 
     algorithm: str = "social-first"
@@ -176,14 +156,10 @@ class EngineConfig:
     proximity: ProximityConfig = field(default_factory=ProximityConfig)
     early_termination: bool = True
     batch_size: int = 16
-    partitions: int = 1
-    partition_seed: int = 29
 
     def __post_init__(self) -> None:
         _require(bool(self.algorithm), "algorithm name must be a non-empty string")
         _require(self.batch_size >= 1, f"batch_size must be >= 1, got {self.batch_size}")
-        _require(self.partitions >= 1,
-                 f"partitions must be >= 1, got {self.partitions}")
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -192,8 +168,6 @@ class EngineConfig:
             "proximity": self.proximity.to_dict(),
             "early_termination": self.early_termination,
             "batch_size": self.batch_size,
-            "partitions": self.partitions,
-            "partition_seed": self.partition_seed,
         }
 
 
@@ -340,8 +314,7 @@ class DatasetConfig:
         the user's **community vocabulary** (a community-specific permutation
         of the tag popularity ranking) instead of the global one.  Real
         tagging sites show exactly this structure — interest groups coin and
-        reuse their own vocabulary — and it is what gives corpus partitions
-        their prunable per-shard bounds.  0 (the default) reproduces the
+        reuse their own vocabulary.  0 (the default) reproduces the
         previous generator bit for bit.
     tags_per_item:
         Mean number of distinct tags attached to an item by one action burst.

@@ -3,8 +3,7 @@
 from .accounting import AccessAccountant
 from .query import Query, QueryResult, ScoredItem, make_queries
 from .scoring import ScoreBreakdown, ScoringModel
-from .plan import ExecutionPlan, PartitionPreview, QueryPlanner
-from .partition_exec import PartitionedExecutor
+from .plan import ExecutionPlan, QueryPlanner
 from .engine import SocialSearchEngine
 from .topk import (
     ExactBaseline,
@@ -29,9 +28,7 @@ __all__ = [
     "ScoreBreakdown",
     "SocialSearchEngine",
     "ExecutionPlan",
-    "PartitionPreview",
     "QueryPlanner",
-    "PartitionedExecutor",
     "TopKAlgorithm",
     "TopKHeap",
     "ExactBaseline",

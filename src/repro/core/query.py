@@ -10,14 +10,24 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from ..errors import InvalidQueryError
 from .accounting import AccessAccountant
 
+#: Every field a query record (an HTTP body, a trace line) may carry.
+QUERY_FIELDS = frozenset({"seeker", "tags", "k"})
 
-#: Effort hints a query may carry.
-EFFORT_LEVELS = ("exact", "fast")
+
+def int_field(value: Any, name: str) -> int:
+    """An integer record field: a JSON integer or a digit string (GET).
+
+    Bare ``int()`` overflows on ``1e999``, truncates ``1.7`` and takes
+    ``true`` for 1; all three are the caller's mistake and a ``ValueError``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"field {name!r} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -33,25 +43,17 @@ class Query:
         preserving first occurrence.
     k:
         Number of results requested.
-    effort:
-        Optional serving hint: ``"fast"`` accepts the landmark-sketch
-        answer when the engine built a sketch (exact otherwise);
-        ``"exact"`` — like no hint — always gets the exact scan.
     """
 
     seeker: int
     tags: Tuple[str, ...]
     k: int = 10
-    effort: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.seeker < 0:
             raise InvalidQueryError(f"seeker id must be non-negative, got {self.seeker}")
         if self.k < 1:
             raise InvalidQueryError(f"k must be >= 1, got {self.k}")
-        if self.effort is not None and self.effort not in EFFORT_LEVELS:
-            raise InvalidQueryError(
-                f"effort must be one of {EFFORT_LEVELS}, got {self.effort!r}")
         cleaned: List[str] = []
         for tag in self.tags:
             if not isinstance(tag, str) or not tag.strip():
@@ -71,23 +73,43 @@ class Query:
         """Convenience constructor for single-tag queries."""
         return cls(seeker=seeker, tags=(tag,), k=k)
 
+    @classmethod
+    def from_dict(cls, record: Mapping[str, Any]) -> "Query":
+        """Parse a query record strictly (the inverse of :meth:`to_dict`).
+
+        One rule for every record arriving from outside the program — an
+        HTTP ``/query`` body and a saved trace line alike: ``seeker`` and
+        ``k`` are integers (:func:`int_field`), ``tags`` is a list of
+        strings (blank entries dropped), an absent ``k`` means 10, and any
+        other key is refused by name.  Raises ``ValueError`` for a
+        malformed record and :class:`InvalidQueryError` for an
+        out-of-range value.
+        """
+        if not isinstance(record, Mapping):
+            raise ValueError(f"a query record must be an object, got {record!r}")
+        unknown = record.keys() - QUERY_FIELDS
+        if unknown:
+            raise ValueError(f"unknown field {min(unknown)!r}; a query takes "
+                             f"{sorted(QUERY_FIELDS)}")
+        if record.get("seeker") is None:
+            raise ValueError("missing required field 'seeker'")
+        tags = record.get("tags") or []
+        if not isinstance(tags, list) \
+                or not all(isinstance(tag, str) for tag in tags):
+            raise ValueError("field 'tags' must be a list of strings")
+        k = record.get("k")
+        return cls(seeker=int_field(record["seeker"], "seeker"),
+                   tags=tuple(tag for tag in tags if tag.strip()),
+                   k=10 if k is None else int_field(k, "k"))
+
     @property
     def num_tags(self) -> int:
         """Number of distinct query tags."""
         return len(self.tags)
 
-    @property
-    def has_serving_hint(self) -> bool:
-        """Whether the query carries an effort hint."""
-        return self.effort is not None
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable representation."""
-        data: Dict[str, object] = {"seeker": self.seeker,
-                                   "tags": list(self.tags), "k": self.k}
-        if self.effort is not None:
-            data["effort"] = self.effort
-        return data
+        return {"seeker": self.seeker, "tags": list(self.tags), "k": self.k}
 
 
 @dataclass(frozen=True)
@@ -111,11 +133,7 @@ class ScoredItem:
 
 @dataclass
 class QueryResult:
-    """The outcome of running one query with one algorithm.
-
-    ``is_exact`` records whether the result is provably identical to the
-    exact path; only landmark-sketch answers set it false.
-    """
+    """The outcome of running one query with one algorithm."""
 
     query: Query
     items: List[ScoredItem]
@@ -123,7 +141,6 @@ class QueryResult:
     latency_seconds: float = 0.0
     accounting: AccessAccountant = field(default_factory=AccessAccountant)
     terminated_early: bool = False
-    is_exact: bool = True
 
     @property
     def item_ids(self) -> List[int]:
@@ -146,7 +163,6 @@ class QueryResult:
             "algorithm": self.algorithm,
             "latency_seconds": self.latency_seconds,
             "terminated_early": self.terminated_early,
-            "is_exact": self.is_exact,
             "accounting": self.accounting.to_dict(),
             "items": [item.to_dict() for item in self.items],
         }

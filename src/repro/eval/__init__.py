@@ -24,17 +24,15 @@ from .timing import (
 )
 from .runner import AlgorithmReport, ExperimentRunner, WorkloadReport, sweep
 from .bench import (
-    format_landmark_report,
     format_proximity_report,
     format_report,
     format_updates_report,
-    run_landmark_suite,
     run_proximity_suite,
     run_topk_suite,
     run_updates_suite,
     write_report,
 )
-from .quality import quality_summary, result_signature
+from .quality import result_signature
 from .scale import format_scale_report, run_scale_suite
 from .tables import format_series, format_table, select_columns
 from .plots import ascii_bar_chart, ascii_line_chart, series_from_rows
@@ -62,18 +60,15 @@ __all__ = [
     "AlgorithmReport",
     "WorkloadReport",
     "sweep",
-    "run_landmark_suite",
     "run_proximity_suite",
     "run_scale_suite",
     "run_topk_suite",
     "run_updates_suite",
     "write_report",
-    "format_landmark_report",
     "format_proximity_report",
     "format_report",
     "format_scale_report",
     "format_updates_report",
-    "quality_summary",
     "result_signature",
     "format_table",
     "format_series",

@@ -1,11 +1,11 @@
-"""Headless benchmark suites (``repro bench --suite [topk|proximity|updates]``).
+"""Headless benchmark suites (``repro bench --suite ...``).
 
 Runs the same shapes as the ``benchmarks/bench_fig*`` harness without
 pytest and emits machine-readable JSON documents so the performance
 trajectory of the engine can be tracked commit over commit
 (``benchmarks/results/BENCH_*.json`` in this repo).
 
-Three suites:
+Four suites (``scale`` lives in :mod:`repro.eval.scale`):
 
 * ``topk`` — per-query latency across algorithms plus vectorized vs scalar
   exact scoring on the Figure-6 medium corpus (PR 2's kernel layer);
@@ -20,22 +20,13 @@ Three suites:
   must keep the fast path) and gating on exact equivalence with a dataset
   rebuilt from scratch after the same updates, for the online and
   materialized execution paths;
-* ``partitioned`` — the planner/scatter-gather layer: query p50 against
-  partition counts 1/2/4 on a community corpus with community-correlated
-  vocabularies, reporting per-shard bound pruning, with a strict
-  equivalence gate (rankings, scores, accounting) across partition counts
-  and the online/materialized execution paths;
 * ``durability`` — the crash-safety story: a chaos sweep that kills the
   durable write path at every named fault-injection point (plus a torn
   final WAL record), recovers each directory, and gates on **zero
   acknowledged updates lost** and bit-identical recovered reads vs a
   from-scratch rebuild, across the online/materialized paths;
   also measures WAL fsync-policy overhead, replay latency, and that
-  concurrent queries see no downtime during a generation swap;
-* ``landmark`` — the accuracy-for-latency story: the latency-vs-quality
-  curve of the landmark-sketch tier over a sketch-size sweep against the
-  exact baseline, with recall@k / rank correlation per point and a gate
-  point (the fastest sketch holding recall@k >= 0.95).
+  concurrent queries see no downtime during a generation swap.
 """
 
 from __future__ import annotations
@@ -54,7 +45,7 @@ from ..storage.dataset import Dataset
 from ..storage.tagging import TaggingAction
 from ..workload.datasets import scaled_dataset
 from ..workload.sampler import dataset_workload
-from .quality import quality_summary, result_signature
+from .quality import result_signature
 from .timing import memory_summary, percentile
 
 PathLike = Union[str, Path]
@@ -249,8 +240,8 @@ def _measure_instrumentation(engine: SocialSearchEngine,
     return block
 
 
-# Shared with the quality meter (and re-exported for the scale suite):
-# rankings, scores and access accounting in one comparable value.
+# Re-exported for the scale suite: rankings, scores and access accounting
+# in one comparable value.
 _result_signature = result_signature
 
 
@@ -545,335 +536,6 @@ def run_updates_suite(num_users: int = MEDIUM_USERS, num_queries: int = 20,
     report["equivalent"] = not mismatches
     report["memory"] = memory_summary()
     return report
-
-
-def run_partitioned_suite(num_users: int = 600, num_queries: int = 20,
-                          k: int = 10, rounds: int = 3, alpha: float = 0.5,
-                          measure: str = "ppr",
-                          partition_counts: Sequence[int] = (1, 2, 4),
-                          seed: int = 23,
-                          algorithms: Sequence[str] = ("exact", "social-first"),
-                          ) -> Dict[str, object]:
-    """Run the scatter-gather suite; returns the JSON-serialisable report.
-
-    The corpus is a dense community-structured tagging site with
-    community-correlated vocabularies (``DatasetConfig.tag_locality``) —
-    the workload shape that gives item shards prunable per-shard bounds.
-    For each partition count the engine serves the same Zipf-profile
-    workload through the planner; the headline numbers:
-
-    * ``p50_by_partitions`` — exact-scan query p50 per partition count;
-    * ``speedup_partitions`` — ``p50(P=1) / p50(P)`` per measured ``P``;
-    * ``pruning`` — shards skipped by admissible bounds and candidates
-      dropped before their social gather, per partition count.
-
-    ``equivalent`` is a hard correctness verdict: rankings, scores and
-    access accounting must be identical across every partition count and
-    the online / materialized execution paths.
-    """
-    from ..config import DatasetConfig
-    from ..workload.datasets import build_dataset
-
-    config = DatasetConfig(
-        name=f"partitioned-{num_users}",
-        num_users=num_users,
-        num_items=num_users * 2,
-        num_tags=max(24, num_users // 40),
-        num_actions=num_users * 400,
-        graph_model="community",
-        avg_degree=8.0,
-        homophily=0.85,
-        tag_locality=0.95,
-        seed=seed,
-    )
-    dataset = build_dataset(config)
-    queries = dataset_workload(dataset, num_queries=num_queries, k=k, seed=7)
-
-    def partitioned_engine(partitions: int,
-                           materialize: bool = True) -> SocialSearchEngine:
-        proximity = ProximityConfig(measure=measure, materialize=True) \
-            if materialize else ProximityConfig(measure=measure, cache_size=0)
-        engine = SocialSearchEngine(dataset, EngineConfig(
-            algorithm="exact",
-            scoring=ScoringConfig(alpha=alpha, vectorized=True),
-            proximity=proximity,
-            partitions=partitions,
-        ))
-        if materialize:
-            engine.proximity.build()
-        return engine
-
-    report: Dict[str, object] = {
-        "suite": "partitioned",
-        "dataset": {
-            "name": dataset.name,
-            "num_users": dataset.num_users,
-            "num_items": dataset.num_items,
-            "num_tags": dataset.num_tags,
-            "num_actions": dataset.num_actions,
-            "tag_locality": config.tag_locality,
-            "homophily": config.homophily,
-        },
-        "workload": {"num_queries": len(queries), "k": k, "rounds": rounds,
-                     "alpha": alpha, "proximity": measure,
-                     "partition_counts": list(partition_counts)},
-        "platform": {"python": platform.python_version(),
-                     "machine": platform.machine()},
-    }
-
-    # 1. p50 per partition count on the serving (materialized) engine.
-    p50_by_partitions: Dict[str, float] = {}
-    pruning: Dict[str, Dict[str, float]] = {}
-    engines: Dict[int, SocialSearchEngine] = {}
-    for partitions in partition_counts:
-        engine = partitioned_engine(partitions)
-        engines[partitions] = engine
-        samples = _best_of_rounds(engine, queries, rounds)
-        p50_by_partitions[str(partitions)] = percentile(samples, 0.5) * 1000.0
-        executor = engine.partition_executor
-        pruning[str(partitions)] = (
-            executor.statistics.to_dict() if executor is not None
-            else {"searches": len(queries) * max(1, rounds),
-                  "partitions_scanned": 0, "partitions_pruned": 0,
-                  "candidates_pruned": 0})
-    report["p50_by_partitions"] = p50_by_partitions
-    report["pruning"] = pruning
-    base_p50 = p50_by_partitions[str(partition_counts[0])]
-    report["speedup_partitions"] = {
-        str(partitions): (base_p50 / p50_by_partitions[str(partitions)]
-                          if p50_by_partitions[str(partitions)] else 0.0)
-        for partitions in partition_counts
-    }
-
-    # 2. Equivalence gate: every partition count, across the online and
-    # materialized paths, must answer exactly like the single-partition
-    # online baseline.
-    mismatches: List[Dict[str, object]] = []
-    baseline_engine = partitioned_engine(partition_counts[0],
-                                         materialize=False)
-    for partitions in partition_counts:
-        mismatches.extend(_path_mismatches(
-            baseline_engine,
-            {"online": partitioned_engine(partitions, materialize=False),
-             "materialized": engines[partitions]},
-            queries, algorithms, partitions=partitions))
-    report["equivalence"] = {
-        "algorithms": list(algorithms),
-        "paths": ["online", "materialized"],
-        "queries_checked": len(queries) * len(algorithms)
-        * len(partition_counts) * 2,
-        "mismatches": mismatches[:10],
-        "num_mismatches": len(mismatches),
-    }
-    report["equivalent"] = not mismatches
-    report["memory"] = memory_summary()
-    return report
-
-
-def format_partitioned_report(report: Dict[str, object]) -> str:
-    """Human-readable one-screen summary of a partitioned-suite report."""
-    p50s = report["p50_by_partitions"]
-    speedups = report["speedup_partitions"]
-    pruning = report["pruning"]
-    lines = [
-        "partitioned scatter-gather suite "
-        f"({report['dataset']['num_users']} users, "  # type: ignore[index]
-        f"{report['workload']['num_queries']} queries x "  # type: ignore[index]
-        f"{report['workload']['rounds']} rounds, "  # type: ignore[index]
-        f"measure={report['workload']['proximity']})",  # type: ignore[index]
-    ]
-    for partitions in report["workload"]["partition_counts"]:  # type: ignore[index]
-        key = str(partitions)
-        stats = pruning[key]  # type: ignore[index]
-        lines.append(
-            f"P={key}: p50 {p50s[key]:.3f} ms"  # type: ignore[index]
-            f" | speedup {speedups[key]:.2f}x"  # type: ignore[index]
-            f" | shards pruned {int(stats['partitions_pruned'])}"
-            f" / scanned {int(stats['partitions_scanned'])}"
-            f" | candidates pruned {int(stats['candidates_pruned'])}")
-    lines.append(
-        f"equivalence   {'OK' if report['equivalent'] else 'FAILED'} "
-        f"({report['equivalence']['queries_checked']} checks, "  # type: ignore[index]
-        f"{report['equivalence']['num_mismatches']} mismatches)")  # type: ignore[index]
-    lines.extend(_memory_line(report))
-    return "\n".join(lines)
-
-
-def run_landmark_suite(num_users: int = 600, num_queries: int = 20,
-                       k: int = 10, rounds: int = 3, alpha: float = 0.5,
-                       measure: str = "ppr", partitions: int = 8,
-                       seed: int = 23,
-                       landmark_counts: Sequence[int] = (4, 8, 16, 32),
-                       ) -> Dict[str, object]:
-    """Run the approximate (landmark) serving suite; returns the JSON report.
-
-    The corpus and Zipf workload are the partitioned suite's (community
-    graph, community-correlated vocabularies), but the engine serves in
-    the regime the sketch exists for: **no precomputed proximity** — no
-    materialized rows, no row cache — so the exact path pays a full
-    power-iteration proximity row per query, exactly the precomputation
-    vs. on-line work trade the paper family studies.  The headline blocks:
-
-    * ``exact`` — the baseline latencies; its answers are the reference
-      every quality number compares against;
-    * ``landmark_curve`` — latency and quality over landmark-sketch sizes
-      (``effort="fast"`` through a landmark executor per sketch size),
-      plus each sketch's build time and memory;
-    * ``gate`` — the headline serving point: the fastest sketch whose
-      measured recall@k stays >= 0.95, with its p50 speedup over exact.
-    """
-    from dataclasses import replace as _replace
-
-    from ..config import DatasetConfig
-    from ..proximity.landmarks import LandmarkProximity
-    from ..workload.datasets import build_dataset
-
-    # Wider item catalogue than the partitioned suite so hot-tag queries
-    # touch thousands of candidates, and — deliberately — no materialized
-    # proximity and no row cache: at corpus scale the O(users^2) row table
-    # cannot be precomputed, so the serving question this suite answers is
-    # what the sketch buys when the exact path must run a full
-    # power-iteration row per query.
-    config = DatasetConfig(
-        name=f"landmark-{num_users}",
-        num_users=num_users,
-        num_items=num_users * 10,
-        num_tags=max(24, num_users // 40),
-        num_actions=num_users * 400,
-        graph_model="community",
-        avg_degree=8.0,
-        homophily=0.85,
-        tag_locality=0.95,
-        seed=seed,
-    )
-    dataset = build_dataset(config)
-    queries = dataset_workload(dataset, num_queries=num_queries, k=k, seed=7)
-
-    engine = SocialSearchEngine(dataset, EngineConfig(
-        algorithm="exact",
-        scoring=ScoringConfig(alpha=alpha, vectorized=True),
-        proximity=ProximityConfig(measure=measure, materialize=False,
-                                  cache_size=0),
-        partitions=partitions,
-    ))
-
-    report: Dict[str, object] = {
-        "suite": "landmark",
-        "dataset": {
-            "name": dataset.name,
-            "num_users": dataset.num_users,
-            "num_items": dataset.num_items,
-            "num_tags": dataset.num_tags,
-            "num_actions": dataset.num_actions,
-            "tag_locality": config.tag_locality,
-            "homophily": config.homophily,
-        },
-        "workload": {"num_queries": len(queries), "k": k, "rounds": rounds,
-                     "alpha": alpha, "proximity": measure,
-                     "partitions": partitions,
-                     "landmark_counts": list(landmark_counts)},
-        "platform": {"python": platform.python_version(),
-                     "machine": platform.machine()},
-    }
-
-    # 1. Exact baseline: latencies + the reference answers every quality
-    # number compares against.
-    exact_samples = _best_of_rounds(engine, queries, rounds)
-    exact_results = [engine.run(query) for query in queries]
-    report["exact"] = _summarise(exact_samples)
-    exact_p50 = percentile(exact_samples, 0.5) * 1000.0
-
-    # 2. Landmark curve: one sketch per size, sharing the engine's corpus
-    # partitions and proximity measure (only the sketch differs).
-    landmark_curve: List[Dict[str, object]] = []
-    fast = [_replace(query, effort="fast") for query in queries]
-    for count in landmark_counts:
-        build_started = time.perf_counter()
-        sketch = LandmarkProximity(dataset.graph,
-                                   ProximityConfig(measure=measure),
-                                   num_landmarks=int(count))
-        build_seconds = time.perf_counter() - build_started
-        landmark_engine = SocialSearchEngine(
-            dataset, engine.config, proximity=engine.proximity,
-            partitions=engine.partitions, landmark_proximity=sketch)
-        point = _measure_serving_point(landmark_engine, fast, exact_results,
-                                 exact_p50, rounds, k)
-        landmark_curve.append(dict(point, num_landmarks=int(count),
-                                   build_seconds=build_seconds,
-                                   sketch_bytes=sketch.memory_bytes()))
-    report["landmark_curve"] = landmark_curve
-
-    # 3. Headline serving point: the fastest sketch that holds
-    # recall@k >= 0.95.  An empty gate (no sketch met the floor) is itself
-    # a failure downstream.
-    qualifying = [point for point in landmark_curve
-                  if point["quality"]["recall_mean"] >= 0.95]  # type: ignore[index]
-    if qualifying:
-        gate_point = max(qualifying,
-                         key=lambda point: float(point["speedup"]))  # type: ignore[arg-type]
-        report["gate"] = {
-            "point": f"landmarks-{gate_point['num_landmarks']}",
-            "speedup": gate_point["speedup"],
-            "recall_at_k": gate_point["quality"]["recall_mean"],  # type: ignore[index]
-            "p50_ms": gate_point["latency"]["p50_ms"],  # type: ignore[index]
-            "recall_floor": 0.95,
-        }
-    else:
-        report["gate"] = {"point": None, "speedup": 0.0, "recall_at_k": 0.0,
-                          "p50_ms": None, "recall_floor": 0.95}
-    executor = engine.partition_executor
-    if executor is not None:
-        report["pruning"] = executor.statistics.to_dict()
-    report["memory"] = memory_summary()
-    return report
-
-
-def _measure_serving_point(engine: SocialSearchEngine, queries: Sequence[Query],
-                     exact_results, exact_p50: float, rounds: int,
-                     k: int) -> Dict[str, object]:
-    """Latency + quality of one serving configuration vs the exact baseline."""
-    samples = _best_of_rounds(engine, queries, rounds)
-    results = [engine.run(query) for query in queries]
-    latency = _summarise(samples)
-    p50 = latency["p50_ms"]
-    return {
-        "latency": latency,
-        "quality": quality_summary(exact_results, results, k=k),
-        "speedup": (exact_p50 / float(p50)) if p50 else 0.0,
-    }
-
-
-def format_landmark_report(report: Dict[str, object]) -> str:
-    """Human-readable one-screen summary of a landmark-suite report."""
-    exact = report["exact"]
-    lines = [
-        "approximate serving suite: the landmark tier "
-        f"({report['dataset']['num_users']} users, "  # type: ignore[index]
-        f"{report['workload']['num_queries']} queries x "  # type: ignore[index]
-        f"{report['workload']['rounds']} rounds, "  # type: ignore[index]
-        f"P={report['workload']['partitions']}, "  # type: ignore[index]
-        f"measure={report['workload']['proximity']})",  # type: ignore[index]
-        f"exact          p50 {exact['p50_ms']:.3f} ms",  # type: ignore[index]
-    ]
-    for point in report["landmark_curve"]:  # type: ignore[union-attr]
-        lines.append(
-            f"  landmarks {point['num_landmarks']:>3}: "
-            f"p50 {point['latency']['p50_ms']:.3f} ms"
-            f" | speedup {point['speedup']:.2f}x"
-            f" | recall@k {point['quality']['recall_mean']:.3f}"
-            f" | build {point['build_seconds'] * 1000.0:.0f} ms"
-            f" | {point['sketch_bytes']} bytes")
-    gate = report.get("gate") or {}
-    if gate.get("point"):
-        lines.append(
-            f"gate point     {gate['point']}: "
-            f"speedup {gate['speedup']:.2f}x"
-            f" at recall@k {gate['recall_at_k']:.3f}"
-            f" (floor {gate['recall_floor']:.2f})")
-    else:
-        lines.append("gate point     NONE met the recall floor")
-    lines.extend(_memory_line(report))
-    return "\n".join(lines)
 
 
 def format_updates_report(report: Dict[str, object]) -> str:
@@ -1338,11 +1000,11 @@ def _path_mismatches(baseline: SocialSearchEngine,
                      **labels: object) -> List[Dict[str, object]]:
     """Every answer of a ``{path name: engine}`` that differs from ``baseline``'s.
 
-    The equivalence gate of the proximity, updates, partitioned and
-    durability suites: each engine answers each query with each algorithm
-    through ``engine.run``, and the result signatures (rankings, scores,
-    access accounting) must equal the baseline engine's.  ``labels`` (the
-    partition count, the fault point) are copied into every mismatch record.
+    The equivalence gate of the proximity, updates and durability suites:
+    each engine answers each query with each algorithm through
+    ``engine.run``, and the result signatures (rankings, scores, access
+    accounting) must equal the baseline engine's.  ``labels`` (the fault
+    point) are copied into every mismatch record.
     """
     mismatches: List[Dict[str, object]] = []
     for algorithm in algorithms:

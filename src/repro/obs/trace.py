@@ -7,15 +7,15 @@ and parent links.  The design goals, in order:
 1. **The disabled path must cost almost nothing.**  Production serving
    leaves instrumentation call sites compiled into the hot path; with no
    tracer installed, :func:`span` is one module-global read, a ``None``
-   check and the shared :data:`NULL_SPAN` context manager.  The truly hot
-   loops (per-shard scans) additionally guard on :func:`get_tracer`
-   returning ``None`` and skip even that.  CI gates the overhead at <= 2%
+   check and the shared :data:`NULL_SPAN` context manager.  The engine's
+   per-query entry point additionally guards on :func:`get_tracer`
+   returning ``None`` and skips even that.  CI gates the overhead at <= 2%
    of the top-k suite's p50.
 2. **Context propagates implicitly within a thread.**  ``span()`` nests
    under the calling thread's active span through a ``threading.local``
    stack, so the storage layer does not need plumbing to end up under the
    service's request span.  A request runs on one thread from the HTTP
-   handler down to the shard scan, so there is no cross-thread form.
+   handler down to the algorithm, so there is no cross-thread form.
 3. **Completed traces are queryable.**  Each finished *root* span files its
    trace into a bounded ring buffer keyed by trace id, which backs
    ``GET /trace/<id>`` and ``repro explain --analyze``.  The buffer holds

@@ -1,4 +1,4 @@
-"""Landmark-based proximity sketches (the approximate serving tier).
+"""Landmark-based proximity sketches.
 
 Computing exact shortest-path proximity from every seeker is wasteful when
 queries arrive from many different users.  The landmark sketch picks a small
@@ -15,24 +15,19 @@ discusses.
 
 The sketch state is two dense arrays — ``(num_landmarks, num_users)``
 distances and hop counts — so a seeker's whole estimate vector is a few
-vectorized ops over landmark rows, and the arrays persist directly as the
-arena's ``landmark.*`` section (:func:`repro.storage.arena.build_arena`).
-Graph updates never recompute landmark rows on the serving path: the
-touched seekers are marked stale and served an exact Dijkstra row from a
-delta overlay until the next offline rebuild, and users added after the
-sketch was built are unreachable through it (an admissible under-estimate)
-except for their exact direct friends.
+vectorized ops over landmark rows.  Like every measure with per-graph
+state, the sketch is rebuilt on :meth:`~ProximityMeasure.rebind`, so a
+served vector always equals a sketch built fresh on the current graph.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..config import ProximityConfig
-from ..errors import PersistenceError
 from ..graph import SocialGraph
 from ..graph.traversal import dijkstra_iter
 from .base import ProximityMeasure, register_proximity
@@ -71,39 +66,26 @@ class LandmarkProximity(ProximityMeasure):
     Parameters
     ----------
     graph / config:
-        The usual measure pair; ``config.decay`` sets the per-hop penalty
-        and ``config.landmarks`` the default sketch size.
+        The usual measure pair; ``config.decay`` sets the per-hop penalty.
     num_landmarks:
-        Overrides ``config.landmarks`` when given.
-    seed / strategy:
-        Forwarded to :func:`select_landmarks`.
+        Sketch size (default 16), the highest-degree users
+        (:func:`select_landmarks`).
     """
 
     def __init__(self, graph: SocialGraph, config: Optional[ProximityConfig] = None,
-                 num_landmarks: Optional[int] = None, seed: int = 0,
-                 strategy: str = "degree") -> None:
+                 num_landmarks: int = 16) -> None:
         super().__init__(graph, config)
         self._hop_penalty = -math.log(max(self.config.decay, 1e-12))
-        if num_landmarks is None:
-            num_landmarks = self.config.landmarks or 16
         self._num_landmarks = max(1, int(num_landmarks))
-        self._seed = seed
-        self._strategy = strategy
-        #: Seekers whose sketch rows are invalid after a graph update; they
-        #: are served exact rows from the overlay until a rebuild.
-        self._stale: Set[int] = set()
-        #: Memoised exact rows of stale (or sketch-unknown) seekers.
-        self._overlay: Dict[int, np.ndarray] = {}
         self._on_graph_changed()
 
     # ------------------------------------------------------------------ #
-    # Sketch construction / persistence
+    # Sketch construction
     # ------------------------------------------------------------------ #
 
     def _on_graph_changed(self) -> None:
         graph = self.graph
-        landmarks = select_landmarks(graph, self._num_landmarks,
-                                     seed=self._seed, strategy=self._strategy)
+        landmarks = select_landmarks(graph, self._num_landmarks)
         num_users = graph.num_users
         distances = np.full((len(landmarks), num_users), np.inf,
                             dtype=np.float64)
@@ -117,8 +99,6 @@ class LandmarkProximity(ProximityMeasure):
         self._landmark_ids = np.array(landmarks, dtype=np.int64)
         self._distances = distances
         self._hops = hops
-        self._stale.clear()
-        self._overlay.clear()
 
     @property
     def landmarks(self) -> List[int]:
@@ -130,51 +110,6 @@ class LandmarkProximity(ProximityMeasure):
         """Number of landmarks in the sketch."""
         return int(self._landmark_ids.shape[0])
 
-    @property
-    def seed(self) -> int:
-        """Selection seed (recorded in the arena's landmark metadata)."""
-        return self._seed
-
-    @property
-    def strategy(self) -> str:
-        """Selection strategy (recorded in the arena's landmark metadata)."""
-        return self._strategy
-
-    def sketch_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The persistable sketch state: ``(landmark_ids, distances, hops)``.
-
-        The arrays are the live sketch (treat as read-only); the arena
-        writer persists them as the ``landmark.*`` section.
-        """
-        return self._landmark_ids, self._distances, self._hops
-
-    def install_sketch(self, landmark_ids: np.ndarray, distances: np.ndarray,
-                       hops: np.ndarray) -> None:
-        """Adopt a precomputed sketch (the arena attach path).
-
-        Replaces the arrays built at construction; the overlay and stale
-        set reset because the installed sketch is a fresh generation.
-        """
-        landmark_ids = np.asarray(landmark_ids, dtype=np.int64)
-        distances = np.asarray(distances, dtype=np.float64)
-        hops = np.asarray(hops, dtype=np.int64)
-        if distances.shape != hops.shape \
-                or distances.shape[0] != landmark_ids.shape[0]:
-            raise PersistenceError(
-                "landmark sketch arrays disagree: "
-                f"ids {landmark_ids.shape}, distances {distances.shape}, "
-                f"hops {hops.shape}")
-        if distances.shape[1] != self.graph.num_users:
-            raise PersistenceError(
-                f"landmark sketch covers {distances.shape[1]} users but the "
-                f"graph has {self.graph.num_users}")
-        self._landmark_ids = landmark_ids
-        self._distances = distances
-        self._hops = hops
-        self._num_landmarks = int(landmark_ids.shape[0])
-        self._stale.clear()
-        self._overlay.clear()
-
     # ------------------------------------------------------------------ #
     # Estimation
     # ------------------------------------------------------------------ #
@@ -185,19 +120,14 @@ class LandmarkProximity(ProximityMeasure):
         The per-target estimate replays the scalar rule exactly: best
         landmark by first-minimum summed distance, per-hop decay charged on
         the (over-counted) estimated hop count, a small floor, and exact
-        values for direct friends.  Stale seekers (graph updates) are
-        served their memoised exact overlay row instead.
+        values for direct friends.
         """
         self.graph.validate_user(seeker)
-        overlay = self._overlay_row(seeker)
-        if overlay is not None:
-            return overlay
         num_users = self.graph.num_users
-        width = int(self._distances.shape[1])
         seeker_distances = self._distances[:, seeker]
         estimates = seeker_distances[:, None] + self._distances
         best = np.argmin(estimates, axis=0)
-        columns = np.arange(width, dtype=np.int64)
+        columns = np.arange(num_users, dtype=np.int64)
         distance = estimates[best, columns]
         hop_counts = self._hops[:, seeker][best] + self._hops[best, columns]
         # Charge the per-hop decay on the estimated (over-counted) hop
@@ -205,16 +135,11 @@ class LandmarkProximity(ProximityMeasure):
         # proximity — an admissible under-estimate.
         penalty = np.maximum(hop_counts, 1) * self._hop_penalty
         proximity = np.exp(-(distance + penalty))
-        proximity = np.where(proximity > SKETCH_FLOOR,
-                             np.minimum(proximity, 1.0), 0.0)
-        dense = np.zeros(num_users, dtype=np.float64)
-        dense[:width] = proximity[:num_users]
+        dense = np.where(proximity > SKETCH_FLOOR,
+                         np.minimum(proximity, 1.0), 0.0)
         dense[seeker] = 0.0
-        return self._apply_direct(dense, seeker)
-
-    def _apply_direct(self, dense: np.ndarray, seeker: int) -> np.ndarray:
-        """Exact proximity for direct friends: triangulation is needlessly
-        pessimistic one hop away and direct ties matter most."""
+        # Exact proximity for direct friends: triangulation is needlessly
+        # pessimistic one hop away and direct ties matter most.
         nbrs, weights = self.graph.neighbours(seeker)
         if nbrs.shape[0]:
             direct = np.exp(-(-np.log(np.maximum(weights, 1e-12))
@@ -229,76 +154,10 @@ class LandmarkProximity(ProximityMeasure):
         return {int(user): float(dense[user]) for user in nonzero}
 
     # ------------------------------------------------------------------ #
-    # Delta overlay (graph updates)
-    # ------------------------------------------------------------------ #
-
-    def _overlay_row(self, seeker: int) -> Optional[np.ndarray]:
-        row = self._overlay.get(seeker)
-        if row is not None:
-            return row
-        if seeker not in self._stale and seeker < self._distances.shape[1]:
-            return None
-        row = self._exact_row(seeker)
-        self._overlay[seeker] = row
-        return row
-
-    def _exact_row(self, seeker: int) -> np.ndarray:
-        """An exact per-seeker proximity row (the overlay's contents).
-
-        Exact rows are trivially admissible — the sketch only ever serves
-        *at most* the exact value, and these serve exactly it.
-        """
-        dense = np.zeros(self.graph.num_users, dtype=np.float64)
-        for node, dist, _hop in dijkstra_iter(
-                self.graph, seeker,
-                max_distance=-math.log(SKETCH_FLOOR),
-                hop_penalty=self._hop_penalty):
-            if node == seeker:
-                continue
-            value = math.exp(-dist)
-            if value > SKETCH_FLOOR:
-                dense[node] = min(1.0, value)
-        return self._apply_direct(dense, seeker)
-
-    def invalidate(self, users: Iterable[int]) -> None:
-        """Mark seekers' sketch rows invalid (served exact until rebuilt)."""
-        for user in users:
-            user = int(user)
-            if user >= 0:
-                self._stale.add(user)
-                self._overlay.pop(user, None)
-
-    def graph_updated(self, graph: SocialGraph, affected: Iterable[int]) -> None:
-        """Adopt an updated graph without recomputing landmark rows.
-
-        New users are unreachable through the frozen sketch (inf distance —
-        an admissible under-estimate; their direct friendships are still
-        exact through the override), and ``affected`` seekers go stale.
-        """
-        self._graph = graph
-        width = int(self._distances.shape[1])
-        if graph.num_users > width:
-            grow = graph.num_users - width
-            rows = int(self._distances.shape[0])
-            self._distances = np.concatenate(
-                [self._distances,
-                 np.full((rows, grow), np.inf, dtype=np.float64)], axis=1)
-            self._hops = np.concatenate(
-                [self._hops, np.zeros((rows, grow), dtype=np.int64)], axis=1)
-        self.invalidate(affected)
-
-    @property
-    def stale_seekers(self) -> int:
-        """Number of seekers currently served from the exact overlay path."""
-        return len(self._stale)
-
-    # ------------------------------------------------------------------ #
     # Accounting
     # ------------------------------------------------------------------ #
 
     def memory_bytes(self) -> int:
-        """Memory held by the dense sketch arrays (overlay rows included)."""
-        total = (self._landmark_ids.nbytes + self._distances.nbytes
-                 + self._hops.nbytes)
-        total += sum(row.nbytes for row in self._overlay.values())
-        return total
+        """Memory held by the dense sketch arrays."""
+        return (self._landmark_ids.nbytes + self._distances.nbytes
+                + self._hops.nbytes)

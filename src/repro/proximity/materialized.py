@@ -13,14 +13,11 @@ O(touch):
   rows share their non-zero structure.
 * Each cluster becomes a :class:`ProximityShard`: a CSR block of the
   members' **exact** proximity rows (values bit-identical to what the
-  wrapped measure computes online) plus one dense **upper-bound vector**,
-  the element-wise maximum over the member rows.  The bound is admissible
-  for every member, which is what lets threshold-style algorithms and the
-  partitioned executor prune candidates without touching exact rows.
-* :class:`MaterializedProximity` serves any seeker from their shard row
-  (``cluster bound → row lookup``), falling back to **lazy refinement**
-  through the wrapped measure for seekers that were never materialized
-  (new users, post-update invalidations).
+  wrapped measure computes online).
+* :class:`MaterializedProximity` serves any seeker from their shard row,
+  falling back to **lazy refinement** through the wrapped measure for
+  seekers that were never materialized (new users, post-update
+  invalidations).
 
 Shards are plain numpy arrays, so the whole structure serialises into the
 :mod:`repro.storage.arena` memory-mapped file and comes back zero-copy.
@@ -47,21 +44,18 @@ class ProximityShard:
 
     ``members`` are the seekers of the cluster in ascending id order; row
     ``r`` (``members[r]``) spans ``user_ids[offsets[r]:offsets[r+1]]`` /
-    ``values[...]`` with user ids ascending inside the row.  ``bound`` is a
-    dense per-user vector: ``bound[v] = max_r values_r[v]`` — an admissible
-    upper bound on *any* member's proximity to ``v``.
+    ``values[...]`` with user ids ascending inside the row.
     """
 
-    __slots__ = ("cluster_id", "members", "offsets", "user_ids", "values", "bound")
+    __slots__ = ("cluster_id", "members", "offsets", "user_ids", "values")
 
     def __init__(self, cluster_id: int, members: np.ndarray, offsets: np.ndarray,
-                 user_ids: np.ndarray, values: np.ndarray, bound: np.ndarray) -> None:
+                 user_ids: np.ndarray, values: np.ndarray) -> None:
         self.cluster_id = cluster_id
         self.members = members
         self.offsets = offsets
         self.user_ids = user_ids
         self.values = values
-        self.bound = bound
 
     def __len__(self) -> int:
         return int(self.members.shape[0])
@@ -87,12 +81,11 @@ class ProximityShard:
     def memory_bytes(self) -> int:
         """Approximate footprint of the shard arrays in bytes."""
         return int(self.members.nbytes + self.offsets.nbytes
-                   + self.user_ids.nbytes + self.values.nbytes + self.bound.nbytes)
+                   + self.user_ids.nbytes + self.values.nbytes)
 
     @classmethod
     def build(cls, cluster_id: int, members: Sequence[int],
-              rows: Sequence[Tuple[np.ndarray, np.ndarray]],
-              num_users: int) -> "ProximityShard":
+              rows: Sequence[Tuple[np.ndarray, np.ndarray]]) -> "ProximityShard":
         """Assemble a shard from per-member sparse rows (already ascending)."""
         member_array = np.asarray(members, dtype=np.int64)
         offsets = np.zeros(len(rows) + 1, dtype=np.int64)
@@ -101,13 +94,11 @@ class ProximityShard:
         total = int(offsets[-1])
         user_ids = np.zeros(total, dtype=np.int64)
         values = np.zeros(total, dtype=np.float64)
-        bound = np.zeros(num_users, dtype=np.float64)
         for position, (row_users, row_values) in enumerate(rows):
             start, end = int(offsets[position]), int(offsets[position + 1])
             user_ids[start:end] = row_users
             values[start:end] = row_values
-            np.maximum.at(bound, row_users, row_values)
-        return cls(cluster_id, member_array, offsets, user_ids, values, bound)
+        return cls(cluster_id, member_array, offsets, user_ids, values)
 
 
 @dataclass
@@ -226,15 +217,13 @@ class MaterializedProximity(ProximityMeasure):
         """Materialize shard rows for ``seekers`` (default: every user).
 
         This is the offline precomputation step — one inner-measure vector
-        per seeker, grouped into per-cluster CSR shards with their bound
-        vectors.  Returns the number of rows materialized.  Existing shards
+        per seeker, grouped into per-cluster CSR shards.  Returns the number of rows materialized.  Existing shards
         are replaced wholesale, and refinement overlays for the covered
         seekers are dropped (the shard row supersedes them).
         """
         labels = self.labels()
-        num_users = self._graph.num_users
         wanted = sorted(set(int(s) for s in (seekers if seekers is not None
-                                             else range(num_users))))
+                                             else range(self._graph.num_users))))
         by_cluster: Dict[int, List[int]] = {}
         for seeker in wanted:
             self._graph.validate_user(seeker)
@@ -246,8 +235,7 @@ class MaterializedProximity(ProximityMeasure):
             rows: List[Tuple[np.ndarray, np.ndarray]] = []
             for seeker in members:
                 rows.append(_sparse_row(self._inner.vector_array(seeker)))
-            shards[cluster_id] = ProximityShard.build(cluster_id, members, rows,
-                                                      num_users)
+            shards[cluster_id] = ProximityShard.build(cluster_id, members, rows)
             for seeker in members:
                 shard_of[seeker] = cluster_id
         with self._lock:
@@ -360,21 +348,6 @@ class MaterializedProximity(ProximityMeasure):
         values = row[1]
         return float(values.max()) if values.shape[0] else 0.0
 
-    def upper_bound_array(self, seeker: int) -> Optional[np.ndarray]:
-        """The seeker's cluster bound vector (admissible, read-only), or ``None``.
-
-        ``bound[v] >= prox(seeker, v)`` for every user ``v``; the partitioned
-        executor uses this to prune candidates for a whole cluster with one
-        gather instead of one per member.
-        """
-        with self._lock:
-            if seeker in self._stale:
-                return None
-            cluster_id = self._shard_of.get(seeker)
-            if cluster_id is None:
-                return None
-            return self._shards[cluster_id].bound
-
     # ------------------------------------------------------------------ #
     # Update-driven invalidation
     # ------------------------------------------------------------------ #
@@ -384,48 +357,19 @@ class MaterializedProximity(ProximityMeasure):
 
         Mirrors :meth:`repro.proximity.cache.CachedProximity.invalidate` so
         :class:`repro.service.QueryService` can drive either wrapper through
-        the same hook.  Invalidation is **cluster-incremental**: only the
-        clusters whose members are touched get their bound vector repaired
-        in place (re-maximised over the still-fresh rows, which keeps batch
-        pruning admissible *and* tight); every other shard is left
-        untouched.  Stale rows stay in shard storage — never served, but
-        available for :meth:`repair` to overwrite in place.  Returns the
-        number of rows newly marked stale or dropped from the overlay.
+        the same hook.  Stale rows stay in shard storage — never served,
+        but available for :meth:`repair` to overwrite in place.  Returns
+        the number of rows newly marked stale or dropped from the overlay.
         """
         removed = 0
         with self._lock:
-            touched_clusters = set()
             for user in set(users):
                 if self._overlay.pop(user, None) is not None:
                     removed += 1
                 if user in self._shard_of and user not in self._stale:
                     self._stale.add(user)
-                    touched_clusters.add(self._shard_of[user])
                     removed += 1
-            for cluster_id in touched_clusters:
-                self._repair_bound(cluster_id)
         return removed
-
-    def _repair_bound(self, cluster_id: int) -> None:
-        """Re-maximise one cluster's bound over its fresh rows (lock held).
-
-        Stale members' old rows drop out of the bound (they may under- or
-        over-state the post-update proximity and are never served anyway).
-        A cluster with no fresh member left keeps its rows with an all-zero
-        bound: inert — no lookup serves it — but repairable in place.
-        """
-        shard = self._shards.get(cluster_id)
-        if shard is None:
-            return
-        bound = np.zeros(self._graph.num_users, dtype=np.float64)
-        for position, member in enumerate(shard.members.tolist()):
-            if member in self._stale:
-                continue
-            user_ids, values = shard.row(position)
-            np.maximum.at(bound, user_ids, values)
-        # In-place for the structure, not the buffer: the old array may be a
-        # read-only arena view shared with concurrent readers.
-        shard.bound = bound
 
     def repair(self, users: Iterable[int]) -> int:
         """Recompute stale shard rows online and write them back in place.
@@ -434,7 +378,7 @@ class MaterializedProximity(ProximityMeasure):
         given seeker that is stale and belongs to a shard gets its row
         recomputed through the wrapped measure (exactly what a fresh
         :meth:`build` would store) and the touched shards are reassembled
-        with repaired rows and re-maximised bounds.  Seekers without a
+        with repaired rows.  Seekers without a
         shard row are ignored — lazy refinement already covers them.
         Returns the number of rows repaired.
         """
@@ -468,16 +412,11 @@ class MaterializedProximity(ProximityMeasure):
                     else:
                         new_rows.append(shard.row(position))
                 self._shards[cluster_id] = ProximityShard.build(
-                    cluster_id, shard.members.tolist(), new_rows,
-                    self._graph.num_users)
+                    cluster_id, shard.members.tolist(), new_rows)
                 for member in members:
                     self._stale.discard(member)
                     self._overlay.pop(member, None)
                     repaired += 1
-                if any(m in self._stale for m in shard.members.tolist()):
-                    # Some members stay stale: tighten the rebuilt bound so
-                    # it excludes their retained (old) rows again.
-                    self._repair_bound(cluster_id)
             self.statistics.repairs += repaired
         return repaired
 
@@ -490,11 +429,9 @@ class MaterializedProximity(ProximityMeasure):
         :class:`repro.service.QueryService` computes the BFS ball around the
         touched users — this path preserves the materialized fast path
         across the graph swap: labels are extended (each new user gets a
-        fresh singleton cluster), bound vectors are zero-padded to the grown
-        user domain (admissible: an unaffected seeker has zero proximity to
-        a user only reachable over new edges), the wrapped measure is
-        rebound, and only the affected seekers' rows go stale.  Returns the
-        number of rows invalidated.
+        fresh singleton cluster), the wrapped measure is rebound, and only
+        the affected seekers' rows go stale.  Returns the number of rows
+        invalidated.
         """
         with self._lock:
             self._graph = graph
@@ -503,13 +440,6 @@ class MaterializedProximity(ProximityMeasure):
                 self._labels.extend(
                     range(next_label,
                           next_label + graph.num_users - len(self._labels)))
-            for shard in self._shards.values():
-                if shard.bound.shape[0] < graph.num_users:
-                    shard.bound = np.concatenate([
-                        shard.bound,
-                        np.zeros(graph.num_users - shard.bound.shape[0],
-                                 dtype=np.float64),
-                    ])
         self._inner.rebind(graph)
         return self.invalidate(affected)
 

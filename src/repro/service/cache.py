@@ -27,23 +27,19 @@ class CacheKey(NamedTuple):
     """Identity of a cacheable request.
 
     Tags are stored sorted so that ``(a, b)`` and ``(b, a)`` — which rank
-    identically — share one entry.  ``fast`` is part of the identity: a
-    landmark answer must never be served to a request that did not say
-    ``effort="fast"``; no hint and ``effort="exact"`` share an entry.
+    identically — share one entry.
     """
 
     seeker: int
     tags: Tuple[str, ...]
     k: int
     algorithm: str
-    fast: bool = False
 
     @classmethod
     def for_query(cls, query: Query, algorithm: str) -> "CacheKey":
         """Build the cache key of ``query`` answered by ``algorithm``."""
         return cls(seeker=query.seeker, tags=tuple(sorted(query.tags)),
-                   k=query.k, algorithm=algorithm,
-                   fast=query.effort == "fast")
+                   k=query.k, algorithm=algorithm)
 
 
 @dataclass

@@ -11,7 +11,7 @@ reply itself; nothing is handed to another thread.  Endpoints:
 ``GET /metrics``
     Prometheus text exposition of the engine-wide metrics registry
     (service throughput/latency, cache behaviour, planner routes,
-    partition pruning, write-path epochs — one namespace).
+    write-path epochs — one namespace).
 ``GET /stats``
     The same numbers as a structured JSON snapshot (plus strings the
     text format cannot carry, like the compaction error).
@@ -26,15 +26,14 @@ reply itself; nothing is handed to another thread.  Endpoints:
 ``POST /query`` with ``{"seeker": 4, "tags": ["jazz"], "k": 10}``
     Answer one query; the response carries the ranked items, the serving
     outcome (``hit`` / ``coalesced`` / ``computed``) and both engine- and
-    service-side latency.  The one optional serving hint is ``effort``
-    (``exact`` / ``fast``): ``fast`` accepts the landmark-sketch answer
-    when the engine built a sketch, and the reply's ``is_exact`` says
-    which was served.  Any other field is a ``400`` naming it.
+    service-side latency.  Besides the query's own fields
+    (:meth:`~repro.core.query.Query.from_dict`) a request may name an
+    ``algorithm``; any other field is a ``400`` naming it.
 ``GET /explain?seeker=4&tags=jazz,vinyl&k=10[&algorithm=exact]``
 ``POST /explain`` with the same body as ``/query``
     Return the planner's :class:`~repro.core.plan.ExecutionPlan` for the
-    query — storage backing, proximity route, scoring path, executor,
-    partition fan-out and per-shard bound estimates — without executing it.
+    query — storage backing, proximity route, scoring path, executor and
+    frontier bound — without executing it.
 ``POST /update`` with ``{"actions": [...], "friendships": [[u, v, w]], "new_users": 0}``
     Apply a dataset update through the watched :class:`DatasetUpdater`;
     stale cache entries are invalidated before the response is sent.
@@ -54,7 +53,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from ..core.query import Query
+from ..core.query import Query, int_field
 from ..errors import ReproError
 from ..obs import trace as obs_trace
 from ..storage.tagging import TaggingAction
@@ -65,23 +64,9 @@ from .service import QueryService
 #: client's claim, and the handler allocates what it announces.
 MAX_BODY_BYTES = 1 << 20
 
-#: Every field a ``/query`` or ``/explain`` request may carry.
-QUERY_FIELDS = frozenset({"seeker", "tags", "k", "algorithm", "effort"})
-
 
 class _BodyTooLarge(ValueError):
     """``Content-Length`` announced more than :data:`MAX_BODY_BYTES`."""
-
-
-def _int_field(value: Any, name: str) -> int:
-    """An integer request field: a JSON integer or a digit string (GET).
-
-    Bare ``int()`` overflows on ``1e999``, truncates ``1.7`` and takes
-    ``true`` for 1; all three are the client's mistake and a ``400``.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"field {name!r} must be an integer, got {value!r}")
-    return int(value)
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
@@ -236,24 +221,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     @staticmethod
     def _parse_query(payload: Dict[str, Any]) -> Query:
-        """One parsing rule for every query-shaped payload (/query, /explain)."""
-        unknown = payload.keys() - QUERY_FIELDS
-        if unknown:
-            raise ValueError(f"unknown field {min(unknown)!r}; a query takes "
-                             f"{sorted(QUERY_FIELDS)}")
-        if payload.get("seeker") is None:
-            raise ValueError("missing required field 'seeker'")
-        tags = payload.get("tags") or []
-        if not isinstance(tags, list) \
-                or not all(isinstance(tag, str) for tag in tags):
-            raise ValueError("field 'tags' must be a list of strings")
-        k = payload.get("k")
-        return Query(
-            seeker=_int_field(payload["seeker"], "seeker"),
-            tags=tuple(tag for tag in tags if tag.strip()),
-            k=10 if k is None else _int_field(k, "k"),
-            effort=payload.get("effort"),
-        )
+        """The query of a /query or /explain payload (minus ``algorithm``)."""
+        return Query.from_dict({key: value for key, value in payload.items()
+                                if key != "algorithm"})
 
     def _handle_query(self, payload: Dict[str, Any]) -> None:
         query = self._parse_query(payload)
@@ -298,20 +268,20 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     def _handle_update(self, payload: Dict[str, Any]) -> None:
         actions = [
             TaggingAction(
-                user_id=_int_field(entry["user_id"], "user_id"),
-                item_id=_int_field(entry["item_id"], "item_id"),
+                user_id=int_field(entry["user_id"], "user_id"),
+                item_id=int_field(entry["item_id"], "item_id"),
                 tag=str(entry["tag"]),
-                timestamp=_int_field(entry.get("timestamp", 0), "timestamp"))
+                timestamp=int_field(entry.get("timestamp", 0), "timestamp"))
             for entry in payload.get("actions") or []]
-        friendships = [(_int_field(u, "friendships"),
-                        _int_field(v, "friendships"), float(w))
+        friendships = [(int_field(u, "friendships"),
+                        int_field(v, "friendships"), float(w))
                        for u, v, w in payload.get("friendships") or []]
         new_users = payload.get("new_users")
         summary = self.server.updater.apply(
             actions=actions or None,
             friendships=friendships or None,
             new_users=0 if new_users is None
-            else _int_field(new_users, "new_users"),
+            else int_field(new_users, "new_users"),
         )
         self._reply(200, {"applied": summary.changed, **summary.to_dict()})
 

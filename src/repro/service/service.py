@@ -205,7 +205,7 @@ class QueryService:
                 "vectorized": engine_config.scoring.vectorized,
             },
             # The planner's engine-level decision record: storage backing,
-            # proximity route, scoring path, partition layout.
+            # proximity route, scoring path, route counters.
             "plan": self._engine.planner.describe(),
             "result_cache": dict(self._cache.statistics.to_dict(),
                                  size=len(self._cache),
@@ -231,9 +231,6 @@ class QueryService:
                 "retained": tracer.retained(),
                 "capacity": tracer.capacity,
             }
-        executor = self._engine.partition_executor
-        if executor is not None:
-            snapshot["partitions"] = executor.to_dict()
         proximity = self._engine.proximity
         if isinstance(proximity, CachedProximity):
             snapshot["proximity_cache"] = proximity.statistics.to_dict()
@@ -421,14 +418,6 @@ class QueryService:
             removed += self._cache.invalidate_tags(summary.tags_touched)
         if summary.graph_rebuilt:
             removed += self._refresh_proximity(summary)
-            self._refresh_landmarks(summary)
-        # Route freshly written items to the partition owning their first
-        # endorser's community, so the scatter-gather layout keeps its
-        # seeker locality under live updates (unknown items would otherwise
-        # serve — correctly but slower — from the hash fallback).
-        partitions = self._engine.partitions
-        if partitions is not None and summary.items_touched:
-            partitions.route_items(summary.items_touched)
         self._metrics.record_update(removed)
         self._maybe_compact()
 
@@ -476,21 +465,6 @@ class QueryService:
             if repair is not None:
                 repair(affected)
         return removed
-
-    def _refresh_landmarks(self, summary: UpdateSummary) -> None:
-        """Keep the approximate tier admissible across graph updates.
-
-        The frozen landmark sketch adopts the rebuilt graph without
-        recomputing landmark rows; seekers within the proximity horizon of
-        the touched users go stale and are served exact overlay rows until
-        the next offline rebuild (:meth:`LandmarkProximity.graph_updated`).
-        """
-        landmark = getattr(self._engine, "landmark_proximity", None)
-        if landmark is None:
-            return
-        affected = (self._affected_seekers(summary.users_touched)
-                    if summary.edges_added else set())
-        landmark.graph_updated(self._engine.dataset.graph, affected)
 
     # ------------------------------------------------------------------ #
     # Background compaction (the write path's epoch swap)

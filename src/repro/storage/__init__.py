@@ -15,7 +15,6 @@ from .arena import (
     load_dataset_from_arena,
     load_shards,
 )
-from .partitioned import CorpusPartitions
 from .statistics import DatasetStatistics, compute_dataset_statistics, graph_statistics_row
 from .updates import DatasetUpdater, UpdateSummary, replay_trace
 from .wal import (
@@ -49,7 +48,6 @@ __all__ = [
     "build_arena",
     "load_dataset_from_arena",
     "load_shards",
-    "CorpusPartitions",
     "DatasetStatistics",
     "compute_dataset_statistics",
     "graph_statistics_row",

@@ -14,7 +14,7 @@ serves its first query after little more than an ``open`` + header parse:
 * the social index's per-tag user → item CSR;
 * the raw tagging actions (tag names interned through a small tag table);
 * optionally, the :class:`~repro.proximity.materialized.MaterializedProximity`
-  shards — per-cluster proximity rows plus bound vectors.
+  shards — per-cluster proximity rows.
 
 File layout (little-endian)::
 
@@ -55,7 +55,6 @@ import numpy as np
 from ..errors import PersistenceError, StorageError
 from ..graph import SocialGraph
 from ..obs.faults import fault_point
-from ..proximity.landmarks import LandmarkProximity
 from ..proximity.materialized import MaterializedProximity, ProximityShard
 from .dataset import Dataset
 from .delta import merge_sorted_disjoint
@@ -350,15 +349,8 @@ def _action_arrays(store: TaggingStore, tag_ids: Dict[str, int]
 
 
 def build_arena(dataset: Dataset, path: PathLike,
-                proximity: Optional[MaterializedProximity] = None,
-                landmarks: Optional[LandmarkProximity] = None) -> Path:
-    """Serialise ``dataset`` (and optional built shards) into an arena file.
-
-    ``landmarks`` additionally persists a landmark sketch's dense
-    distance/hop arrays as the ``landmark.*`` section, so serving processes
-    attach the precomputed sketch (:func:`attach_landmarks`) instead of
-    re-running one Dijkstra per landmark at startup.
-    """
+                proximity: Optional[MaterializedProximity] = None) -> Path:
+    """Serialise ``dataset`` (and optional built shards) into an arena file."""
     tags = dataset.tagging.tags()
     tag_ids = {tag: index for index, tag in enumerate(tags)}
     arrays: Dict[str, np.ndarray] = {}
@@ -465,27 +457,11 @@ def build_arena(dataset: Dataset, path: PathLike,
             [shard.user_ids for shard in shards], np.int64)
         arrays["materialized.row_values"] = _concat(
             [shard.values for shard in shards], np.float64)
-        arrays["materialized.bounds"] = _concat(
-            [shard.bound for shard in shards], np.float64)
         materialized_meta = {
             "measure": proximity.inner.name,
             "num_clusters": len(shards),
             "num_rows": proximity.num_rows(),
             "num_entries": proximity.num_entries(),
-        }
-
-    landmark_meta: Optional[Dict[str, object]] = None
-    if landmarks is not None:
-        landmark_ids, distances, hops = landmarks.sketch_arrays()
-        arrays["landmark.ids"] = np.asarray(landmark_ids)
-        arrays["landmark.distances"] = np.asarray(distances)
-        arrays["landmark.hops"] = np.asarray(hops)
-        landmark_meta = {
-            "measure": landmarks.name,
-            "num_landmarks": landmarks.num_landmarks,
-            "strategy": landmarks.strategy,
-            "seed": landmarks.seed,
-            "decay": landmarks.config.decay,
         }
 
     meta: Dict[str, object] = {
@@ -500,7 +476,6 @@ def build_arena(dataset: Dataset, path: PathLike,
         "items": [item.to_dict() for item in dataset.items],
         "has_holdout": dataset.holdout is not None,
         "materialized": materialized_meta,
-        "landmark": landmark_meta,
     }
     return write_arena(path, meta, arrays)
 
@@ -1176,7 +1151,11 @@ def load_dataset_from_arena(source: Union[PathLike, Arena]) -> Dataset:
 
 def load_shards(source: Union[PathLike, Arena]
                 ) -> Optional[Tuple[List[int], List[ProximityShard]]]:
-    """The arena's materialized proximity shards, or ``None`` when absent."""
+    """The arena's materialized proximity shards, or ``None`` when absent.
+
+    Older arenas may carry one more array per shard section (per-cluster
+    bound vectors); nothing reads it.
+    """
     arena = source if isinstance(source, Arena) else Arena.open(source)
     if "materialized.labels" not in arena:
         return None
@@ -1187,8 +1166,6 @@ def load_shards(source: Union[PathLike, Arena]
     row_offsets = arena.array("materialized.row_offsets")
     row_user_ids = arena.array("materialized.row_user_ids")
     row_values = arena.array("materialized.row_values")
-    bounds = arena.array("materialized.bounds")
-    num_users = int(arena.meta["num_users"])
     shards: List[ProximityShard] = []
     for position in range(int(cluster_ids.shape[0])):
         first = int(member_offsets[position])
@@ -1201,7 +1178,6 @@ def load_shards(source: Union[PathLike, Arena]
             offsets=local_offsets,
             user_ids=row_user_ids[base:int(row_offsets[last])],
             values=row_values[base:int(row_offsets[last])],
-            bound=bounds[position * num_users:(position + 1) * num_users],
         ))
     return labels, shards
 
@@ -1230,48 +1206,6 @@ def attach_shards(proximity: MaterializedProximity,
     return True
 
 
-def load_landmarks(source: Union[PathLike, Arena]
-                   ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                       Dict[str, object]]]:
-    """The arena's landmark sketch, or ``None`` when absent.
-
-    Returns ``(landmark_ids, distances, hops, meta)`` with the arrays
-    memory-mapped straight out of the arena (read-only views).
-    """
-    arena = source if isinstance(source, Arena) else Arena.open(source)
-    if "landmark.ids" not in arena:
-        return None
-    meta = dict(arena.meta.get("landmark") or {})
-    return (arena.array("landmark.ids"),
-            arena.array("landmark.distances"),
-            arena.array("landmark.hops"),
-            meta)
-
-
-def attach_landmarks(proximity: LandmarkProximity,
-                     source: Union[PathLike, Arena]) -> bool:
-    """Install the arena's landmark sketch into ``proximity``; returns success.
-
-    Returns ``False`` when the arena carries no sketch.  Raises
-    :class:`PersistenceError` when the recorded decay differs from the
-    measure's — the hop penalty is baked into the persisted estimates, so
-    a mismatched sketch would silently serve a different proximity scale.
-    """
-    arena = source if isinstance(source, Arena) else Arena.open(source)
-    loaded = load_landmarks(arena)
-    if loaded is None:
-        return False
-    landmark_ids, distances, hops, meta = loaded
-    recorded = meta.get("decay")
-    if recorded is not None and float(recorded) != proximity.config.decay:
-        raise PersistenceError(
-            f"arena {arena.path} landmark sketch was built with "
-            f"decay={recorded} but the engine uses "
-            f"decay={proximity.config.decay}")
-    proximity.install_sketch(landmark_ids, distances, hops)
-    return True
-
-
 # Re-exported niceties ------------------------------------------------- #
 
 __all__ = [
@@ -1279,11 +1213,9 @@ __all__ = [
     "ArenaInvertedIndex",
     "ArenaSocialIndex",
     "ArenaTaggingStore",
-    "attach_landmarks",
     "attach_shards",
     "build_arena",
     "load_dataset_from_arena",
-    "load_landmarks",
     "load_shards",
     "write_arena",
 ]

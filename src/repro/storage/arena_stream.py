@@ -366,7 +366,6 @@ def _build_into(config: DatasetConfig, path: Path, chunk_size: int,
                              "url": None, "attributes": {}}),
         "has_holdout": False,
         "materialized": None,
-        "landmark": None,
     }
     return write_arena(path, meta, arrays)
 

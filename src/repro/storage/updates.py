@@ -52,11 +52,6 @@ class UpdateSummary:
     items_added: int = 0
     tags_touched: Set[str] = field(default_factory=set)
     users_touched: Set[int] = field(default_factory=set)
-    #: ``item -> first endorsing user`` of the batch's recorded actions;
-    #: the corpus partition layer routes freshly written items to the
-    #: partition owning that user's community (seeker locality survives
-    #: live updates).
-    items_touched: Dict[int, int] = field(default_factory=dict)
 
     @property
     def changed(self) -> bool:
@@ -78,8 +73,6 @@ class UpdateSummary:
         self.items_added += other.items_added
         self.tags_touched |= other.tags_touched
         self.users_touched |= other.users_touched
-        for item_id, user_id in other.items_touched.items():
-            self.items_touched.setdefault(item_id, user_id)
 
     def to_dict(self) -> Dict[str, object]:
         """Plain-dict view for logs."""
@@ -91,8 +84,6 @@ class UpdateSummary:
             "items_added": self.items_added,
             "tags_touched": sorted(self.tags_touched),
             "users_touched": sorted(self.users_touched),
-            "items_touched": {str(item): user for item, user
-                              in sorted(self.items_touched.items())},
         }
 
 
@@ -360,8 +351,6 @@ class DatasetUpdater:
                     recorded.append(action)
                     touched_tags.add(action.tag)
                     touched_users.add(action.user_id)
-                    summary.items_touched.setdefault(action.item_id,
-                                                     action.user_id)
                     by_tag.setdefault(action.tag, {}) \
                         .setdefault(action.item_id, []).append(action.user_id)
                     by_user_tag.setdefault((action.user_id, action.tag), []) \

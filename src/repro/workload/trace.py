@@ -30,7 +30,12 @@ def save_queries(queries: Iterable[Query], path: PathLike) -> int:
 
 
 def load_queries(path: PathLike) -> List[Query]:
-    """Read a query trace written by :func:`save_queries`."""
+    """Read a query trace written by :func:`save_queries`.
+
+    Each line is parsed by :meth:`Query.from_dict`, the rule ``/query``
+    applies to HTTP bodies; a bad line is a :class:`PersistenceError`
+    naming ``path:lineno``.
+    """
     path = Path(path)
     queries: List[Query] = []
     try:
@@ -40,15 +45,8 @@ def load_queries(path: PathLike) -> List[Query]:
                 if not line:
                     continue
                 try:
-                    record = json.loads(line)
-                    queries.append(Query(
-                        seeker=int(record["seeker"]),
-                        tags=tuple(str(tag) for tag in record["tags"]),
-                        k=int(record.get("k", 10)),
-                        effort=record.get("effort"),
-                    ))
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError,
-                        InvalidQueryError) as exc:
+                    queries.append(Query.from_dict(json.loads(line)))
+                except (ValueError, InvalidQueryError) as exc:
                     raise PersistenceError(
                         f"{path}:{lineno}: malformed query record: {exc}"
                     ) from exc

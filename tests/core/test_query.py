@@ -55,6 +55,66 @@ class TestQuery:
         assert all(query.k == 4 for query in queries)
 
 
+class TestFromDict:
+    """The one strict parse shared by HTTP bodies and saved trace lines."""
+
+    def test_inverts_to_dict(self):
+        query = Query(seeker=4, tags=("jazz", "rock"), k=7)
+        assert Query.from_dict(query.to_dict()) == query
+
+    def test_absent_k_means_ten(self):
+        assert Query.from_dict({"seeker": 1, "tags": ["a"]}).k == 10
+
+    def test_null_k_means_ten(self):
+        assert Query.from_dict({"seeker": 1, "tags": ["a"], "k": None}).k == 10
+
+    def test_digit_strings_are_integers(self):
+        # A GET query string carries every field as text.
+        query = Query.from_dict({"seeker": "3", "tags": ["a"], "k": "5"})
+        assert (query.seeker, query.k) == (3, 5)
+
+    def test_blank_tag_entries_are_dropped(self):
+        # ``?tags=a,,b`` splits into an empty middle entry.
+        query = Query.from_dict({"seeker": 1, "tags": ["a", "", " ", "b"]})
+        assert query.tags == ("a", "b")
+
+    @pytest.mark.parametrize("record, named", [
+        ({"seeker": 1.7, "tags": ["a"]}, "'seeker'"),
+        ({"seeker": True, "tags": ["a"]}, "'seeker'"),
+        ({"seeker": None, "tags": ["a"]}, "'seeker'"),
+        ({"seeker": [1], "tags": ["a"]}, "'seeker'"),
+        ({"seeker": "one", "tags": ["a"]}, "one"),
+        ({"seeker": 1, "tags": ["a"], "k": 2.9}, "'k'"),
+        ({"seeker": 1, "tags": ["a"], "k": False}, "'k'"),
+        ({"seeker": 1, "tags": ["a"], "k": float("inf")}, "'k'"),
+        ({"seeker": 1, "tags": "jazz"}, "'tags'"),
+        ({"seeker": 1, "tags": ("a",)}, "'tags'"),
+        ({"seeker": 1, "tags": ["a", 2]}, "'tags'"),
+        ({"tags": ["a"]}, "'seeker'"),
+        ({"seeker": 1, "tags": ["a"], "effort": "fast"}, "'effort'"),
+        ({"seeker": 1, "tags": ["a"], "partitions": 2}, "'partitions'"),
+        ({"seeker": 1, "tags": ["a"], "algorithm": "exact"}, "'algorithm'"),
+        ([1, ["a"], 3], "object"),
+    ])
+    def test_malformed_record_is_a_value_error_naming_it(self, record, named):
+        with pytest.raises(ValueError) as excinfo:
+            Query.from_dict(record)
+        assert named in str(excinfo.value)
+        assert not isinstance(excinfo.value, InvalidQueryError)
+
+    @pytest.mark.parametrize("record", [
+        {"seeker": -1, "tags": ["a"]},
+        {"seeker": "-1", "tags": ["a"]},
+        {"seeker": 1, "tags": ["a"], "k": 0},
+        {"seeker": 1, "tags": []},
+        {"seeker": 1, "tags": [" "]},
+        {"seeker": 1},
+    ])
+    def test_out_of_range_record_is_an_invalid_query(self, record):
+        with pytest.raises(InvalidQueryError):
+            Query.from_dict(record)
+
+
 class TestQueryResult:
     def _result(self):
         query = Query(seeker=0, tags=("a",), k=3)

@@ -102,7 +102,7 @@ class TestUpdatesSuite:
 
 
 class TestPathMismatches:
-    """The one compare loop behind the four suites' equivalence gates."""
+    """The one compare loop behind the three suites' equivalence gates."""
 
     def test_reports_exactly_the_divergent_path(self, engine, workload):
         from repro.eval.bench import _path_mismatches
@@ -110,11 +110,11 @@ class TestPathMismatches:
         queries = list(workload)[:4]
         mismatches = _path_mismatches(
             engine, {"same": engine, "other-alpha": engine.with_alpha(0.9)},
-            queries, ("exact", "social-first"), partitions=4)
+            queries, ("exact", "social-first"), point="compact.commit")
         assert mismatches, "a different alpha must change some signature"
         assert {m["path"] for m in mismatches} == {"other-alpha"}
         for record in mismatches:
-            assert record["partitions"] == 4  # labels ride along
+            assert record["point"] == "compact.commit"  # labels ride along
             assert record["expected"] != record["got"]
             assert record["algorithm"] in ("exact", "social-first")
             assert record["query"] in [query.to_dict() for query in queries]

@@ -66,12 +66,6 @@ class TestBuild:
 
 
 class TestBounds:
-    def test_cluster_bound_is_admissible(self, built, synthetic_dataset):
-        for seeker in range(synthetic_dataset.num_users):
-            bound = built.upper_bound_array(seeker)
-            assert bound is not None
-            assert np.all(bound >= built.vector_array(seeker) - 1e-15)
-
     def test_frontier_bound_equals_first_ranked(self, built):
         for seeker in (0, 5, 11):
             ranked = list(built.iter_ranked(seeker))
@@ -84,7 +78,6 @@ class TestBounds:
     def test_unmaterialized_seeker_has_no_bound(self, inner):
         materialized = MaterializedProximity(inner)
         assert materialized.frontier_bound(0) is None
-        assert materialized.upper_bound_array(0) is None
 
 
 class TestLazyRefinement:
@@ -103,7 +96,6 @@ class TestLazyRefinement:
         assert built.invalidate([3]) == 1
         built.vector_array(3)          # refined online
         assert inner.array_calls == calls + 1
-        assert built.upper_bound_array(3) is None
         built.vector_array(2)          # untouched seeker still shard-served
         assert inner.array_calls == calls + 1
 
@@ -145,44 +137,22 @@ class TestIntrospection:
 class TestIncrementalMaintenance:
     """Updates invalidate per cluster and repair in place, never wholesale."""
 
-    def test_invalidate_repairs_only_touched_cluster_bound(self, built):
-        target = built.shards()[0]
-        victim = int(target.members[0])
-        other_bounds = {shard.cluster_id: shard.bound
-                        for shard in built.shards()
-                        if shard.cluster_id != target.cluster_id}
-        built.invalidate([victim])
-        # Untouched clusters keep their bound arrays by identity.
-        for shard in built.shards():
-            if shard.cluster_id in other_bounds:
-                assert shard.bound is other_bounds[shard.cluster_id]
-        # The touched cluster's bound is re-maximised over fresh rows only.
-        repaired = next(shard for shard in built.shards()
-                        if shard.cluster_id == target.cluster_id)
-        expected = np.zeros_like(repaired.bound)
-        for position, member in enumerate(repaired.members.tolist()):
-            if member == victim:
-                continue
-            user_ids, values = repaired.row(position)
-            np.maximum.at(expected, user_ids, values)
-        np.testing.assert_array_equal(repaired.bound, expected)
-
-    def test_stale_member_gets_no_bound_fresh_member_keeps_it(self, built):
+    def test_stale_member_refines_fresh_member_keeps_its_row(self, built):
         shard = next(s for s in built.shards() if len(s) >= 2)
         stale, fresh = int(shard.members[0]), int(shard.members[1])
         built.invalidate([stale])
-        assert built.upper_bound_array(stale) is None
-        assert built.upper_bound_array(fresh) is not None
+        built.vector_array(fresh)
+        assert built.statistics.shard_hits == 1
+        built.vector_array(stale)
+        assert built.statistics.refinements == 1
 
     def test_all_stale_cluster_stays_repairable(self, built, inner):
         shard = built.shards()[0]
         members = shard.members.tolist()
         rows_before = built.num_rows()
         built.invalidate(members)
-        # Rows stay in storage (inert: zero bound, no lookups served).
+        # Rows stay in storage (inert: no lookups served).
         assert built.num_rows() == rows_before
-        assert not built.upper_bound_array(members[0]).any() \
-            if built.upper_bound_array(members[0]) is not None else True
         repaired = built.repair(members)
         assert repaired == len(members)
         for member in members:
@@ -223,7 +193,7 @@ class TestIncrementalMaintenance:
             np.testing.assert_array_equal(built.vector_array(seeker),
                                           inner.vector_array(seeker))
 
-    def test_graph_updated_pads_for_new_users(self, built, synthetic_dataset):
+    def test_graph_updated_labels_new_users(self, built, synthetic_dataset):
         graph = synthetic_dataset.graph
         grown = graph.num_users + 2
         builder = SocialGraphBuilder(grown)
@@ -236,8 +206,3 @@ class TestIncrementalMaintenance:
         # New users land in fresh singleton clusters.
         assert labels[grown - 1] != labels[0]
         assert labels[grown - 1] != labels[grown - 2]
-        for shard in built.shards():
-            assert shard.bound.shape[0] == grown
-        bound = built.upper_bound_array(int(built.shards()[0].members[0]))
-        assert bound.shape[0] == grown
-        assert bound[grown - 1] == 0.0

@@ -2,12 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.config import ProximityConfig
 from repro.errors import UnknownProximityError, UnknownUserError
+from repro.graph import SocialGraph
 from repro.proximity import (
     AdamicAdarProximity,
+    CachedProximity,
     CommonNeighboursProximity,
     JaccardProximity,
     KatzProximity,
@@ -96,6 +99,59 @@ class TestEveryMeasure:
         # User 1 is a direct strong friend of 0; user 2 is only reachable
         # through 1 over a weak tie.
         assert measure.proximity(0, 1) >= measure.proximity(0, 2)
+
+    # A measure bound to one graph and then rebound must serve exactly what
+    # the same measure built fresh on the new graph serves: any per-graph
+    # state (a sketch, transition arrays) is rebuilt, never patched.
+
+    def test_rebind_serves_what_a_fresh_measure_serves(self, small_graph,
+                                                       name):
+        measure = create_proximity(name, small_graph)
+        for seeker in range(small_graph.num_users):
+            measure.vector_array(seeker)
+        # A shortcut 0-2 and a first friend for the isolated user 5.
+        updated = _with_edges(small_graph, 6, [(0, 2, 0.9), (5, 4, 0.6)])
+        measure.rebind(updated)
+        fresh = create_proximity(name, updated)
+        for seeker in range(updated.num_users):
+            np.testing.assert_array_equal(measure.vector_array(seeker),
+                                          fresh.vector_array(seeker))
+        assert measure.vector(5) != {}
+
+    def test_rebind_to_a_grown_graph_serves_new_users(self, small_graph,
+                                                      name):
+        measure = create_proximity(name, small_graph)
+        measure.vector_array(0)
+        grown = _with_edges(small_graph, 7, [(6, 0, 0.7), (6, 5, 0.5)])
+        measure.rebind(grown)
+        fresh = create_proximity(name, grown)
+        for seeker in range(grown.num_users):
+            served = measure.vector_array(seeker)
+            assert served.shape == (7,)
+            np.testing.assert_array_equal(served, fresh.vector_array(seeker))
+        assert measure.proximity(6, 0) > 0.0
+
+    def test_cached_rebind_then_invalidate_is_fresh(self, small_graph, name):
+        # The row cache keeps entries across rebind by design; once the
+        # caller invalidates them every lookup recomputes on the new graph.
+        cached = CachedProximity(create_proximity(name, small_graph),
+                                 capacity=16)
+        before = {seeker: cached.vector_array(seeker).copy()
+                  for seeker in range(small_graph.num_users)}
+        updated = _with_edges(small_graph, 6, [(0, 2, 0.9), (5, 4, 0.6)])
+        cached.rebind(updated)
+        np.testing.assert_array_equal(cached.vector_array(3), before[3])
+        cached.invalidate(range(updated.num_users))
+        fresh = create_proximity(name, updated)
+        for seeker in range(updated.num_users):
+            np.testing.assert_array_equal(cached.vector_array(seeker),
+                                          fresh.vector_array(seeker))
+
+
+def _with_edges(graph, num_users, extra):
+    """``graph``'s edges plus ``extra``, over ``num_users`` users."""
+    return SocialGraph.from_edges(num_users,
+                                  list(graph.iter_edges()) + list(extra))
 
 
 class TestShortestPathProximity:

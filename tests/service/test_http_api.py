@@ -191,7 +191,7 @@ class TestQueryEndpoint:
 
     @pytest.mark.parametrize("field, value", [
         ("slo_ms", 5.0), ("deadline_ms", 5.0), ("max_scanned", 64),
-        ("effort", "balanced")])
+        ("effort", "balanced"), ("effort", "fast"), ("effort", "exact")])
     def test_removed_hints_are_named_in_a_400(self, server, field, value):
         tag = server.service.engine.dataset.tags()[0]
         for path in ("/query", "/explain"):
@@ -307,7 +307,7 @@ class TestExplainEndpoint:
         assert status == 200
         assert body["query"] == {"seeker": 1, "tags": [tag], "k": 3}
         for key in ("executor", "backing", "proximity_path", "scoring_path",
-                    "partitions", "fan_out", "reason"):
+                    "reason"):
             assert key in body
 
     def test_post_explain_matches_get(self, server):
@@ -331,7 +331,7 @@ class TestExplainEndpoint:
     def test_stats_carry_plan_block(self, server):
         _, body = get_json(server, "/stats")
         assert body["plan"]["backing"] == "python"
-        assert body["plan"]["partitions"] == 1
+        assert body["plan"]["route_lookups"] >= body["plan"]["route_memo_hits"]
 
 
 class TestRequestIds:

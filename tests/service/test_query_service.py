@@ -12,6 +12,7 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -324,6 +325,43 @@ class TestUpdateInvalidation:
         finally:
             svc.close()
 
+    @pytest.mark.parametrize("cache_size", [0, 128])
+    def test_landmark_measure_recomputes_its_sketch(self, cache_size):
+        # Like PPR, the sketch is global: after any graph change the served
+        # vector must be the one a sketch built fresh on the new graph
+        # serves, with or without the row cache in front of it.
+        from repro import EngineConfig, ProximityConfig
+        from repro.proximity import LandmarkProximity
+        from repro.workload import scaled_dataset
+
+        dataset = scaled_dataset(300)
+        config = ProximityConfig(measure="landmark", cache_size=cache_size)
+        engine = SocialSearchEngine(dataset, EngineConfig(proximity=config))
+        updater = DatasetUpdater(dataset)
+        seekers = [5, 17, 120]
+
+        def assert_fresh():
+            fresh = LandmarkProximity(dataset.graph, config)
+            for seeker in seekers:
+                np.testing.assert_array_equal(
+                    engine.proximity.vector_array(seeker),
+                    fresh.vector_array(seeker))
+
+        with QueryService(engine, updater=updater):
+            for seeker in seekers:
+                engine.proximity.vector_array(seeker)
+            neighbours = set(dataset.graph.neighbour_ids(5).tolist())
+            stranger = next(u for u in range(dataset.num_users)
+                            if u != 5 and u not in neighbours)
+            assert updater.add_friendships(
+                [(5, stranger, 0.9)]).edges_added == 1
+            seekers.append(stranger)
+            assert_fresh()
+            first_new = dataset.num_users
+            updater.apply(new_users=2, friendships=[(first_new, 5, 0.8)])
+            seekers.extend([first_new, first_new + 1])
+            assert_fresh()
+
 
 class TestRunMany:
     def test_sequential_is_the_default(self, live_engine):
@@ -418,9 +456,8 @@ class TestNoOpUpdates:
 
 
 class TestStatsUnderLiveUpdates:
-    """The ``plan`` and ``partitions`` stats blocks stay coherent while
-    live updates stream in between query waves: route counters keep
-    growing, the partition layout and serving counters survive delta
+    """The ``plan`` stats block stays coherent while live updates stream
+    in between query waves: route counters keep growing and survive delta
     overlays, and the pending-delta/epoch bookkeeping tracks compaction.
     """
 
@@ -435,14 +472,12 @@ class TestStatsUnderLiveUpdates:
         engine = SocialSearchEngine(dataset, EngineConfig(
             algorithm="exact",
             scoring=ScoringConfig(vectorized=True),
-            partitions=2,
         ))
         updater = DatasetUpdater(dataset)
         svc = QueryService(engine, ServiceConfig(cache_capacity=0),
                            updater=updater)
         try:
             tag = dataset.tags()[0]
-            searches_seen = 0
             lookups_seen = 0
             timestamp = 1_000_000
             for wave in range(3):
@@ -451,23 +486,13 @@ class TestStatsUnderLiveUpdates:
                 stats = svc.stats()
 
                 plan = stats["plan"]
-                assert plan["partitions"] == 2
                 assert plan["backing"] == "arena"
                 assert plan["route_lookups"] > lookups_seen
-                assert plan["route_decisions"]["partitioned-exact"] >= \
+                assert plan["route_decisions"]["algorithm"] >= \
                     plan["route_lookups"] - plan["route_memo_hits"]
                 lookups_seen = plan["route_lookups"]
 
-                partitions = stats["partitions"]
-                assert partitions["num_partitions"] == 2
-                assert sum(partitions["sizes"]) == partitions["mapped_items"]
-                assert partitions["searches"] > searches_seen
-                assert partitions["partitions_scanned"] \
-                    + partitions["partitions_pruned"] >= partitions["searches"]
-                searches_seen = partitions["searches"]
-
-                # Stream a batch of tagging actions between waves; the next
-                # wave must keep serving through the partitioned route.
+                # Stream a batch of tagging actions between waves.
                 actions = []
                 for offset in range(6):
                     timestamp += 1
@@ -479,19 +504,17 @@ class TestStatsUnderLiveUpdates:
                 assert svc.stats()["plan"]["pending_delta"] > 0
 
             # Folding the overlays resets the delta and bumps the epoch
-            # without losing the serving counters.
+            # without losing the route counters.
             updater.compact()
             stats = svc.stats()
             assert stats["plan"]["pending_delta"] == 0
             assert stats["write_path"]["epoch"] == 1
-            assert stats["partitions"]["searches"] == searches_seen
+            assert stats["plan"]["route_lookups"] == lookups_seen
 
-            # Post-compaction queries still go through the partitioned
-            # route and see the streamed items.
+            # Post-compaction queries still route and see the streamed items.
             served = svc.serve(Query(seeker=0, tags=(tag,), k=30))
             final = svc.stats()
-            assert final["partitions"]["searches"] == searches_seen + 1
-            assert final["plan"]["route_lookups"] > lookups_seen
+            assert final["plan"]["route_lookups"] == lookups_seen + 1
             assert any(item.item_id >= 90_000 for item in served.result.items)
         finally:
             svc.close()

@@ -232,6 +232,37 @@ class TestShards:
         engine_dataset = Dataset.from_arena(path)
         assert engine_dataset.graph == corpus.graph
 
+    def test_older_arena_with_extra_sections_still_attaches(
+            self, corpus, arena_path, tmp_path):
+        # Earlier builds also wrote per-cluster bound vectors and a landmark
+        # sketch section; nothing reads them now, but such a file must keep
+        # loading and serving exactly what the current layout serves.
+        current = Arena.open(arena_path)
+        num_users = corpus.num_users
+        num_clusters = int(current.array("materialized.cluster_ids").shape[0])
+        arrays = {name: np.array(array)
+                  for name, array in current.arrays.items()}
+        arrays["materialized.bounds"] = np.ones(num_clusters * num_users)
+        arrays["landmark.ids"] = np.arange(2, dtype=np.int64)
+        arrays["landmark.distances"] = np.zeros((2, num_users))
+        arrays["landmark.hops"] = np.zeros((2, num_users), dtype=np.int64)
+        meta = dict(current.meta)
+        meta["landmark"] = {"measure": "landmark", "num_landmarks": 2,
+                            "strategy": "degree", "seed": 0, "decay": 0.5}
+        older = write_arena(tmp_path / "older.arena", meta, arrays)
+
+        fresh = MaterializedProximity(
+            PersonalizedPageRankProximity(corpus.graph,
+                                          ProximityConfig(measure="ppr")))
+        assert attach_shards(fresh, older)
+        inner = PersonalizedPageRankProximity(corpus.graph,
+                                              ProximityConfig(measure="ppr"))
+        for seeker in range(0, num_users, 5):
+            np.testing.assert_array_equal(fresh.vector_array(seeker),
+                                          inner.vector_array(seeker))
+        assert fresh.statistics.refinements == 0
+        assert Dataset.from_arena(older).graph == corpus.graph
+
 
 class TestDeltaOverlay:
     """The write path: delta-merged reads, compaction, and thread safety."""

@@ -33,8 +33,6 @@ class TestParser:
         assert parser.parse_args(["bench", "--suite"]).suite == "topk"
         assert parser.parse_args(["bench", "--suite", "proximity"]).suite \
             == "proximity"
-        assert parser.parse_args(["bench", "--suite", "partitioned"]).suite \
-            == "partitioned"
         args = parser.parse_args(["bench", "--suite", "scale",
                                   "--scale-sizes", "2500,10000",
                                   "--chunk-size", "50000",
@@ -50,35 +48,40 @@ class TestParser:
 
     def test_removed_bench_spellings_are_argparse_errors(self, capsys):
         parser = build_parser()
-        assert parser.parse_args(["bench", "--suite", "landmark"]).suite \
-            == "landmark"
         for argv in (["bench", "--suite", "anytime"],
-                     ["bench", "--suite", "landmark", "--budgets", "64"]):
+                     ["bench", "--suite", "landmark"],
+                     ["bench", "--suite", "partitioned"],
+                     ["bench", "--min-recall", "0.95"],
+                     ["bench", "--landmark-counts", "4,8"]):
             with pytest.raises(SystemExit) as excinfo:
                 parser.parse_args(argv)
             assert excinfo.value.code == 2
         capsys.readouterr()
 
-    def test_partitions_flag_parses(self):
-        parser = build_parser()
-        args = parser.parse_args(["serve", "--partitions", "4"])
-        assert args.partitions == 4
-        assert parser.parse_args(["explain", "3", "jazz"]).partitions == 1
+    @pytest.mark.parametrize("argv", [
+        ["demo"], ["query", "snap", "1", "jazz"], ["bench"],
+        ["explain", "1", "jazz"], ["serve"], ["profile", "trace.jsonl"]])
+    def test_partitions_flag_is_an_argparse_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--partitions", "2"])
+        assert excinfo.value.code == 2
+        assert "--partitions" in capsys.readouterr().err
 
 
 class TestExplain:
     def test_explain_prints_plan_without_executing(self, capsys):
         assert main(["explain", "4", "tag-000", "tag-001", "--scale", "0.1",
-                     "--algorithm", "exact", "--partitions", "4"]) == 0
+                     "--algorithm", "exact"]) == 0
         out = capsys.readouterr().out
-        assert "executor:   partitioned-exact" in out
-        assert "shard 0:" in out
+        assert "algorithm:  exact" in out
+        assert "executor:   algorithm" in out
+        assert "EXPLAIN ANALYZE" not in out
 
-    def test_explain_single_partition_routes_algorithm(self, capsys):
+    def test_explain_defaults_to_the_engine_algorithm(self, capsys):
         assert main(["explain", "4", "tag-000", "--scale", "0.1"]) == 0
         out = capsys.readouterr().out
+        assert "algorithm:  social-first" in out
         assert "executor:   algorithm" in out
-        assert "fan-out=1" in out
 
     def test_explain_analyze_prints_span_tree(self, tmp_path, capsys):
         import json
@@ -86,14 +89,13 @@ class TestExplain:
         jsonl = tmp_path / "trace.jsonl"
         chrome = tmp_path / "trace_chrome.json"
         assert main(["explain", "4", "tag-000", "tag-001", "--scale", "0.1",
-                     "--algorithm", "exact", "--partitions", "4",
+                     "--algorithm", "exact",
                      "--analyze", "--trace-out", str(jsonl),
                      "--chrome-trace", str(chrome)]) == 0
         out = capsys.readouterr().out
         assert "EXPLAIN ANALYZE" in out
         assert "engine.run" in out
-        assert "executor.search" in out
-        assert "scatter.sweep" in out
+        assert "algorithm.search" in out
         assert "stage coverage:" in out
         # Exported spans round-trip as JSON and match the printed tree.
         spans = [json.loads(line) for line in
@@ -111,45 +113,6 @@ class TestExplain:
                      "--analyze"]) == 0
         assert get_tracer() is None
         assert "EXPLAIN ANALYZE" in capsys.readouterr().out
-
-    def test_bench_partitioned_suite_writes_json(self, tmp_path, capsys):
-        import json
-
-        path = tmp_path / "BENCH_partitioned.json"
-        assert main(["bench", "--suite", "partitioned", "--users", "80",
-                     "--queries", "4", "--rounds", "1",
-                     "--json", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "partitioned scatter-gather suite" in out
-        report = json.loads(path.read_text())
-        assert report["suite"] == "partitioned"
-        assert report["equivalent"] is True
-        assert set(report["p50_by_partitions"]) == {"1", "2", "4"}
-
-    def test_bench_landmark_suite_writes_json(self, tmp_path, capsys):
-        import json
-
-        path = tmp_path / "BENCH_landmark.json"
-        assert main(["bench", "--suite", "landmark", "--users", "80",
-                     "--queries", "4", "--rounds", "1",
-                     "--landmark-counts", "4,8", "--json", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "the landmark tier" in out
-        report = json.loads(path.read_text())
-        assert report["suite"] == "landmark"
-        assert [point["num_landmarks"]
-                for point in report["landmark_curve"]] == [4, 8]
-        assert set(report["gate"]) == {"point", "speedup", "recall_at_k",
-                                       "p50_ms", "recall_floor"}
-
-    def test_bench_landmark_suite_min_recall_gate(self, capsys):
-        # Recall cannot exceed 1, so the gate must flip the exit code
-        # whatever --min-speedup says.
-        assert main(["bench", "--suite", "landmark", "--users", "80",
-                     "--queries", "4", "--rounds", "1",
-                     "--landmark-counts", "4", "--min-recall", "1.01",
-                     "--min-speedup", "0"]) == 1
-        assert "no landmark point reaches recall@k" in capsys.readouterr().out
 
 
 class TestDemo:

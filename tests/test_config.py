@@ -67,13 +67,8 @@ class TestEngineConfig:
         data = EngineConfig().to_dict()
         assert data["scoring"]["alpha"] == 0.5
         assert data["proximity"]["measure"] == "shortest-path"
-        assert data["partitions"] == 1
-        assert data["partition_seed"] == 29
-
-    def test_partitions_validated(self):
-        with pytest.raises(ConfigurationError):
-            EngineConfig(partitions=0)
-        assert EngineConfig(partitions=4).partitions == 4
+        assert set(data) == {"algorithm", "scoring", "proximity",
+                             "early_termination", "batch_size"}
 
     def test_default_engine_config_helper(self):
         config = default_engine_config(alpha=0.2, algorithm="nra", measure="ppr")

@@ -86,16 +86,10 @@ class TestQueryTrace:
         assert written == len(workload)
         assert loaded == list(workload)
 
-    def test_roundtrip_keeps_effort(self, tmp_path):
-        # A replayed effort="fast" trace must not be silently served exact.
-        queries = [Query(seeker=1, tags=("a",), k=3, effort="fast"),
-                   Query(seeker=2, tags=("b", "c"), k=5, effort="exact"),
-                   Query(seeker=3, tags=("a",), k=1)]
+    def test_absent_k_defaults_to_ten(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        save_queries(queries, path)
-        loaded = load_queries(path)
-        assert loaded == queries
-        assert [query.effort for query in loaded] == ["fast", "exact", None]
+        path.write_text('{"seeker": 2, "tags": ["a", "b"]}\n')
+        assert load_queries(path) == [Query(seeker=2, tags=("a", "b"), k=10)]
 
     def test_malformed_trace_raises(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -103,20 +97,36 @@ class TestQueryTrace:
         with pytest.raises(PersistenceError):
             load_queries(path)
 
-    @pytest.mark.parametrize("record", [
-        '{"seeker": 1, "tags": ["a"], "k": 0}',
-        '{"seeker": -4, "tags": ["a"], "k": 3}',
-        '{"seeker": 1, "tags": ["a"], "k": 3, "effort": "balanced"}',
-        '{"seeker": 1, "tags": [""], "k": 3}',
+    @pytest.mark.parametrize("record, named", [
+        ('{"seeker": 1, "tags": ["a"], "k": 0}', "k"),
+        ('{"seeker": -4, "tags": ["a"], "k": 3}', "seeker"),
+        ('{"seeker": 1, "tags": [""], "k": 3}', "tag"),
+        # The rule /query applies to HTTP bodies: strict integers, a list
+        # of string tags, and no field a query does not have.
+        ('{"seeker": 1.7, "tags": ["jazz"]}', "seeker"),
+        ('{"seeker": true, "tags": ["jazz"], "k": 2}', "seeker"),
+        ('{"seeker": 1, "tags": ["jazz"], "k": 2.9}', "'k'"),
+        ('{"seeker": 1, "tags": ["jazz"], "k": 1e999}', "'k'"),
+        ('{"seeker": 1, "tags": "jazz"}', "tags"),
+        ('{"seeker": 1, "tags": [1, 2]}', "tags"),
+        ('{"tags": ["jazz"]}', "seeker"),
+        ('{"seeker": 1, "tags": ["a"], "k": 3, "effort": "fast"}', "effort"),
+        ('{"seeker": 1, "tags": ["a"], "effort": "exact"}', "effort"),
+        ('{"seeker": 1, "tags": ["a"], "algorithm": "exact"}', "algorithm"),
+        ('[1, ["a"], 3]', "object"),
+        ('{"seeker": 1, "tags": ["a"]', "line"),
     ])
-    def test_invalid_query_line_names_file_and_line(self, tmp_path, record):
-        # Out-of-range values get the same path:lineno error as any other
-        # malformed line, not a bare InvalidQueryError.
+    def test_invalid_query_line_names_file_line_and_field(
+            self, tmp_path, record, named):
+        # Every bad line gets the same path:lineno error, not a bare
+        # InvalidQueryError and never a silently coerced query.
         path = tmp_path / "trace.jsonl"
         path.write_text('{"seeker": 1, "tags": ["a"], "k": 3}\n\n'
                         + record + "\n")
-        with pytest.raises(PersistenceError, match=r"trace\.jsonl:3: "):
+        with pytest.raises(PersistenceError,
+                           match=r"trace\.jsonl:3: ") as excinfo:
             load_queries(path)
+        assert named in str(excinfo.value)
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(PersistenceError):
