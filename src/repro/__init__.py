@@ -18,7 +18,6 @@ from .config import (
     DatasetConfig,
     DurabilityConfig,
     EngineConfig,
-    ExperimentConfig,
     ProximityConfig,
     ScoringConfig,
     ServiceConfig,
@@ -62,8 +61,6 @@ from .storage import (
     UserStore,
     WriteAheadLog,
     compute_dataset_statistics,
-    load_dataset,
-    save_dataset,
 )
 from .core import (
     ExecutionPlan,
@@ -107,7 +104,6 @@ __all__ = [
     "DatasetConfig",
     "DurabilityConfig",
     "WorkloadConfig",
-    "ExperimentConfig",
     "default_engine_config",
     # errors
     "ReproError",
@@ -144,8 +140,6 @@ __all__ = [
     "TaggingStore",
     "InvertedIndex",
     "SocialIndex",
-    "save_dataset",
-    "load_dataset",
     "compute_dataset_statistics",
     "WriteAheadLog",
     "DurableStore",

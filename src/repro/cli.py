@@ -5,8 +5,8 @@ main flows without writing any Python:
 
 * ``repro demo`` — build a small synthetic corpus and answer one query with
   every algorithm, printing the comparison table.
-* ``repro generate`` — build a synthetic dataset and save it as a snapshot.
-* ``repro query`` — load a snapshot and answer an ad-hoc query.
+* ``repro generate`` — build a synthetic dataset and write it as an arena.
+* ``repro query`` — open an arena and answer an ad-hoc query.
 * ``repro explain`` — print the planner's execution plan for a query
   (storage backing, proximity path, executor, frontier bound) without
   executing it.
@@ -43,7 +43,7 @@ from .core.topk.base import available_algorithms
 from .errors import ReproError
 from .eval.runner import ExperimentRunner
 from .eval.tables import format_table
-from .storage.persistence import load_dataset, save_dataset
+from .storage.dataset import Dataset
 from .workload.datasets import build_dataset, delicious_like
 from .workload.queries import generate_workload
 
@@ -97,6 +97,8 @@ def _command_demo(args: argparse.Namespace) -> int:
 
 
 def _command_generate(args: argparse.Namespace) -> int:
+    from .storage.arena import build_arena
+
     config = DatasetConfig(
         name=args.name,
         num_users=args.users,
@@ -107,13 +109,14 @@ def _command_generate(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     dataset = build_dataset(config)
-    save_dataset(dataset, args.output)
-    print(f"wrote snapshot to {args.output}: {dataset.describe()}")
+    path = build_arena(dataset, args.output)
+    print(f"wrote arena {path} ({path.stat().st_size} bytes): "
+          f"{dataset.describe()}")
     return 0
 
 
 def _command_query(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.snapshot)
+    dataset = Dataset.from_arena(args.arena)
     engine = SocialSearchEngine(dataset, _engine_config(args))
     result = engine.search(args.seeker, args.tags, k=args.k, algorithm=args.algorithm)
     print(engine.explain(result))
@@ -380,13 +383,9 @@ def _run_scale_suite(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_serving_dataset(args: argparse.Namespace):
-    if getattr(args, "arena", None):
-        from .storage.dataset import Dataset
-
+def _load_serving_dataset(args: argparse.Namespace) -> Dataset:
+    if args.arena:
         return Dataset.from_arena(args.arena)
-    if args.snapshot:
-        return load_dataset(args.snapshot)
     return delicious_like(scale=args.scale, seed=args.seed)
 
 
@@ -605,10 +604,6 @@ def _command_build_arena(args: argparse.Namespace) -> int:
         from .storage.arena_stream import build_arena_streaming
         from .workload.datasets import scaled_config
 
-        if args.snapshot:
-            print("--stream builds a synthetic scaled corpus and cannot "
-                  "read a snapshot; drop --snapshot or --stream")
-            return 1
         if args.materialize:
             print("--stream does not support --materialize (proximity "
                   "shards are built from a loaded arena instead)")
@@ -624,7 +619,7 @@ def _command_build_arena(args: argparse.Namespace) -> int:
               f"{config.num_actions} actions, chunk {args.chunk_size})")
         return 0
 
-    dataset = _load_serving_dataset(args)
+    dataset = delicious_like(scale=args.scale, seed=args.seed)
     proximity = None
     if args.materialize:
         from .config import ProximityConfig as _ProximityConfig
@@ -693,8 +688,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_arguments(demo)
     demo.set_defaults(handler=_command_demo)
 
-    generate = subparsers.add_parser("generate", help="generate and save a synthetic dataset")
-    generate.add_argument("output", help="snapshot directory to create")
+    generate = subparsers.add_parser("generate", help="generate a synthetic dataset "
+                                                      "and write it as an arena")
+    generate.add_argument("output", help="arena file to create")
     generate.add_argument("--name", default="synthetic")
     generate.add_argument("--users", type=int, default=400)
     generate.add_argument("--items", type=int, default=1500)
@@ -704,8 +700,9 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--seed", type=int, default=7)
     generate.set_defaults(handler=_command_generate)
 
-    query = subparsers.add_parser("query", help="answer one query over a saved snapshot")
-    query.add_argument("snapshot", help="snapshot directory written by 'repro generate'")
+    query = subparsers.add_parser("query", help="answer one query over an arena file")
+    query.add_argument("arena", help="arena file written by 'repro generate' or "
+                                     "'repro build-arena'")
     query.add_argument("seeker", type=int, help="seeker user id")
     query.add_argument("tags", nargs="+", help="query tags")
     query.add_argument("--k", type=int, default=10)
@@ -804,12 +801,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "index arena (optionally with materialized "
                             "proximity shards)")
     build_arena.add_argument("output", help="arena file to create")
-    build_arena.add_argument("--snapshot", default=None,
-                             help="snapshot directory written by 'repro "
-                                  "generate' (default: synthetic corpus)")
     build_arena.add_argument("--scale", type=float, default=0.3,
-                             help="synthetic dataset scale when no snapshot "
-                                  "is given")
+                             help="synthetic delicious-like dataset scale "
+                                  "(default: 0.3)")
     build_arena.add_argument("--seed", type=int, default=7)
     build_arena.add_argument("--materialize", action="store_true",
                              help="precompute per-cluster proximity shards "
@@ -840,14 +834,12 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("seeker", type=int, help="seeker user id")
     explain.add_argument("tags", nargs="+", help="query tags")
     explain.add_argument("--k", type=int, default=10)
-    explain.add_argument("--snapshot", default=None,
-                         help="snapshot directory written by 'repro generate' "
-                              "(default: synthetic delicious-like corpus)")
     explain.add_argument("--arena", default=None,
-                         help="arena file written by 'repro build-arena' "
-                              "(overrides --snapshot)")
+                         help="arena file written by 'repro generate' or "
+                              "'repro build-arena' (default: synthetic "
+                              "delicious-like corpus)")
     explain.add_argument("--scale", type=float, default=0.3,
-                         help="synthetic dataset scale when no snapshot is "
+                         help="synthetic dataset scale when no arena is "
                               "given")
     explain.add_argument("--seed", type=int, default=7)
     explain.add_argument("--materialize", action="store_true",
@@ -872,14 +864,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = subparsers.add_parser(
         "serve", help="serve queries over a JSON HTTP API with caching")
-    serve.add_argument("--snapshot", default=None,
-                       help="snapshot directory written by 'repro generate' "
-                            "(default: synthetic delicious-like corpus)")
     serve.add_argument("--arena", default=None,
-                       help="arena file written by 'repro build-arena' "
-                            "(memory-mapped cold start; overrides --snapshot)")
+                       help="arena file written by 'repro generate' or "
+                            "'repro build-arena' (memory-mapped cold start; "
+                            "default: synthetic delicious-like corpus)")
     serve.add_argument("--scale", type=float, default=0.3,
-                       help="synthetic dataset scale when no snapshot is given")
+                       help="synthetic dataset scale when no arena is given")
     serve.add_argument("--seed", type=int, default=7)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080,
@@ -956,13 +946,11 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("queries_file",
                          help="query trace (JSON lines, see "
                               "repro.workload.trace.save_queries)")
-    profile.add_argument("--snapshot", default=None,
-                         help="snapshot directory to query (default: "
-                              "synthetic corpus)")
     profile.add_argument("--arena", default=None,
-                         help="arena file to query (overrides --snapshot)")
+                         help="arena file to query (default: synthetic "
+                              "corpus)")
     profile.add_argument("--scale", type=float, default=0.3,
-                         help="synthetic dataset scale when no snapshot is "
+                         help="synthetic dataset scale when no arena is "
                               "given")
     profile.add_argument("--seed", type=int, default=7)
     profile.add_argument("--rounds", type=int, default=3,

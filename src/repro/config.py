@@ -93,10 +93,6 @@ class ProximityConfig:
         (precomputed offline) and refined lazily through the online measure
         for seekers the shards do not cover.  The LRU cache wrapper is
         skipped in this mode — shard lookups are already O(touch).
-    materialize_eager:
-        Build all shard rows at engine construction.  Off by default: the
-        offline build belongs in ``repro build-arena`` or an explicit
-        warm-up, not on the query path.
     cluster_rounds:
         Label-propagation rounds used to partition seekers into shards.
     """
@@ -110,7 +106,6 @@ class ProximityConfig:
     ppr_tolerance: float = 1e-8
     cache_size: int = 128
     materialize: bool = False
-    materialize_eager: bool = False
     cluster_rounds: int = 5
 
     def __post_init__(self) -> None:
@@ -124,8 +119,6 @@ class ProximityConfig:
         _require(self.cache_size >= 0, "cache_size must be non-negative")
         _require(self.cluster_rounds >= 1,
                  f"cluster_rounds must be >= 1, got {self.cluster_rounds}")
-        _require(not (self.materialize_eager and not self.materialize),
-                 "materialize_eager requires materialize")
 
     def to_dict(self) -> Dict[str, object]:
         return asdict(self)
@@ -243,12 +236,6 @@ class DurabilityConfig:
         OS page cache (survives process crashes only).
     wal_fsync_interval_seconds:
         Maximum staleness of the log under the ``interval`` policy.
-    checkpoint_threshold:
-        Once the pending delta reaches this many actions the service
-        checkpoints — compacts, publishes a new arena generation and
-        rotates the WAL — instead of merely folding in memory.  0 disables
-        automatic checkpoints (``DurableStore.checkpoint`` can still be
-        called explicitly).
     keep_generations:
         Number of superseded generations retained after a checkpoint
         before garbage collection removes them (the current generation is
@@ -258,7 +245,6 @@ class DurabilityConfig:
     directory: Optional[str] = None
     wal_fsync: str = "always"
     wal_fsync_interval_seconds: float = 0.05
-    checkpoint_threshold: int = 0
     keep_generations: int = 0
 
     _FSYNC_POLICIES = ("always", "interval", "off")
@@ -271,8 +257,6 @@ class DurabilityConfig:
         )
         _require(self.wal_fsync_interval_seconds >= 0.0,
                  "wal_fsync_interval_seconds must be non-negative")
-        _require(self.checkpoint_threshold >= 0,
-                 "checkpoint_threshold must be non-negative")
         _require(self.keep_generations >= 0,
                  "keep_generations must be non-negative")
 
@@ -404,48 +388,6 @@ class WorkloadConfig:
     def to_dict(self) -> Dict[str, object]:
         data = asdict(self)
         return data
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Configuration of one evaluation run (dataset + workload + engine).
-
-    Attributes
-    ----------
-    name:
-        Experiment identifier used in result tables (for example ``"fig3"``).
-    dataset:
-        Synthetic dataset parameters.
-    workload:
-        Query workload parameters.
-    engine:
-        Engine parameters.
-    holdout_fraction:
-        Fraction of each seeker's tagging actions withheld from the index and
-        used as relevance ground truth for quality metrics.
-    """
-
-    name: str = "experiment"
-    dataset: DatasetConfig = field(default_factory=DatasetConfig)
-    workload: WorkloadConfig = field(default_factory=WorkloadConfig)
-    engine: EngineConfig = field(default_factory=EngineConfig)
-    holdout_fraction: float = 0.0
-
-    def __post_init__(self) -> None:
-        _require(bool(self.name), "experiment name must be non-empty")
-        _require(
-            0.0 <= self.holdout_fraction < 1.0,
-            "holdout_fraction must be in [0, 1)",
-        )
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "dataset": self.dataset.to_dict(),
-            "workload": self.workload.to_dict(),
-            "engine": self.engine.to_dict(),
-            "holdout_fraction": self.holdout_fraction,
-        }
 
 
 def default_engine_config(alpha: float = 0.5, algorithm: str = "social-first",

@@ -58,8 +58,6 @@ class SocialSearchEngine:
                 # memoised in the shard overlay.
                 proximity = MaterializedProximity(
                     proximity, cluster_rounds=self._config.proximity.cluster_rounds)
-                if self._config.proximity.materialize_eager:
-                    proximity.build()
             elif self._config.proximity.cache_size > 0:
                 proximity = CachedProximity(proximity,
                                             capacity=self._config.proximity.cache_size)

@@ -61,7 +61,7 @@ class DuplicateItemError(StorageError):
 
 
 class PersistenceError(StorageError):
-    """Raised when a snapshot cannot be written or parsed."""
+    """Raised when an arena, WAL, manifest or query trace cannot be written or parsed."""
 
 
 class QueryError(ReproError):

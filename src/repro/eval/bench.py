@@ -10,10 +10,9 @@ Four suites (``scale`` lives in :mod:`repro.eval.scale`):
 * ``topk`` — per-query latency across algorithms plus vectorized vs scalar
   exact scoring on the Figure-6 medium corpus (PR 2's kernel layer);
 * ``proximity`` — the offline/online materialization trade-off: cold-seeker
-  latency with shard-served vs online-computed proximity, mmap-arena vs
-  JSON-snapshot cold start, and a strict equivalence check (rankings *and*
-  access accounting) across the online and materialized paths that doubles
-  as a CI gate;
+  latency with shard-served vs online-computed proximity, mmap-arena cold
+  start, and a strict equivalence check (rankings *and* access accounting)
+  across the online and materialized paths that doubles as a CI gate;
 * ``updates`` — the live-update write path: an interleaved query/update
   trace over an arena-backed, shard-served dataset, reporting post-update
   vs pre-update query p50 (the delta overlays + incremental shard repair
@@ -252,13 +251,11 @@ def run_proximity_suite(num_users: int = MEDIUM_USERS, num_queries: int = 20,
                         seed: int = 23) -> Dict[str, object]:
     """Run the materialization/arena suite; returns the JSON report.
 
-    The two headline numbers:
-
-    * ``speedup_cold_seeker`` — p50 latency of online proximity computation
-      (no cache, every query recomputes, e.g. a PPR power iteration) over
-      p50 latency with prebuilt materialized shards;
-    * ``speedup_cold_start`` — JSON-snapshot load time over mmap-arena load
-      time for the same corpus.
+    The headline number, ``speedup_cold_seeker``, is the p50 latency of
+    online proximity computation (no cache, every query recomputes, e.g. a
+    PPR power iteration) over the p50 latency with prebuilt materialized
+    shards.  ``cold_start`` records the mmap-arena load time and file size
+    for the same corpus.
 
     ``equivalent`` is a hard correctness verdict: rankings, scores and
     access accounting must be identical across the online and materialized
@@ -319,18 +316,13 @@ def run_proximity_suite(num_users: int = MEDIUM_USERS, num_queries: int = 20,
     report["speedup_cold_seeker"] = (
         float(online_p50) / float(materialized_p50) if materialized_p50 else 0.0)
 
-    # 2. Cold start: JSON snapshot load vs mmap arena load.
+    # 2. Cold start: mmap arena load.
     from ..storage.arena import build_arena
-    from ..storage.persistence import load_dataset, save_dataset
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as scratch:
-        snapshot_dir = Path(scratch) / "snapshot"
         arena_path = Path(scratch) / "dataset.arena"
-        save_dataset(dataset, snapshot_dir)
         build_arena(dataset, arena_path, proximity=materialized.proximity)
         repeats = max(3, rounds)
-        snapshot_seconds = min(
-            _timed(lambda: load_dataset(snapshot_dir)) for _ in range(repeats))
         arena_seconds = min(
             _timed(lambda: Dataset.from_arena(arena_path)) for _ in range(repeats))
         arena_bytes = arena_path.stat().st_size
@@ -340,12 +332,9 @@ def run_proximity_suite(num_users: int = MEDIUM_USERS, num_queries: int = 20,
                                     ProximityConfig(measure=measure), alpha)
         arena_engine.run(queries[0], algorithm="exact")
     report["cold_start"] = {
-        "snapshot_ms": snapshot_seconds * 1000.0,
         "arena_ms": arena_seconds * 1000.0,
         "arena_bytes": arena_bytes,
     }
-    report["speedup_cold_start"] = (
-        snapshot_seconds / arena_seconds if arena_seconds else 0.0)
 
     # 3. Equivalence gate: identical rankings, scores and access accounting
     # with proximity computed online and served from materialized shards.
@@ -1053,9 +1042,8 @@ def format_proximity_report(report: Dict[str, object]) -> str:
         f"cold seeker   online p50 {cold['online']['p50_ms']:.3f} ms"  # type: ignore[index]
         f" | materialized p50 {cold['materialized']['p50_ms']:.3f} ms"  # type: ignore[index]
         f" | speedup {report['speedup_cold_seeker']:.2f}x",
-        f"cold start    snapshot {start['snapshot_ms']:.2f} ms"  # type: ignore[index]
-        f" | arena {start['arena_ms']:.2f} ms"  # type: ignore[index]
-        f" | speedup {report['speedup_cold_start']:.2f}x",
+        f"cold start    arena {start['arena_ms']:.2f} ms"  # type: ignore[index]
+        f" ({start['arena_bytes']} bytes)",  # type: ignore[index]
         f"offline build {cold['offline_build_seconds'] * 1000.0:.1f} ms"  # type: ignore[index]
         f" for {cold['rows_built']} rows"  # type: ignore[index]
         f" ({cold['shard_bytes']} bytes)",  # type: ignore[index]

@@ -1,4 +1,4 @@
-"""Social graph substrate: CSR storage, generators, traversal, statistics, IO."""
+"""Social graph substrate: CSR storage, generators, traversal, statistics."""
 
 from .graph import SocialGraph, SocialGraphBuilder
 from .generators import (
@@ -29,14 +29,6 @@ from .statistics import (
     clustering_coefficient,
     compute_statistics,
     degree_gini,
-)
-from .io import (
-    graph_from_dict,
-    graph_to_dict,
-    read_edge_list,
-    read_graph_json,
-    write_edge_list,
-    write_graph_json,
 )
 from .partition import (
     communities_from_labels,
@@ -71,12 +63,6 @@ __all__ = [
     "degree_gini",
     "clustering_coefficient",
     "approximate_average_path_length",
-    "graph_to_dict",
-    "graph_from_dict",
-    "write_edge_list",
-    "read_edge_list",
-    "write_graph_json",
-    "read_graph_json",
     "label_propagation",
     "communities_from_labels",
     "modularity",

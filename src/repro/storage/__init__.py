@@ -7,7 +7,6 @@ from .inverted_index import InvertedIndex, Posting, PostingList, PostingListCurs
 from .endorser_index import EndorserIndex, TagEndorsers
 from .social_index import SocialIndex
 from .dataset import Dataset
-from .persistence import load_dataset, save_dataset
 from .arena import (
     Arena,
     attach_shards,
@@ -41,8 +40,6 @@ __all__ = [
     "TagEndorsers",
     "SocialIndex",
     "Dataset",
-    "save_dataset",
-    "load_dataset",
     "Arena",
     "attach_shards",
     "build_arena",

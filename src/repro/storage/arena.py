@@ -1,9 +1,9 @@
 """Memory-mapped index arena: every hot structure in one on-disk file.
 
-Loading a snapshot through :mod:`repro.storage.persistence` replays JSON
-lines into Python stores and *rebuilds* every derived index — sorting
-posting lists, grouping endorser segments — which makes process cold start
-scale with corpus size.  The arena removes that rebuild entirely: all the
+The arena is the one persisted form of a dataset.  Building a
+:class:`Dataset` from its actions *rebuilds* every derived index — sorting
+posting lists, grouping endorser segments — which makes cold start scale
+with corpus size.  The arena removes that rebuild entirely: all the
 array-backed hot structures are serialised **in their query-ready layout**
 into a single versioned file and opened with ``np.memmap``, so a process
 serves its first query after little more than an ``open`` + header parse:
@@ -293,7 +293,12 @@ class Arena:
 
     @classmethod
     def open(cls, path: PathLike) -> "Arena":
-        """Map an arena file; raises :class:`PersistenceError` on mismatch."""
+        """Map an arena file; raises :class:`PersistenceError` on mismatch.
+
+        A damaged file — cut short, a header that is not UTF-8 JSON, or a
+        manifest entry with a missing field or an unknown dtype — is a
+        :class:`PersistenceError` naming ``path``, never a raw decode error.
+        """
         path = Path(path)
         try:
             with path.open("rb") as handle:
@@ -307,23 +312,34 @@ class Arena:
                     raise PersistenceError(
                         f"{path}: unsupported arena version {version} "
                         f"(expected {ARENA_VERSION})")
-                header = json.loads(handle.read(header_length).decode("utf-8"))
+                # Checked before reading so a corrupt length cannot ask for
+                # an allocation the size of the whole length field.
+                if header_length > os.fstat(handle.fileno()).st_size - _PREAMBLE.size:
+                    raise PersistenceError(f"{path}: truncated arena header")
+                encoded = handle.read(header_length)
         except OSError as exc:
             raise PersistenceError(f"failed to read arena {path}: {exc}") from exc
         buffer = np.memmap(path, dtype=np.uint8, mode="r")
         arrays: Dict[str, np.ndarray] = {}
-        for entry in header["arrays"]:
-            dtype = np.dtype(str(entry["dtype"]))
-            shape = tuple(int(dim) for dim in entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            start = int(entry["offset"])
-            end = start + count * dtype.itemsize
-            if end > buffer.shape[0]:
-                raise PersistenceError(
-                    f"{path}: array {entry['name']!r} overruns the file")
-            arrays[str(entry["name"])] = \
-                buffer[start:end].view(dtype).reshape(shape)
-        return cls(path, dict(header["meta"]), arrays, buffer)
+        try:
+            header = json.loads(encoded.decode("utf-8"))
+            for entry in header["arrays"]:
+                dtype = np.dtype(str(entry["dtype"]))
+                shape = tuple(int(dim) for dim in entry["shape"])
+                count = int(np.prod(shape)) if shape else 1
+                start = int(entry["offset"])
+                end = start + count * dtype.itemsize
+                if end > buffer.shape[0]:
+                    raise PersistenceError(
+                        f"{path}: array {entry['name']!r} overruns the file")
+                arrays[str(entry["name"])] = \
+                    buffer[start:end].view(dtype).reshape(shape)
+            meta = dict(header["meta"])
+        except (ValueError, KeyError, TypeError) as exc:
+            # UnicodeDecodeError and JSONDecodeError are ValueErrors.
+            raise PersistenceError(
+                f"{path}: malformed arena header: {exc!r}") from exc
+        return cls(path, meta, arrays, buffer)
 
 
 # --------------------------------------------------------------------- #

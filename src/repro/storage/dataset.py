@@ -89,11 +89,11 @@ class Dataset:
 
     @classmethod
     def from_arena(cls, path) -> "Dataset":
-        """Open a memory-mapped index arena written by ``repro build-arena``.
+        """Open a memory-mapped index arena (``repro generate`` / ``build-arena``).
 
         All hot structures come back as zero-copy ``np.memmap`` views in
-        their query-ready layout, so cold start skips the index rebuild the
-        JSON snapshot loader pays (see :mod:`repro.storage.arena`).
+        their query-ready layout, so cold start skips the index rebuild
+        :meth:`build` pays (see :mod:`repro.storage.arena`).
         """
         from .arena import load_dataset_from_arena
 

@@ -7,6 +7,10 @@ them once keeps the suite fast.
 
 from __future__ import annotations
 
+import json
+import struct
+from pathlib import Path
+
 import pytest
 
 from repro import (
@@ -18,8 +22,11 @@ from repro import (
     WorkloadConfig,
 )
 from repro.graph import SocialGraph
-from repro.storage import Dataset, TaggingAction
+from repro.storage import Dataset, TaggingAction, build_arena
 from repro.workload import build_dataset, generate_workload
+
+#: The arena preamble: magic, format version, header length.
+_ARENA_PREAMBLE = struct.Struct("<8sIQ")
 
 
 @pytest.fixture(scope="session")
@@ -99,6 +106,49 @@ def holdout_dataset() -> Dataset:
         seed=43,
     )
     return build_dataset(config, holdout_fraction=0.2)
+
+
+@pytest.fixture(scope="session")
+def synthetic_arena(synthetic_dataset, tmp_path_factory) -> Path:
+    """:func:`synthetic_dataset` written as an arena file (read-only)."""
+    return build_arena(synthetic_dataset,
+                       tmp_path_factory.mktemp("arena") / "synthetic.arena")
+
+
+def _damage_arena(data: bytes, damage: str) -> bytes:
+    """``data`` (a whole arena file) with its header damaged one way."""
+    magic, version, length = _ARENA_PREAMBLE.unpack_from(data)
+    start = _ARENA_PREAMBLE.size
+    if damage == "unsupported-version":
+        return _ARENA_PREAMBLE.pack(magic, version + 1, length) + data[start:]
+    if damage == "short-header-length":
+        return _ARENA_PREAMBLE.pack(magic, version, length - 10) + data[start:]
+    if damage == "non-utf8-header":
+        return data[:start] + b"\xff" + data[start + 1:]
+    if damage == "cut-mid-header":
+        return data[:start + length // 2]
+    header = json.loads(data[start:start + length])
+    data_start = min(entry["offset"] for entry in header["arrays"])
+    if damage == "no-array-manifest":
+        del header["arrays"]
+    else:  # "unknown-dtype"
+        header["arrays"][0]["dtype"] = "nope"
+    encoded = json.dumps(header, sort_keys=True).encode("utf-8")
+    # The writer reserves slack before the first payload, so a header a
+    # few bytes longer still leaves every payload at its recorded offset.
+    assert start + len(encoded) <= data_start
+    return (_ARENA_PREAMBLE.pack(magic, version, len(encoded)) + encoded
+            + data[start + len(encoded):])
+
+
+@pytest.fixture(params=["short-header-length", "non-utf8-header",
+                        "cut-mid-header", "no-array-manifest", "unknown-dtype",
+                        "unsupported-version"])
+def damaged_arena(request, synthetic_arena, tmp_path) -> Path:
+    """A copy of :func:`synthetic_arena` whose header is damaged one way."""
+    path = tmp_path / f"{request.param}.arena"
+    path.write_bytes(_damage_arena(synthetic_arena.read_bytes(), request.param))
+    return path
 
 
 @pytest.fixture(scope="session")

@@ -3,16 +3,17 @@
 import pytest
 
 from repro import (
+    Dataset,
     DatasetConfig,
     EngineConfig,
     ProximityConfig,
     ScoringConfig,
     SocialSearchEngine,
     WorkloadConfig,
-    load_dataset,
-    save_dataset,
 )
 from repro.eval import ExperimentRunner
+from repro.eval.quality import result_signature
+from repro.storage import build_arena
 from repro.workload import build_dataset, generate_workload
 
 
@@ -58,12 +59,15 @@ class TestFullPipeline:
         engine = SocialSearchEngine(pipeline_dataset)
         queries = generate_workload(pipeline_dataset,
                                     WorkloadConfig(num_queries=3, k=5, seed=6))
-        before = [engine.run(query, algorithm="exact").item_ids for query in queries]
+        before = [result_signature(engine.run(query, algorithm="exact"))
+                  for query in queries]
 
-        directory = save_dataset(pipeline_dataset, tmp_path / "snapshot")
-        reloaded = load_dataset(directory)
+        reloaded = Dataset.from_arena(
+            build_arena(pipeline_dataset, tmp_path / "pipeline.arena"))
+        assert len(reloaded.holdout) == len(pipeline_dataset.holdout) > 0
         engine_after = SocialSearchEngine(reloaded)
-        after = [engine_after.run(query, algorithm="exact").item_ids for query in queries]
+        after = [result_signature(engine_after.run(query, algorithm="exact"))
+                 for query in queries]
         assert before == after
 
     def test_alternate_proximity_measures_run_end_to_end(self, pipeline_dataset):

@@ -47,6 +47,11 @@ class TestFormat:
         with pytest.raises(PersistenceError):
             Arena.open(path)
 
+    def test_damaged_header_raises_naming_the_file(self, damaged_arena):
+        with pytest.raises(PersistenceError) as excinfo:
+            Arena.open(damaged_arena)
+        assert str(damaged_arena) in str(excinfo.value)
+
     def test_unknown_array_name_raises(self, arena_path):
         arena = Arena.open(arena_path)
         with pytest.raises(PersistenceError):

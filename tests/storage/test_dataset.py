@@ -1,16 +1,14 @@
-"""Tests for the dataset bundle, persistence and statistics."""
+"""Tests for the dataset bundle, holdout split and statistics."""
 
 import pytest
 
-from repro.errors import PersistenceError, StorageError
+from repro.errors import StorageError
 from repro.graph import SocialGraph
 from repro.storage import (
     Dataset,
     TaggingAction,
     compute_dataset_statistics,
     graph_statistics_row,
-    load_dataset,
-    save_dataset,
 )
 
 
@@ -51,44 +49,6 @@ class TestHoldout:
         split = hand_dataset.with_holdout(0.3)
         assert split.graph is hand_dataset.graph
         assert split.name == hand_dataset.name
-
-
-class TestPersistence:
-    def test_roundtrip(self, hand_dataset, tmp_path):
-        directory = save_dataset(hand_dataset, tmp_path / "snapshot")
-        loaded = load_dataset(directory)
-        assert loaded.name == hand_dataset.name
-        assert loaded.num_users == hand_dataset.num_users
-        assert loaded.num_actions == hand_dataset.num_actions
-        assert loaded.graph == hand_dataset.graph
-        assert loaded.inverted_index.frequency(100, "jazz") == \
-            hand_dataset.inverted_index.frequency(100, "jazz")
-
-    def test_roundtrip_with_holdout(self, hand_dataset, tmp_path):
-        split = hand_dataset.with_holdout(0.5)
-        directory = save_dataset(split, tmp_path / "snapshot")
-        loaded = load_dataset(directory)
-        assert loaded.holdout is not None
-        assert len(split.holdout) > 0
-        assert len(loaded.holdout) == len(split.holdout)
-
-    def test_missing_snapshot_raises(self, tmp_path):
-        with pytest.raises(PersistenceError):
-            load_dataset(tmp_path / "missing")
-
-    def test_wrong_format_version_rejected(self, hand_dataset, tmp_path):
-        directory = save_dataset(hand_dataset, tmp_path / "snapshot")
-        meta = directory / "meta.json"
-        meta.write_text(meta.read_text().replace('"format_version": 1',
-                                                 '"format_version": 99'))
-        with pytest.raises(PersistenceError):
-            load_dataset(directory)
-
-    def test_corrupted_actions_rejected(self, hand_dataset, tmp_path):
-        directory = save_dataset(hand_dataset, tmp_path / "snapshot")
-        (directory / "actions.jsonl").write_text("{broken\n")
-        with pytest.raises(PersistenceError):
-            load_dataset(directory)
 
 
 class TestStatistics:

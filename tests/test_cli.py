@@ -67,6 +67,15 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "--partitions" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["build-arena", "x.arena"], ["explain", "1", "jazz"], ["serve"],
+        ["profile", "trace.jsonl"]])
+    def test_snapshot_flag_is_an_argparse_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--snapshot", "snap"])
+        assert excinfo.value.code == 2
+        assert "--snapshot" in capsys.readouterr().err
+
 
 class TestExplain:
     def test_explain_prints_plan_without_executing(self, capsys):
@@ -125,16 +134,36 @@ class TestDemo:
 
 
 class TestGenerateAndQuery:
-    def test_generate_then_query(self, tmp_path, capsys):
-        snapshot = tmp_path / "snap"
-        assert main(["generate", str(snapshot), "--users", "40", "--items", "80",
-                     "--tags", "10", "--actions", "400", "--seed", "3"]) == 0
-        generated = capsys.readouterr().out
-        assert "wrote snapshot" in generated
+    GENERATE_FLAGS = ["--users", "40", "--items", "80", "--tags", "10",
+                      "--actions", "400", "--seed", "3"]
 
-        assert main(["query", str(snapshot), "1", "tag-000", "--k", "3"]) == 0
+    def test_generate_then_query(self, tmp_path, capsys):
+        arena = tmp_path / "corpus.arena"
+        assert main(["generate", str(arena)] + self.GENERATE_FLAGS) == 0
+        generated = capsys.readouterr().out
+        assert "wrote arena" in generated
+
+        assert main(["query", str(arena), "1", "tag-000", "--k", "3"]) == 0
         queried = capsys.readouterr().out
         assert "query: seeker=1" in queried
+
+    def test_generated_arena_answers_like_the_built_dataset(self, tmp_path,
+                                                            capsys):
+        from repro import Dataset, DatasetConfig, SocialSearchEngine, WorkloadConfig
+        from repro.eval.quality import result_signature
+        from repro.workload import build_dataset, generate_workload
+
+        arena = tmp_path / "corpus.arena"
+        assert main(["generate", str(arena)] + self.GENERATE_FLAGS) == 0
+        capsys.readouterr()
+        reference = build_dataset(DatasetConfig(
+            num_users=40, num_items=80, num_tags=10, num_actions=400, seed=3))
+        queries = generate_workload(reference,
+                                    WorkloadConfig(num_queries=3, k=5, seed=2))
+        expected = SocialSearchEngine(reference)
+        mapped = SocialSearchEngine(Dataset.from_arena(arena))
+        assert [result_signature(mapped.run(query)) for query in queries] \
+            == [result_signature(expected.run(query)) for query in queries]
 
 
 class TestBench:
@@ -226,12 +255,8 @@ class TestBench:
 
 class TestBuildArena:
     def test_build_arena_then_serve_dataset(self, tmp_path, capsys):
-        snapshot = tmp_path / "snap"
         arena = tmp_path / "corpus.arena"
-        assert main(["generate", str(snapshot), "--users", "40", "--items", "80",
-                     "--tags", "10", "--actions", "400", "--seed", "3"]) == 0
-        capsys.readouterr()
-        assert main(["build-arena", str(arena), "--snapshot", str(snapshot),
+        assert main(["build-arena", str(arena), "--scale", "0.1",
                      "--materialize", "--proximity", "ppr"]) == 0
         output = capsys.readouterr().out
         assert "materialized" in output
@@ -239,9 +264,10 @@ class TestBuildArena:
         assert arena.exists()
 
         from repro.storage import Dataset, load_shards
+        from repro.workload import delicious_like
 
         dataset = Dataset.from_arena(arena)
-        assert dataset.num_users == 40
+        assert dataset.num_users == delicious_like(scale=0.1, seed=7).num_users
         assert load_shards(arena) is not None
 
     def test_build_arena_synthetic_default(self, tmp_path, capsys):
@@ -290,16 +316,36 @@ class TestLibraryErrors:
         ["demo", "--scale", "0.1", "--algorithm", "nope"],
         ["explain", "1", "x", "--scale", "0.1", "--algorithm", "nope",
          "--analyze"],
-        ["query", "/nonexistent", "1", "x"],
+        ["query", "/nonexistent.arena", "1", "x"],
         ["profile", "/nonexistent.jsonl"],
     ], ids=["unknown-user", "demo-unknown-algorithm",
-            "explain-unknown-algorithm", "missing-snapshot", "missing-trace"])
+            "explain-unknown-algorithm", "missing-arena", "missing-trace"])
     def test_exits_2_with_one_line_on_stderr(self, argv, bad_seeker_trace,
                                              capsys):
         argv = [bad_seeker_trace if arg == "<bad-seeker-trace>" else arg
                 for arg in argv]
         assert main(argv) == 2
+        self._assert_one_error_line(capsys.readouterr().err)
+
+    def test_query_on_a_snapshot_directory_names_it(self, tmp_path, capsys):
+        # The directory layout the removed JSON snapshot format wrote.
+        snapshot = tmp_path / "snap"
+        snapshot.mkdir()
+        (snapshot / "meta.json").write_text('{"format_version": 1}')
+        assert main(["query", str(snapshot), "1", "tag-000"]) == 2
         stderr = capsys.readouterr().err
+        self._assert_one_error_line(stderr)
+        assert str(snapshot) in stderr
+
+    def test_damaged_arena_exits_2_naming_it(self, damaged_arena, capsys):
+        assert main(["explain", "1", "tag-000",
+                     "--arena", str(damaged_arena)]) == 2
+        stderr = capsys.readouterr().err
+        self._assert_one_error_line(stderr)
+        assert str(damaged_arena) in stderr
+
+    @staticmethod
+    def _assert_one_error_line(stderr: str) -> None:
         assert stderr.startswith("repro: error: ")
         assert len(stderr.strip().splitlines()) == 1
         assert "Traceback" not in stderr
@@ -348,11 +394,6 @@ class TestStreamingCli:
         reference = build_arena(scaled_dataset(200, seed=23),
                                 tmp_path / "reference.arena")
         assert streamed.read_bytes() == reference.read_bytes()
-
-    def test_build_arena_stream_rejects_snapshot(self, tmp_path, capsys):
-        assert main(["build-arena", str(tmp_path / "x.arena"), "--stream",
-                     "--snapshot", str(tmp_path)]) == 1
-        assert "--stream" in capsys.readouterr().out
 
     def test_bench_scale_suite_writes_json(self, tmp_path, capsys):
         target = tmp_path / "BENCH_scale.json"

@@ -5,7 +5,6 @@ import pytest
 from repro.config import (
     DatasetConfig,
     EngineConfig,
-    ExperimentConfig,
     ProximityConfig,
     ScoringConfig,
     WorkloadConfig,
@@ -111,16 +110,3 @@ class TestWorkloadConfig:
             WorkloadConfig(k=0)
         with pytest.raises(ConfigurationError):
             WorkloadConfig(tags_per_query=0.0)
-
-
-class TestExperimentConfig:
-    def test_defaults_compose(self):
-        config = ExperimentConfig(name="fig3")
-        assert config.dataset.num_users == 200
-        assert config.to_dict()["name"] == "fig3"
-
-    def test_holdout_fraction_validated(self):
-        with pytest.raises(ConfigurationError):
-            ExperimentConfig(holdout_fraction=1.0)
-        with pytest.raises(ConfigurationError):
-            ExperimentConfig(name="")
