@@ -22,6 +22,7 @@ from .traversal import (
     largest_component,
     reachable_within,
     shortest_path,
+    shortest_path_row,
 )
 from .statistics import (
     GraphStatistics,
@@ -53,6 +54,7 @@ __all__ = [
     "dijkstra",
     "dijkstra_iter",
     "shortest_path",
+    "shortest_path_row",
     "connected_components",
     "largest_component",
     "reachable_within",

@@ -14,7 +14,8 @@ Two entry points are provided:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+import math
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,7 +39,8 @@ class SocialGraph:
     to assemble one incrementally.
     """
 
-    __slots__ = ("_num_users", "_offsets", "_neighbours", "_weights")
+    __slots__ = ("_num_users", "_offsets", "_neighbours", "_weights",
+                 "_edge_distances")
 
     def __init__(self, num_users: int, offsets: np.ndarray,
                  neighbours: np.ndarray, weights: np.ndarray) -> None:
@@ -57,6 +59,7 @@ class SocialGraph:
         self._offsets = offsets
         self._neighbours = neighbours
         self._weights = weights
+        self._edge_distances: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -163,6 +166,35 @@ class SocialGraph:
         walks) can operate on the full adjacency without per-node slicing.
         """
         return self._offsets, self._neighbours, self._weights
+
+    def edge_distances(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Return ``(distance per CSR slot, cheapest out-edge per node)``.
+
+        The distance of a slot is
+        :func:`~repro.graph.traversal.edge_distance` of its weight,
+        ``-log(max(w, 1e-12))`` computed with :func:`math.log` — ``np.log``
+        rounds a few weights differently, and shortest-path rows must match
+        the scalar definition bit for bit.  A node without edges has an
+        infinite cheapest out-edge.  Both arrays are computed on first use
+        and kept for the life of the graph, which is immutable (an update
+        builds a new graph, so nothing goes stale); two threads racing here
+        compute equal arrays.  Callers must not mutate them.
+        """
+        cached = self._edge_distances
+        if cached is None:
+            # edge_distance element-wise: clamping and negation are exact,
+            # so only the logarithm has to be math.log's.
+            clamped = np.maximum(self._weights, 1e-12).tolist()
+            distances = -np.fromiter(map(math.log, clamped), dtype=np.float64,
+                                     count=len(clamped))
+            cheapest = np.full(self._num_users, np.inf, dtype=np.float64)
+            has_edges = np.diff(self._offsets) > 0
+            if has_edges.any():
+                cheapest[has_edges] = np.minimum.reduceat(
+                    distances, self._offsets[:-1][has_edges])
+            cached = (distances, cheapest)
+            self._edge_distances = cached
+        return cached
 
     # ------------------------------------------------------------------ #
     # Derived views

@@ -99,8 +99,7 @@ class ProximityMeasure(ABC):
         """Yield ``(user, proximity)`` pairs in non-increasing proximity order.
 
         The default implementation materialises :meth:`vector` and sorts it;
-        streaming measures (shortest-path) override this with a lazy
-        generator so frontier algorithms touch only the prefix they need.
+        shortest-path overrides this because its row is already ranked.
         """
         vector = self.vector(seeker)
         ranked = sorted(vector.items(), key=lambda pair: (-pair[1], pair[0]))

@@ -174,8 +174,9 @@ class CachedProximity(ProximityMeasure):
         if ranked is None:
             return None
         dense = np.zeros(self._graph.num_users, dtype=np.float64)
-        for user, value in ranked:
-            dense[user] = value
+        if ranked:
+            users, values = zip(*ranked)
+            dense[np.array(users, dtype=np.int64)] = values
         entry: List[object] = [dense, None]
         self._put_cached(self._cache, seeker, entry, generation)
         return entry

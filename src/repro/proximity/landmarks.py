@@ -3,8 +3,9 @@
 Computing exact shortest-path proximity from every seeker is wasteful when
 queries arrive from many different users.  The landmark sketch picks a small
 set of high-degree *landmark* users, precomputes exact distances from each
-landmark to every user (one Dijkstra per landmark), and approximates the
-distance between any pair by triangulation through the best landmark:
+landmark to every user (one shortest-path row per landmark), and
+approximates the distance between any pair by triangulation through the
+best landmark:
 
 ``dist(s, v) ≈ min_L dist(s, L) + dist(L, v)``
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from ..config import ProximityConfig
 from ..graph import SocialGraph
-from ..graph.traversal import dijkstra_iter
+from ..graph.traversal import shortest_path_row
 from .base import ProximityMeasure, register_proximity
 
 #: Sketch proximities at or below this value are treated as zero (direct
@@ -93,9 +94,9 @@ class LandmarkProximity(ProximityMeasure):
         # Exact (distance, hops) rows from every landmark; the one-off
         # precomputation the sketch trades for cheap per-query estimates.
         for row, landmark in enumerate(landmarks):
-            for node, dist, hop in dijkstra_iter(graph, landmark):
-                distances[row, node] = dist
-                hops[row, node] = hop
+            nodes, dists, hop = shortest_path_row(graph, landmark)
+            distances[row, nodes] = dists
+            hops[row, nodes] = hop
         self._landmark_ids = np.array(landmarks, dtype=np.int64)
         self._distances = distances
         self._hops = hops

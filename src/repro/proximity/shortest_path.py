@@ -8,9 +8,9 @@ attenuated by ``decay`` per hop:
 
 This is the classical trust-propagation model: close strong ties help a lot,
 distant weak ties barely at all.  The per-hop decay is folded into the edge
-distances, so Dijkstra settles users in non-increasing proximity order and
-:meth:`iter_ranked` can *stream* them without computing the full vector —
-the property the frontier-based top-k algorithms rely on.
+distances, so one :func:`~repro.graph.traversal.shortest_path_row` returns
+a seeker's whole row already in non-increasing proximity order.  The ranked
+stream, the dense array, the dict and the point lookup all read that row.
 """
 
 from __future__ import annotations
@@ -18,12 +18,15 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
+import numpy as np
+
 from ..config import ProximityConfig
 from ..graph import SocialGraph
-from ..graph.traversal import dijkstra_iter, edge_distance
+from ..graph.traversal import edge_distance, shortest_path_row
 from .base import ProximityMeasure, register_proximity
 
-#: Proximities below this value are treated as zero by the streaming walk.
+#: Proximities below this value are treated as zero: the ranked row ends
+#: at the first one.
 PROXIMITY_FLOOR = 1e-4
 
 
@@ -36,36 +39,52 @@ class ShortestPathProximity(ProximityMeasure):
         self._hop_penalty = -math.log(max(self.config.decay, 1e-12))
         self._max_distance = -math.log(PROXIMITY_FLOOR)
 
-    def iter_ranked(self, seeker: int) -> Iterator[Tuple[int, float]]:
-        """Stream users in non-increasing proximity order via Dijkstra."""
-        self.graph.validate_user(seeker)
-        for node, dist, _hops in dijkstra_iter(
+    def _ranked_row(self, seeker: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(users, proximities)`` in non-increasing proximity order.
+
+        The seeker is excluded.  Proximities come from :func:`math.exp`,
+        which rounds some distances differently from ``np.exp``.
+        """
+        nodes, dists, _hops = shortest_path_row(
             self.graph, seeker,
             max_distance=self._max_distance,
             max_hops=self.config.max_hops,
             hop_penalty=self._hop_penalty,
-        ):
-            if node == seeker:
-                continue
-            proximity = math.exp(-dist)
-            if proximity < PROXIMITY_FLOOR:
-                return
-            yield node, min(1.0, proximity)
+        )
+        values = np.fromiter(map(math.exp, (-dists).tolist()), dtype=np.float64,
+                             count=dists.shape[0])
+        # nodes[0] is the seeker; the row ends at the first value under
+        # the floor (exp of a distance at the cap can round to just under).
+        under = np.flatnonzero(values < PROXIMITY_FLOOR)
+        end = int(under[0]) if under.shape[0] else values.shape[0]
+        return nodes[1:end], np.minimum(values[1:end], 1.0)
+
+    def iter_ranked(self, seeker: int) -> Iterator[Tuple[int, float]]:
+        """Yield users in non-increasing proximity order (the row's settle order)."""
+        users, values = self._ranked_row(seeker)
+        yield from zip(users.tolist(), values.tolist())
+
+    def vector_array(self, seeker: int) -> np.ndarray:
+        """Dense row: the ranked values scattered into zeros."""
+        users, values = self._ranked_row(seeker)
+        dense = np.zeros(self.graph.num_users, dtype=np.float64)
+        dense[users] = values
+        return dense
 
     def vector(self, seeker: int) -> Dict[int, float]:
-        """Materialise the proximity vector by exhausting the ranked stream."""
-        return {user: value for user, value in self.iter_ranked(seeker)}
+        """Dict view of the ranked row, in ranked order."""
+        users, values = self._ranked_row(seeker)
+        return dict(zip(users.tolist(), values.tolist()))
 
     def proximity(self, seeker: int, target: int) -> float:
-        """Point lookup; streams only until ``target`` is settled."""
+        """Point lookup in the seeker's row."""
         self.graph.validate_user(seeker)
         self.graph.validate_user(target)
         if seeker == target:
             return 1.0
-        for user, value in self.iter_ranked(seeker):
-            if user == target:
-                return value
-        return 0.0
+        users, values = self._ranked_row(seeker)
+        hit = np.flatnonzero(users == target)
+        return float(values[hit[0]]) if hit.shape[0] else 0.0
 
     @staticmethod
     def path_proximity(weights: Iterable[float], decay: float = 0.5) -> float:

@@ -1,10 +1,12 @@
 """Tests for the CSR social graph and its builder."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.errors import InvalidEdgeError, UnknownUserError
-from repro.graph import SocialGraph, SocialGraphBuilder
+from repro.graph import SocialGraph, SocialGraphBuilder, edge_distance
 
 
 class TestSocialGraphBuilder:
@@ -60,6 +62,15 @@ class TestSocialGraph:
     def test_degrees_array_matches_point_lookups(self, small_graph):
         degrees = small_graph.degrees()
         assert degrees.tolist() == [small_graph.degree(u) for u in range(6)]
+
+    def test_edge_distances_are_per_slot_and_cached(self, small_graph):
+        distances, cheapest = small_graph.edge_distances()
+        _, _, weights = small_graph.csr_arrays()
+        assert distances.tolist() == [edge_distance(w) for w in weights.tolist()]
+        assert cheapest.tolist() == [
+            min(edge_distance(w) for w in small_graph.neighbours(u)[1].tolist())
+            for u in range(5)] + [math.inf]   # user 5 is isolated
+        assert small_graph.edge_distances()[0] is distances
 
     def test_edge_weight_absent_edge_is_zero(self, small_graph):
         assert small_graph.edge_weight(0, 5) == 0.0

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.graph import (
+    SocialGraph,
     bfs_levels,
     connected_components,
     dijkstra,
@@ -14,6 +15,7 @@ from repro.graph import (
     largest_component,
     reachable_within,
     shortest_path,
+    shortest_path_row,
 )
 from repro.errors import UnknownUserError
 
@@ -88,6 +90,34 @@ class TestDijkstra:
     def test_max_distance_truncates(self, small_graph):
         nodes = {node for node, _, _ in dijkstra_iter(small_graph, 0, max_distance=0.1)}
         assert nodes == {0, 1}  # only the weight-1.0 edge costs < 0.1
+
+
+class TestShortestPathRow:
+    def test_zero_cost_edges_settle_in_heap_order(self):
+        # Weight-1.0 edges at no hop penalty cost nothing: 3, 1 and 0 all
+        # sit at distance 0 and settle in the heap's pop order (source,
+        # then each free neighbour as it is pushed), not by node id.
+        graph = SocialGraph.from_edges(4, [(3, 1, 1.0), (1, 0, 1.0), (3, 2, 0.5)])
+        nodes, dists, hops = shortest_path_row(graph, 3)
+        assert nodes.tolist() == [3, 1, 0, 2]
+        assert dists.tolist() == [0.0, 0.0, 0.0, edge_distance(0.5)]
+        assert hops.tolist() == [0, 1, 2, 1]
+
+    def test_hop_cap_keeps_the_shortest_path_hops(self):
+        # Node 2 is settled by its 2-hop zero-cost path, so at max_hops=2 it
+        # is not expanded even though a 1-hop path (0.5) reaches it too.
+        graph = SocialGraph.from_edges(
+            4, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 0.5), (2, 3, 1.0)])
+        row = shortest_path_row(graph, 0, max_hops=2)
+        assert [array.tolist() for array in row] == [[0, 1, 2], [0.0] * 3, [0, 1, 2]]
+
+    def test_negative_distance_cap_returns_nothing(self, small_graph):
+        nodes, dists, hops = shortest_path_row(small_graph, 0, max_distance=-1.0)
+        assert nodes.shape == dists.shape == hops.shape == (0,)
+
+    def test_unknown_source_rejected(self, small_graph):
+        with pytest.raises(UnknownUserError):
+            shortest_path_row(small_graph, 42)
 
 
 class TestShortestPath:

@@ -7,15 +7,19 @@ from repro.proximity import CachedProximity, ShortestPathProximity
 
 
 class CountingProximity(ShortestPathProximity):
-    """Shortest-path proximity that counts vector computations."""
+    """Shortest-path proximity that counts row computations.
+
+    The cache computes a missing row through ``vector_array``, the
+    measure's native dense form, so that is the call counted.
+    """
 
     def __init__(self, graph, config=None):
         super().__init__(graph, config)
         self.vector_calls = 0
 
-    def vector(self, seeker):
+    def vector_array(self, seeker):
         self.vector_calls += 1
-        return super().vector(seeker)
+        return super().vector_array(seeker)
 
 
 @pytest.fixture()

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from dijkstra_oracle import ranked_proximity
 
 from repro.config import ProximityConfig
 from repro.errors import UnknownProximityError, UnknownUserError
@@ -22,6 +23,7 @@ from repro.proximity import (
     create_proximity,
     select_landmarks,
 )
+from repro.workload import scaled_dataset
 
 ALL_MEASURES = [
     "shortest-path",
@@ -180,6 +182,31 @@ class TestShortestPathProximity:
     def test_path_proximity_helper(self):
         value = ShortestPathProximity.path_proximity([0.8, 1.0], decay=0.5)
         assert value == pytest.approx(0.25 * 0.8)
+
+
+class TestShortestPathMatchesTheOracle:
+    """100 seekers of the benchmark corpus against the heapq loop.
+
+    These rows pin the scalar math: computing the edge distances with
+    ``np.log``, or the proximities with ``np.exp``, changes some of them in
+    the last bit.
+    """
+
+    @pytest.fixture(scope="class")
+    def corpus_graph(self):
+        return scaled_dataset(2000, seed=23).graph
+
+    def test_ranked_and_dense_rows_are_bit_identical(self, corpus_graph):
+        config = ProximityConfig()
+        measure = ShortestPathProximity(corpus_graph, config)
+        for seeker in range(0, corpus_graph.num_users, 20):
+            expected = ranked_proximity(corpus_graph, seeker, config.decay,
+                                        config.max_hops)
+            assert list(measure.iter_ranked(seeker)) == expected
+            dense = np.zeros(corpus_graph.num_users, dtype=np.float64)
+            for user, value in expected:
+                dense[user] = value
+            assert measure.vector_array(seeker).tobytes() == dense.tobytes()
 
 
 class TestPageRank:
