@@ -100,6 +100,16 @@ class ScoringModel:
         """``Z_t``: the largest tag frequency of ``tag`` (at least 1)."""
         return float(max(1, self._dataset.inverted_index.max_frequency(tag)))
 
+    def normalisers(self, tags: Iterable[str]) -> Dict[str, float]:
+        """``Z_t`` of every tag, in the given order, read once.
+
+        The interleaving algorithms take this snapshot at the start of a
+        search and reason with it throughout, so their bounds stay monotone
+        even if a concurrent update raises a tag's largest frequency
+        mid-query.
+        """
+        return {tag: self.normaliser(tag) for tag in tags}
+
     def normalised_tf(self, item_id: int, tag: str) -> float:
         """``ntf(i, t)`` — normalised tag frequency in [0, 1]."""
         return self._dataset.inverted_index.frequency(item_id, tag) / self.normaliser(tag)
@@ -274,19 +284,22 @@ class ScoringModel:
         return self._config.alpha * textual + (1.0 - self._config.alpha) * social
 
     def unseen_upper_bound(self, next_tf: Mapping[str, int],
-                           frontier_proximity: float, tags: Tuple[str, ...]) -> float:
+                           frontier_proximity: float,
+                           normalisers: Mapping[str, float]) -> float:
         """Upper bound on the score of any item not yet encountered.
 
         ``next_tf[t]`` is the frequency of the next unread posting of tag
         ``t`` (0 when exhausted); ``frontier_proximity`` is the proximity of
-        the next unvisited friend (0 when the frontier is exhausted).
+        the next unvisited friend (0 when the frontier is exhausted);
+        ``normalisers`` maps each query tag to its ``Z_t``
+        (:meth:`normalisers`).
         """
-        if not tags:
+        if not normalisers:
             return 0.0
         alpha = self._config.alpha
         total = 0.0
-        for tag in tags:
-            textual_bound = next_tf.get(tag, 0) / self.normaliser(tag)
+        for tag, normaliser in normalisers.items():
+            textual_bound = next_tf.get(tag, 0) / normaliser
             social_bound = min(1.0, frontier_proximity)
             total += alpha * textual_bound + (1.0 - alpha) * social_bound
-        return total / float(len(tags))
+        return total / float(len(normalisers))

@@ -28,8 +28,6 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..scoring import ScoringModel
-
 #: No blended score can exceed 1: both components are normalised into
 #: [0, 1] and the blend is convex.  Fresh candidates enter the bound heap
 #: with this value and get an exact bound lazily on the first query.
@@ -79,18 +77,21 @@ class Candidate:
     # Bounds
     # ------------------------------------------------------------------ #
 
-    def lower_bound(self, scoring: ScoringModel, tags: Tuple[str, ...]) -> float:
-        """Certain score given only what has been observed so far."""
-        alpha = scoring.alpha
+    def lower_bound(self, alpha: float, normalisers: Mapping[str, float]) -> float:
+        """Certain score given only what has been observed so far.
+
+        ``normalisers`` maps each query tag, in query order, to its ``Z_t``
+        (:meth:`~repro.core.scoring.ScoringModel.normalisers`, read once per
+        search).
+        """
         total = 0.0
-        for tag in tags:
-            normaliser = scoring.normaliser(tag)
+        for tag, normaliser in normalisers.items():
             textual = self.known_frequency.get(tag, 0) / normaliser
             social = min(1.0, self.social_mass.get(tag, 0.0) / normaliser)
             total += alpha * textual + (1.0 - alpha) * social
-        return total / float(len(tags))
+        return total / float(len(normalisers))
 
-    def upper_bound(self, scoring: ScoringModel, tags: Tuple[str, ...],
+    def upper_bound(self, alpha: float, normalisers: Mapping[str, float],
                     next_tf: Mapping[str, int], frontier_proximity: float) -> float:
         """Optimistic score given what could still be observed.
 
@@ -102,10 +103,8 @@ class Candidate:
           of unseen endorsers is ``frequency - seen``; otherwise it is bounded
           by the largest frequency on the tag's posting list.
         """
-        alpha = scoring.alpha
         total = 0.0
-        for tag in tags:
-            normaliser = scoring.normaliser(tag)
+        for tag, normaliser in normalisers.items():
             if tag in self.known_frequency:
                 frequency = self.known_frequency[tag]
                 textual = frequency / normaliser
@@ -118,7 +117,7 @@ class Candidate:
             social = self.social_mass.get(tag, 0.0) + frontier_proximity * unseen
             social = min(1.0, social / normaliser)
             total += alpha * textual + (1.0 - alpha) * social
-        return total / float(len(tags))
+        return total / float(len(normalisers))
 
 
 class CandidatePool:
@@ -161,7 +160,7 @@ class CandidatePool:
         """All candidate item ids (unordered)."""
         return tuple(self._candidates)
 
-    def max_upper_bound_excluding(self, scoring: ScoringModel, tags: Tuple[str, ...],
+    def max_upper_bound_excluding(self, alpha: float, normalisers: Mapping[str, float],
                                   next_tf: Mapping[str, int], frontier_proximity: float,
                                   excluded: frozenset) -> float:
         """Largest upper bound among candidates outside ``excluded``.
@@ -174,9 +173,9 @@ class CandidatePool:
         untouched candidate is certifiably below it.
 
         Correctness relies on bounds never increasing between calls within
-        one search (monotone ``next_tf`` / ``frontier_proximity`` and
-        knowledge refinement), which every interleaving algorithm satisfies
-        by construction.
+        one search (monotone ``next_tf`` / ``frontier_proximity``, knowledge
+        refinement, and ``normalisers`` read once per search), which every
+        interleaving algorithm satisfies by construction.
         """
         heap = self._bound_heap
         best = 0.0
@@ -189,7 +188,7 @@ class CandidatePool:
             candidate = self._candidates.get(item_id)
             if candidate is None:
                 continue
-            fresh = candidate.upper_bound(scoring, tags, next_tf, frontier_proximity)
+            fresh = candidate.upper_bound(alpha, normalisers, next_tf, frontier_proximity)
             refreshed.append((-fresh, item_id))
             if fresh > best and item_id not in excluded:
                 best = fresh

@@ -82,13 +82,6 @@ class TopKHeap:
             return True
         return False
 
-    def would_accept(self, score: float) -> bool:
-        """Whether a new candidate with ``score`` would enter the heap."""
-        if not self.is_full():
-            return True
-        weakest_score, weakest_neg = self._heap[0]
-        return (score, 0) > (weakest_score, weakest_neg)
-
     def items(self) -> List[Tuple[int, float]]:
         """Retained ``(item_id, score)`` pairs, best first, ties by item id."""
         ordered = sorted(self._heap, key=lambda entry: (-entry[0], -entry[1]))

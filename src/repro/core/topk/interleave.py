@@ -7,8 +7,9 @@ hybrid and the adaptive social-first algorithm — share the same skeleton:
    and one :class:`~repro.core.topk.sources.SocialFrontier` for the seeker;
 2. repeatedly pick a source (scheduling policy), consume a batch from it and
    update candidate knowledge;
-3. after every round, compare the current k-th best lower bound against the
-   upper bound of everything else; stop as soon as no outsider can still
+3. after every round, re-offer the candidates it touched to one running
+   top-k heap of lower bounds, compare the k-th best against the upper
+   bound of everything else, and stop as soon as no outsider can still
    enter the top-k (early termination) or when every source is exhausted.
 
 They differ along two orthogonal axes captured by class attributes:
@@ -24,7 +25,7 @@ They differ along two orthogonal axes captured by class attributes:
 from __future__ import annotations
 
 import time
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 from ..accounting import AccessAccountant
 from ..query import Query, QueryResult
@@ -50,14 +51,28 @@ class InterleavedTopK(TopKAlgorithm):
     # ------------------------------------------------------------------ #
 
     def search(self, query: Query) -> QueryResult:
-        """Answer the query by interleaved sorted access with early termination."""
+        """Answer the query by interleaved sorted access with early termination.
+
+        One :class:`TopKHeap` lives for the whole search.  After each round
+        only the candidates that round *touched* are re-offered to it: a
+        lower bound never decreases within a search (a frequency is recorded
+        once, social mass is only added, the normalisers are read once up
+        front, and TA's bound is the exact score fixed at discovery), and
+        heap keys ``(score, -item_id)`` are distinct, so the heap holds
+        exactly the k entries a rebuild over the whole pool would.
+        ``touched`` is a local of this call, never state on ``self``: one
+        algorithm instance serves concurrent request threads.
+        """
         self._validate(query)
         started_at = time.perf_counter()
         accountant = AccessAccountant()
 
         textual_sources = build_textual_sources(self._dataset.inverted_index, query.tags)
         frontier = SocialFrontier(self._proximity, query.seeker)
+        normalisers = self._scoring.normalisers(query.tags)
         pool = CandidatePool()
+        heap = TopKHeap(query.k)
+        touched: Dict[int, Candidate] = {}
         exact_scores: Dict[int, float] = {}
         proximity_vector: Optional[Dict[int, float]] = None
 
@@ -69,28 +84,27 @@ class InterleavedTopK(TopKAlgorithm):
         while True:
             accountant.charge_round()
             source = self._choose_source(rotation, rotation_index, textual_sources,
-                                         frontier, query)
+                                         frontier, normalisers)
             rotation_index += 1
             if source is None:
                 break  # every source exhausted
 
             if source == SOCIAL_SOURCE:
                 proximity_vector = self._consume_social(
-                    query, frontier, pool, exact_scores, accountant, proximity_vector,
+                    query, frontier, pool, touched, exact_scores, accountant,
+                    proximity_vector,
                 )
             else:
                 proximity_vector = self._consume_textual(
-                    query, source, textual_sources, pool, exact_scores, accountant,
-                    proximity_vector,
+                    query, source, textual_sources, pool, touched, exact_scores,
+                    accountant, proximity_vector,
                 )
 
-            heap = self._current_topk(query, pool, exact_scores)
-            if self._should_stop(query, heap, pool, exact_scores, textual_sources,
-                                 frontier):
+            self._offer_touched(heap, touched, normalisers, exact_scores)
+            if self._should_stop(heap, pool, normalisers, textual_sources, frontier):
                 terminated_early = not self._all_exhausted(textual_sources, frontier)
                 break
 
-        heap = self._current_topk(query, pool, exact_scores)
         return self._finalise(query, heap, accountant, started_at,
                               terminated_early=terminated_early,
                               proximity_vector=proximity_vector)
@@ -101,12 +115,12 @@ class InterleavedTopK(TopKAlgorithm):
 
     def _choose_source(self, rotation, rotation_index: int,
                        textual_sources, frontier: SocialFrontier,
-                       query: Query) -> Optional[str]:
+                       normalisers: Mapping[str, float]) -> Optional[str]:
         """Pick the next source to consume, or ``None`` when all are exhausted."""
         if self._all_exhausted(textual_sources, frontier):
             return None
         if self.scheduling == "adaptive":
-            return self._choose_adaptive(textual_sources, frontier, query)
+            return self._choose_adaptive(textual_sources, frontier, normalisers)
         # Round-robin: skip exhausted sources.
         for offset in range(len(rotation)):
             source = rotation[(rotation_index + offset) % len(rotation)]
@@ -118,7 +132,7 @@ class InterleavedTopK(TopKAlgorithm):
         return None
 
     def _choose_adaptive(self, textual_sources, frontier: SocialFrontier,
-                         query: Query) -> Optional[str]:
+                         normalisers: Mapping[str, float]) -> Optional[str]:
         """Pick the source whose next element has the largest score potential.
 
         The potential of the social frontier is ``(1 - α) · next proximity``
@@ -134,7 +148,7 @@ class InterleavedTopK(TopKAlgorithm):
         for tag, source in textual_sources.items():
             if source.exhausted():
                 continue
-            potential = alpha * source.next_frequency() / self._scoring.normaliser(tag)
+            potential = alpha * source.next_frequency() / normalisers[tag]
             if potential > best_potential:
                 best_source, best_potential = tag, potential
         return best_source
@@ -150,7 +164,8 @@ class InterleavedTopK(TopKAlgorithm):
     # ------------------------------------------------------------------ #
 
     def _consume_social(self, query: Query, frontier: SocialFrontier,
-                        pool: CandidatePool, exact_scores: Dict[int, float],
+                        pool: CandidatePool, touched: Dict[int, Candidate],
+                        exact_scores: Dict[int, float],
                         accountant: AccessAccountant,
                         proximity_vector: Optional[Dict[int, float]]
                         ) -> Optional[Dict[int, float]]:
@@ -171,10 +186,12 @@ class InterleavedTopK(TopKAlgorithm):
                             query, candidate, exact_scores, accountant, proximity_vector,
                         )
                     candidate.add_social(tag, proximity)
+                    touched[item_id] = candidate
         return proximity_vector
 
     def _consume_textual(self, query: Query, tag: str, textual_sources,
-                         pool: CandidatePool, exact_scores: Dict[int, float],
+                         pool: CandidatePool, touched: Dict[int, Candidate],
+                         exact_scores: Dict[int, float],
                          accountant: AccessAccountant,
                          proximity_vector: Optional[Dict[int, float]]
                          ) -> Optional[Dict[int, float]]:
@@ -187,6 +204,7 @@ class InterleavedTopK(TopKAlgorithm):
             accountant.charge_sequential()
             candidate, created = pool.ensure(posting.item_id)
             candidate.record_frequency(tag, posting.frequency)
+            touched[posting.item_id] = candidate
             if created:
                 accountant.charge_candidate()
                 proximity_vector = self._on_new_candidate(
@@ -224,22 +242,22 @@ class InterleavedTopK(TopKAlgorithm):
     # Bounds and termination
     # ------------------------------------------------------------------ #
 
-    def _lower_bound(self, query: Query, candidate: Candidate,
-                     exact_scores: Mapping[int, float]) -> float:
+    def _offer_touched(self, heap: TopKHeap, touched: Dict[int, Candidate],
+                       normalisers: Mapping[str, float],
+                       exact_scores: Mapping[int, float]) -> None:
+        """Re-offer this round's touched candidates at their current lower
+        bound (TA: the exact score), then forget them."""
         if self.random_access == "full":
-            return exact_scores.get(candidate.item_id, 0.0)
-        return candidate.lower_bound(self._scoring, query.tags)
+            for item_id in touched:
+                heap.offer(item_id, exact_scores[item_id])
+        else:
+            alpha = self._scoring.alpha
+            for item_id, candidate in touched.items():
+                heap.offer(item_id, candidate.lower_bound(alpha, normalisers))
+        touched.clear()
 
-    def _current_topk(self, query: Query, pool: CandidatePool,
-                      exact_scores: Mapping[int, float]) -> TopKHeap:
-        """Top-k heap over current lower bounds (exact scores for TA)."""
-        heap = TopKHeap(query.k)
-        for candidate in pool:
-            heap.offer(candidate.item_id, self._lower_bound(query, candidate, exact_scores))
-        return heap
-
-    def _should_stop(self, query: Query, heap: TopKHeap, pool: CandidatePool,
-                     exact_scores: Mapping[int, float], textual_sources,
+    def _should_stop(self, heap: TopKHeap, pool: CandidatePool,
+                     normalisers: Mapping[str, float], textual_sources,
                      frontier: SocialFrontier) -> bool:
         """Early-termination test: can any outsider still beat the k-th result?"""
         if not self._config.early_termination:
@@ -250,7 +268,7 @@ class InterleavedTopK(TopKAlgorithm):
         frontier_proximity = frontier.next_proximity()
         next_tf = next_frequencies(textual_sources)
         unseen_bound = self._scoring.unseen_upper_bound(next_tf, frontier_proximity,
-                                                        query.tags)
+                                                        normalisers)
         if kth < unseen_bound:
             return False
         if self.random_access == "full":
@@ -258,6 +276,6 @@ class InterleavedTopK(TopKAlgorithm):
             return True
         retained = frozenset(heap.item_ids())
         outsider_bound = pool.max_upper_bound_excluding(
-            self._scoring, query.tags, next_tf, frontier_proximity, retained,
+            self._scoring.alpha, normalisers, next_tf, frontier_proximity, retained,
         )
         return kth >= outsider_bound

@@ -89,7 +89,9 @@ def _release_mapped_pages(array: np.ndarray) -> None:
     though each page is needed only once.  ``madvise(MADV_DONTNEED)`` on a
     shared file mapping just unmaps the pages from this process — the page
     cache keeps the data and later reads fault it back in.  No-op for heap
-    arrays and on platforms without ``madvise``.
+    arrays, for the plain views :meth:`Arena.open` hands out (a checkpoint
+    writing a new arena from an attached dataset must not drop the live
+    mapping's pages), and on platforms without ``madvise``.
     """
     mapped = getattr(array, "_mmap", None)
     if mapped is None or not hasattr(mapped, "madvise"):
@@ -271,7 +273,7 @@ class Arena:
     """An opened arena: parsed meta plus zero-copy array views.
 
     The backing buffer is an ``np.memmap`` in read-only mode; every array in
-    :attr:`arrays` is a typed view into it.  Views must not be mutated.
+    :attr:`arrays` is a read-only, typed plain ``np.ndarray`` view into it.
     """
 
     def __init__(self, path: Path, meta: Dict[str, object],
@@ -332,8 +334,12 @@ class Arena:
                 if end > buffer.shape[0]:
                     raise PersistenceError(
                         f"{path}: array {entry['name']!r} overruns the file")
-                arrays[str(entry["name"])] = \
-                    buffer[start:end].view(dtype).reshape(shape)
+                # A plain ndarray view (not an np.memmap subclass) over the
+                # same mapped bytes: slicing it on the query path then skips
+                # memmap's per-slice __array_finalize__, and nothing that
+                # releases scratch memmap pages can mistake it for one.
+                arrays[str(entry["name"])] = buffer[start:end].view(
+                    dtype=dtype, type=np.ndarray).reshape(shape)
             meta = dict(header["meta"])
         except (ValueError, KeyError, TypeError) as exc:
             # UnicodeDecodeError and JSONDecodeError are ValueErrors.
@@ -565,12 +571,12 @@ class ArenaSocialIndex(SocialIndex):
             return ()
         start = int(base.user_offsets[tag_index])
         end = int(base.user_offsets[tag_index + 1])
-        position = start + int(np.searchsorted(base.user_ids[start:end], user_id))
+        position = start + int(base.user_ids[start:end].searchsorted(user_id))
         if position >= end or int(base.user_ids[position]) != user_id:
             return ()
         row_start = int(base.segment_offsets[position])
         row_end = int(base.segment_offsets[position + 1])
-        return tuple(int(i) for i in base.item_ids[row_start:row_end])
+        return tuple(base.item_ids[row_start:row_end].tolist())
 
     def items_for(self, user_id: int, tag: str) -> Tuple[int, ...]:
         if self._overlay:

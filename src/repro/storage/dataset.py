@@ -91,8 +91,8 @@ class Dataset:
     def from_arena(cls, path) -> "Dataset":
         """Open a memory-mapped index arena (``repro generate`` / ``build-arena``).
 
-        All hot structures come back as zero-copy ``np.memmap`` views in
-        their query-ready layout, so cold start skips the index rebuild
+        All hot structures come back as zero-copy, read-only ``np.ndarray``
+        views of the mapped file in their query-ready layout, so cold start skips the index rebuild
         :meth:`build` pays (see :mod:`repro.storage.arena`).
         """
         from .arena import load_dataset_from_arena

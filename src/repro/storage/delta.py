@@ -2,8 +2,8 @@
 
 The array-backed hot structures (posting lists, the per-tag endorser CSR,
 the per-tag social CSR, the arena tagging store) are frozen once built:
-their numpy arrays — often read-only ``np.memmap`` views into the index
-arena — are never mutated in place.  Live updates therefore work on
+their numpy arrays — often read-only ``np.ndarray`` views of the mapped
+index arena — are never mutated in place.  Live updates therefore work on
 **delta overlays**: a small in-memory delta accumulates the new facts and
 reads merge it with the frozen base, until a **compaction** folds the delta
 back into fresh contiguous arrays.

@@ -18,11 +18,11 @@ class TestCandidate:
     def test_lower_bound_grows_with_knowledge(self, scoring):
         candidate = Candidate(item_id=100)
         tags = ("jazz",)
-        empty = candidate.lower_bound(scoring, tags)
+        empty = candidate.lower_bound(scoring.alpha, scoring.normalisers(tags))
         candidate.record_frequency("jazz", 2)
-        after_frequency = candidate.lower_bound(scoring, tags)
+        after_frequency = candidate.lower_bound(scoring.alpha, scoring.normalisers(tags))
         candidate.add_social("jazz", 0.5)
-        after_social = candidate.lower_bound(scoring, tags)
+        after_social = candidate.lower_bound(scoring.alpha, scoring.normalisers(tags))
         assert empty == 0.0
         assert after_frequency > empty
         assert after_social > after_frequency
@@ -33,15 +33,15 @@ class TestCandidate:
         candidate.add_social("jazz", 0.3)
         tags = ("jazz",)
         for frontier in (1.0, 0.5, 0.1, 0.0):
-            upper = candidate.upper_bound(scoring, tags, {"jazz": 2}, frontier)
-            lower = candidate.lower_bound(scoring, tags)
+            upper = candidate.upper_bound(scoring.alpha, scoring.normalisers(tags), {"jazz": 2}, frontier)
+            lower = candidate.lower_bound(scoring.alpha, scoring.normalisers(tags))
             assert upper >= lower - 1e-12
 
     def test_upper_bound_shrinks_as_frontier_decays(self, scoring):
         candidate = Candidate(item_id=100)
         candidate.record_frequency("jazz", 2)
         tags = ("jazz",)
-        bounds = [candidate.upper_bound(scoring, tags, {"jazz": 1}, frontier)
+        bounds = [candidate.upper_bound(scoring.alpha, scoring.normalisers(tags), {"jazz": 1}, frontier)
                   for frontier in (1.0, 0.6, 0.2, 0.0)]
         assert bounds == sorted(bounds, reverse=True)
 
@@ -52,15 +52,15 @@ class TestCandidate:
         candidate.add_social("jazz", 0.2)
         tags = ("jazz",)
         # Both endorsers seen and the frontier is exhausted.
-        upper = candidate.upper_bound(scoring, tags, {"jazz": 0}, 0.0)
-        lower = candidate.lower_bound(scoring, tags)
+        upper = candidate.upper_bound(scoring.alpha, scoring.normalisers(tags), {"jazz": 0}, 0.0)
+        lower = candidate.lower_bound(scoring.alpha, scoring.normalisers(tags))
         assert upper == pytest.approx(lower)
 
     def test_unknown_frequency_uses_next_tf(self, scoring):
         candidate = Candidate(item_id=100)
         tags = ("jazz",)
-        small = candidate.upper_bound(scoring, tags, {"jazz": 1}, 0.0)
-        large = candidate.upper_bound(scoring, tags, {"jazz": 2}, 0.0)
+        small = candidate.upper_bound(scoring.alpha, scoring.normalisers(tags), {"jazz": 1}, 0.0)
+        large = candidate.upper_bound(scoring.alpha, scoring.normalisers(tags), {"jazz": 2}, 0.0)
         assert large > small
 
     def test_knows_frequency(self, scoring):
@@ -91,10 +91,11 @@ class TestCandidatePool:
         weak, _ = pool.ensure(101)
         weak.record_frequency("jazz", 1)
         tags = ("jazz",)
-        bound_all = pool.max_upper_bound_excluding(scoring, tags, {"jazz": 0}, 0.0,
-                                                   frozenset())
+        bound_all = pool.max_upper_bound_excluding(
+            scoring.alpha, scoring.normalisers(tags), {"jazz": 0}, 0.0, frozenset())
         bound_without_strong = pool.max_upper_bound_excluding(
-            scoring, tags, {"jazz": 0}, 0.0, frozenset({100}))
+            scoring.alpha, scoring.normalisers(tags), {"jazz": 0}, 0.0,
+            frozenset({100}))
         assert bound_all > bound_without_strong
 
     def test_iteration(self):

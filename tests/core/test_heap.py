@@ -47,14 +47,6 @@ class TestTopKHeap:
         heap.offer(1, 0.3)
         assert heap.score_of(1) == pytest.approx(0.8)
 
-    def test_would_accept(self):
-        heap = TopKHeap(2)
-        assert heap.would_accept(0.0)
-        heap.offer(1, 0.5)
-        heap.offer(2, 0.7)
-        assert heap.would_accept(0.6)
-        assert not heap.would_accept(0.4)
-
     def test_contains_and_len(self):
         heap = TopKHeap(2)
         heap.offer(4, 0.5)

@@ -97,12 +97,13 @@ class TestExactScore:
 
 class TestBounds:
     def test_unseen_upper_bound_monotone_in_frontier(self, model):
-        low = model.unseen_upper_bound({"jazz": 1}, 0.1, ("jazz",))
-        high = model.unseen_upper_bound({"jazz": 1}, 0.9, ("jazz",))
+        low = model.unseen_upper_bound({"jazz": 1}, 0.1, model.normalisers(("jazz",)))
+        high = model.unseen_upper_bound({"jazz": 1}, 0.9, model.normalisers(("jazz",)))
         assert high >= low
 
     def test_unseen_upper_bound_zero_when_everything_exhausted(self, model):
-        assert model.unseen_upper_bound({"jazz": 0}, 0.0, ("jazz",)) == 0.0
+        assert model.unseen_upper_bound(
+            {"jazz": 0}, 0.0, model.normalisers(("jazz",))) == 0.0
 
     def test_unseen_upper_bound_bounds_every_item(self, hand_dataset, proximity, model):
         # With full frontier (proximity 1) and the list head as next_tf, no
@@ -110,7 +111,8 @@ class TestBounds:
         vector = proximity.vector(0)
         next_tf = {tag: hand_dataset.inverted_index.max_frequency(tag)
                    for tag in hand_dataset.tags()}
-        bound = model.unseen_upper_bound(next_tf, 1.0, ("jazz", "vinyl"))
+        bound = model.unseen_upper_bound(next_tf, 1.0,
+                                         model.normalisers(("jazz", "vinyl")))
         for item_id in hand_dataset.items.ids():
             score = model.exact_score(0, item_id, ("jazz", "vinyl"), vector).score
             assert score <= bound + 1e-9

@@ -171,12 +171,12 @@ def test_endorser_index_mass_matches_python_sum(edges, actions, seeker, tag):
 # Incremental candidate bounds vs naive rescan
 # ---------------------------------------------------------------------------
 
-def _naive_max_bound(pool, scoring, tags, next_tf, frontier, excluded):
+def _naive_max_bound(pool, alpha, normalisers, next_tf, frontier, excluded):
     best = 0.0
     for candidate in pool:
         if candidate.item_id in excluded:
             continue
-        best = max(best, candidate.upper_bound(scoring, tags, next_tf, frontier))
+        best = max(best, candidate.upper_bound(alpha, normalisers, next_tf, frontier))
     return best
 
 
@@ -191,19 +191,19 @@ def _checking_algorithm(base_cls):
     class Checking(base_cls):
         mismatches = []
 
-        def _should_stop(self, query, heap, pool, exact_scores, textual_sources,
+        def _should_stop(self, heap, pool, normalisers, textual_sources,
                          frontier):
             next_tf = next_frequencies(textual_sources)
             frontier_proximity = frontier.next_proximity()
+            alpha = self._scoring.alpha
             for excluded in (frozenset(), frozenset(heap.item_ids())):
                 fast = pool.max_upper_bound_excluding(
-                    self._scoring, query.tags, next_tf, frontier_proximity,
-                    excluded)
-                naive = _naive_max_bound(pool, self._scoring, query.tags,
+                    alpha, normalisers, next_tf, frontier_proximity, excluded)
+                naive = _naive_max_bound(pool, alpha, normalisers,
                                          next_tf, frontier_proximity, excluded)
                 if not math.isclose(fast, naive, abs_tol=1e-12):
                     self.mismatches.append((fast, naive))
-            return super()._should_stop(query, heap, pool, exact_scores,
+            return super()._should_stop(heap, pool, normalisers,
                                         textual_sources, frontier)
 
     return Checking

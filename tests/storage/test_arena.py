@@ -9,6 +9,7 @@ from repro.errors import PersistenceError
 from repro.proximity import MaterializedProximity
 from repro.proximity.pagerank import PersonalizedPageRankProximity
 from repro.storage import Dataset, build_arena, load_shards
+from repro.storage import arena as arena_module
 from repro.storage.arena import Arena, attach_shards, write_arena
 from repro.workload import generate_workload
 from repro.workload.datasets import tiny_dataset
@@ -69,6 +70,33 @@ class TestFormat:
         assert arena.meta["hello"] == "world"
         for name, array in payload.items():
             np.testing.assert_array_equal(arena.array(name), array)
+
+
+    def test_arrays_are_read_only_plain_ndarray_views(self, arena_path):
+        arena = Arena.open(arena_path)
+        assert arena.arrays
+        assert all(type(array) is np.ndarray for array in arena.arrays.values())
+        for array in arena.arrays.values():
+            if array.size:
+                with pytest.raises(ValueError):
+                    array.reshape(-1)[0] = 0
+
+    def test_rebuild_from_an_attached_dataset_releases_no_source_pages(
+            self, mapped, tmp_path, monkeypatch):
+        """A checkpoint writes a new arena from the live, attached dataset;
+        none of the arrays it hands to the page-release step may carry the
+        source file's mapping, or ``madvise`` would drop its pages."""
+        offered = []
+        release = arena_module._release_mapped_pages
+
+        def spy(array):
+            offered.append(array)
+            release(array)
+
+        monkeypatch.setattr(arena_module, "_release_mapped_pages", spy)
+        build_arena(mapped, tmp_path / "again.arena")
+        assert offered
+        assert all(getattr(array, "_mmap", None) is None for array in offered)
 
 
 class TestRoundTrip:
