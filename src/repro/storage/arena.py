@@ -359,15 +359,43 @@ def _concat(parts: Sequence[np.ndarray], dtype) -> np.ndarray:
         if len(parts) > 1 else np.asarray(parts[0], dtype=dtype)
 
 
-def _action_arrays(store: TaggingStore, tag_ids: Dict[str, int]
-                   ) -> Dict[str, np.ndarray]:
-    actions = store.actions()
-    return {
-        "user_ids": np.array([a.user_id for a in actions], dtype=np.int64),
-        "item_ids": np.array([a.item_id for a in actions], dtype=np.int64),
-        "tag_ids": np.array([tag_ids[a.tag] for a in actions], dtype=np.int64),
-        "timestamps": np.array([a.timestamp for a in actions], dtype=np.int64),
-    }
+def _offsets_from_counts(counts: np.ndarray, length: int) -> np.ndarray:
+    offsets = np.zeros(length + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
+def _social_rows(tag_ids: np.ndarray, user_ids: np.ndarray,
+                 item_ids: np.ndarray, num_tags: int
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Lay ``(tag, user, item)`` triples out as the social section.
+
+    Returns ``(order, user_offsets, user_ids, segment_offsets)``.  ``order``
+    picks one row per distinct triple, ascending by tag, then user, then
+    item — each tag's users ascending and each segment's items ascending,
+    the layout ``SocialIndex.items_for`` answers from — so
+    ``item_ids[order]`` is the section's item column.  The columns are
+    sorted as they are (one ``lexsort``), so any int64 ids work.
+    """
+    order = np.lexsort((item_ids, user_ids, tag_ids))
+    tags = np.asarray(tag_ids)[order]
+    users = np.asarray(user_ids)[order]
+    items = np.asarray(item_ids)[order]
+    new_row = np.ones(order.shape[0], dtype=bool)
+    new_row[1:] = (tags[1:] != tags[:-1]) | (users[1:] != users[:-1])
+    distinct = new_row.copy()
+    distinct[1:] |= items[1:] != items[:-1]
+    del tags, users, items
+    order = order[distinct]
+    starts = np.flatnonzero(new_row[distinct])
+    rows = order[starts]
+    return (
+        order,
+        _offsets_from_counts(np.bincount(np.asarray(tag_ids)[rows],
+                                         minlength=num_tags), num_tags),
+        np.asarray(user_ids)[rows],
+        np.append(starts, order.shape[0]),
+    )
 
 
 def build_arena(dataset: Dataset, path: PathLike,
@@ -414,8 +442,7 @@ def build_arena(dataset: Dataset, path: PathLike,
         segment_lengths.append(np.diff(bundle.offsets))
         end_item_offsets[index + 1] = end_item_offsets[index] + len(bundle)
     lengths = _concat(segment_lengths, np.int64)
-    segment_offsets = np.zeros(lengths.shape[0] + 1, dtype=np.int64)
-    np.cumsum(lengths, out=segment_offsets[1:])
+    segment_offsets = _offsets_from_counts(lengths, lengths.shape[0])
     arrays["endorser.item_offsets"] = end_item_offsets
     arrays["endorser.item_ids"] = _concat(end_items, np.int64)
     arrays["endorser.frequencies"] = _concat(end_freqs, np.int64)
@@ -423,35 +450,20 @@ def build_arena(dataset: Dataset, path: PathLike,
     arrays["endorser.taggers"] = _concat(end_taggers, np.int64)
 
     # Social index: per-tag user -> item CSR (the frontier expansion path).
-    soc_user_offsets = np.zeros(len(tags) + 1, dtype=np.int64)
-    soc_users: List[int] = []
-    soc_lengths: List[int] = []
-    soc_items: List[int] = []
-    all_users = dataset.social_index.users()
-    for index, tag in enumerate(tags):
-        with_tag = 0
-        for user in all_users:  # ascending, so each tag segment is sorted
-            items = dataset.social_index.items_for(user, tag)
-            if not items:
-                continue
-            soc_users.append(user)
-            soc_lengths.append(len(items))
-            soc_items.extend(items)
-            with_tag += 1
-        soc_user_offsets[index + 1] = soc_user_offsets[index] + with_tag
-    soc_segment_offsets = np.zeros(len(soc_users) + 1, dtype=np.int64)
-    np.cumsum(np.array(soc_lengths, dtype=np.int64), out=soc_segment_offsets[1:])
-    arrays["social.user_offsets"] = soc_user_offsets
-    arrays["social.user_ids"] = np.array(soc_users, dtype=np.int64)
-    arrays["social.segment_offsets"] = soc_segment_offsets
-    arrays["social.item_ids"] = np.array(soc_items, dtype=np.int64)
+    # It is the action log pivoted, so it is built from the log's arrays.
+    actions = dataset.tagging.action_arrays(tag_ids)
+    (order, arrays["social.user_offsets"], arrays["social.user_ids"],
+     arrays["social.segment_offsets"]) = _social_rows(
+        actions["tag_ids"], actions["user_ids"], actions["item_ids"],
+        len(tags))
+    arrays["social.item_ids"] = actions["item_ids"][order]
 
-    for name, array in _action_arrays(dataset.tagging, tag_ids).items():
+    for name, array in actions.items():
         arrays[f"actions.{name}"] = array
     if dataset.holdout is not None:
         holdout_tags = sorted(set(tag_ids) | set(dataset.holdout.tags()))
         holdout_ids = {tag: index for index, tag in enumerate(holdout_tags)}
-        for name, array in _action_arrays(dataset.holdout, holdout_ids).items():
+        for name, array in dataset.holdout.action_arrays(holdout_ids).items():
             arrays[f"holdout.{name}"] = array
         holdout_table: Optional[List[str]] = holdout_tags
     else:
@@ -466,8 +478,7 @@ def build_arena(dataset: Dataset, path: PathLike,
             member_offsets[index + 1] = member_offsets[index] + len(shard)
             row_lengths.append(np.diff(shard.offsets))
         flat_lengths = _concat(row_lengths, np.int64)
-        row_offsets = np.zeros(flat_lengths.shape[0] + 1, dtype=np.int64)
-        np.cumsum(flat_lengths, out=row_offsets[1:])
+        row_offsets = _offsets_from_counts(flat_lengths, flat_lengths.shape[0])
         arrays["materialized.labels"] = np.array(proximity.labels(), dtype=np.int64)
         arrays["materialized.cluster_ids"] = np.array(
             [shard.cluster_id for shard in shards], dtype=np.int64)
@@ -620,31 +631,40 @@ class ArenaSocialIndex(SocialIndex):
         """
         if not self._overlay:
             return None
-        staging = self._merged_staging()
-        tags = sorted({tag for profile in staging.values() for tag in profile})
+        base = self._base
+        users_per_tag = np.diff(base.user_offsets)
+        # A tag survives when it still has a row; an overlay entry keeps its
+        # tag in the table even when its row is empty.
+        tags = sorted({tag for tag, index in base.tag_ids.items()
+                       if users_per_tag[index]}
+                      | {tag for _user, tag in self._overlay})
         tag_ids = {tag: index for index, tag in enumerate(tags)}
-        ordered_users = sorted(staging)
-        user_offsets = np.zeros(len(tags) + 1, dtype=np.int64)
-        users: List[int] = []
-        lengths: List[int] = []
-        items: List[int] = []
-        for index, tag in enumerate(tags):
-            with_tag = 0
-            for user in ordered_users:
-                row = staging[user].get(tag)
-                if not row:
-                    continue
-                users.append(user)
-                lengths.append(len(row))
-                items.extend(row)
-                with_tag += 1
-            user_offsets[index + 1] = user_offsets[index] + with_tag
-        segment_offsets = np.zeros(len(users) + 1, dtype=np.int64)
-        np.cumsum(np.array(lengths, dtype=np.int64), out=segment_offsets[1:])
-        arrays = _SocialArrays(
-            tag_ids, user_offsets,
-            np.array(users, dtype=np.int64), segment_offsets,
-            np.array(items, dtype=np.int64))
+        remap = np.zeros(users_per_tag.shape[0], dtype=np.int64)
+        for tag, index in base.tag_ids.items():
+            remap[index] = tag_ids.get(tag, 0)
+        # The base CSR expanded back into (tag, user, item) triples, plus the
+        # overlay's rows.  Every overlay row is a superset of the base row it
+        # shadows (apply_delta merges into the current row), so the union of
+        # the two collapses to exactly the merged read.
+        row_lengths = np.diff(base.segment_offsets)
+        row_tags = np.repeat(remap, users_per_tag)
+        overlay_tags: List[int] = []
+        overlay_users: List[int] = []
+        overlay_items: List[int] = []
+        for (user, tag), row in self._overlay.items():
+            overlay_tags.extend([tag_ids[tag]] * len(row))
+            overlay_users.extend([user] * len(row))
+            overlay_items.extend(row)
+        items = np.concatenate([base.item_ids,
+                                np.array(overlay_items, dtype=np.int64)])
+        order, user_offsets, users, segment_offsets = _social_rows(
+            np.concatenate([np.repeat(row_tags, row_lengths),
+                            np.array(overlay_tags, dtype=np.int64)]),
+            np.concatenate([np.repeat(base.user_ids, row_lengths),
+                            np.array(overlay_users, dtype=np.int64)]),
+            items, len(tags))
+        arrays = _SocialArrays(tag_ids, user_offsets, users, segment_offsets,
+                               items[order])
         return arrays, len(self._overlay)
 
     def commit_compact(self, staged: Optional[Tuple[_SocialArrays, int]]
@@ -840,17 +860,10 @@ class ArenaTaggingStore(TaggingStore):
                 if tag not in tag_ids:
                     tag_ids[tag] = len(tag_table)
                     tag_table.append(tag)
-            actions = self._delta.actions()
+            columns = self.action_arrays(tag_ids)
             staged = _TaggingState(
-                tag_table,
-                np.concatenate([state.users, np.array(
-                    [a.user_id for a in actions], dtype=np.int64)]),
-                np.concatenate([state.items, np.array(
-                    [a.item_id for a in actions], dtype=np.int64)]),
-                np.concatenate([state.tags, np.array(
-                    [tag_ids[a.tag] for a in actions], dtype=np.int64)]),
-                np.concatenate([state.timestamps, np.array(
-                    [a.timestamp for a in actions], dtype=np.int64)]),
+                tag_table, columns["user_ids"], columns["item_ids"],
+                columns["tag_ids"], columns["timestamps"],
                 endorsers.snapshot(),
             )
             return staged, self._delta_len
@@ -875,6 +888,28 @@ class ArenaTaggingStore(TaggingStore):
     def compact(self, endorsers: EndorserIndex) -> int:
         """Fold the delta into fresh arrays (stage + commit in one step)."""
         return self.commit_compact(self.stage_compact(endorsers))
+
+    def action_arrays(self, tag_ids: Mapping[str, int]
+                      ) -> Dict[str, np.ndarray]:
+        """The frozen log's columns plus the delta's, without materialising.
+
+        Row order is :meth:`actions` order (frozen rows, then the delta in
+        insertion order); ``state.tags`` is re-interned through ``tag_ids``
+        with one table lookup per distinct tag.
+        """
+        with self._lock:
+            state = self._state
+            remap = np.array([tag_ids[tag] for tag in state.tag_table],
+                             dtype=np.int64)
+            delta = self._delta.action_arrays(tag_ids)
+            return {
+                "user_ids": np.concatenate([state.users, delta["user_ids"]]),
+                "item_ids": np.concatenate([state.items, delta["item_ids"]]),
+                "tag_ids": np.concatenate([remap[state.tags],
+                                           delta["tag_ids"]]),
+                "timestamps": np.concatenate([state.timestamps,
+                                              delta["timestamps"]]),
+            }
 
     # -- array-served hot paths (delta-merged) -------------------------- #
     #

@@ -49,7 +49,9 @@ from .arena import (
     ARENA_VERSION,
     LazyRecordList,
     PathLike,
+    _offsets_from_counts,
     _release_mapped_pages,
+    _social_rows,
     write_arena,
 )
 
@@ -166,12 +168,6 @@ def _group_sorted(keys_sorted: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     ends = np.concatenate([boundaries,
                            np.array([keys_sorted.shape[0]], dtype=np.int64)])
     return np.asarray(keys_sorted[starts]), ends - starts
-
-
-def _offsets_from_counts(counts: np.ndarray, length: int) -> np.ndarray:
-    offsets = np.zeros(length + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return offsets
 
 
 def build_arena_streaming(config: DatasetConfig, path: PathLike,
@@ -310,21 +306,18 @@ def _build_into(config: DatasetConfig, path: Path, chunk_size: int,
     arrays["endorser.taggers"] = taggers
 
     # ------------------------------------------------------------------ #
-    # Phase 4: social section from one (tag, user, item) sort.
+    # Phase 4: social section from one (tag, user, item) sort, the same
+    # layout build_arena uses; only the item column is gathered to disk.
     # ------------------------------------------------------------------ #
-    key_tui = (np.asarray(tag_ids_log) * num_users + np.asarray(users_log)) \
-        * num_items + np.asarray(items_log)
-    order = np.argsort(key_tui, kind="stable")
-    social_items = _scratch_memmap(scratch, "social.item_ids", total)
+    order, user_offsets, row_users, segment_offsets = _social_rows(
+        tag_ids_log, users_log, items_log, len(tags))
+    social_items = _scratch_memmap(scratch, "social.item_ids", order.shape[0])
     _gather_into(social_items, items_log, order)
     _release_mapped_pages(social_items)
-    row_keys, row_counts = _group_sorted(key_tui[order] // num_items)
-    del key_tui, order
-    arrays["social.user_offsets"] = _offsets_from_counts(
-        np.bincount(row_keys // num_users, minlength=len(tags)), len(tags))
-    arrays["social.user_ids"] = row_keys % num_users
-    arrays["social.segment_offsets"] = _offsets_from_counts(
-        row_counts, row_counts.shape[0])
+    del order
+    arrays["social.user_offsets"] = user_offsets
+    arrays["social.user_ids"] = row_users
+    arrays["social.segment_offsets"] = segment_offsets
     arrays["social.item_ids"] = social_items
 
     # ------------------------------------------------------------------ #

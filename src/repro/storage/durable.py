@@ -54,7 +54,7 @@ from ..errors import PersistenceError
 from ..obs.faults import fault_point
 from ..obs.metrics import get_registry
 from ..obs.trace import span as obs_span
-from .arena import build_arena, load_dataset_from_arena
+from .arena import _fsync_directory, build_arena, load_dataset_from_arena
 from .dataset import Dataset
 from .updates import DatasetUpdater
 from .wal import WAL_MAGIC, WriteAheadLog, scan_wal, truncate_torn_tail
@@ -66,19 +66,6 @@ MANIFEST_FORMAT = "repro-durable"
 MANIFEST_VERSION = 1
 
 _GENERATION_FILE = re.compile(r"^(gen|wal)-(\d+)\.(arena|log)(\.tmp)?$")
-
-
-def _fsync_directory(directory: Path) -> None:
-    try:
-        fd = os.open(str(directory), os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
 
 
 def read_manifest(directory: PathLike) -> Dict[str, object]:

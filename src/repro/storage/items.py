@@ -7,7 +7,7 @@ optional URL; ranking only ever consults the tagging relation.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
 from ..errors import DuplicateItemError, UnknownItemError
@@ -36,7 +36,8 @@ class Item:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable representation."""
-        return asdict(self)
+        return {"item_id": self.item_id, "title": self.title, "url": self.url,
+                "attributes": dict(self.attributes)}
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "Item":

@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 from bisect import insort
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -118,6 +118,21 @@ class TaggingStore:
 
     def __iter__(self) -> Iterator[TaggingAction]:
         return iter(self._actions)
+
+    def action_arrays(self, tag_ids: Mapping[str, int]
+                      ) -> Dict[str, np.ndarray]:
+        """The actions as int64 columns in insertion order.
+
+        ``user_ids`` / ``item_ids`` / ``tag_ids`` / ``timestamps``, each tag
+        interned through ``tag_ids`` — the arena's ``actions.*`` section.
+        """
+        actions = self._actions
+        return {
+            "user_ids": np.array([a.user_id for a in actions], dtype=np.int64),
+            "item_ids": np.array([a.item_id for a in actions], dtype=np.int64),
+            "tag_ids": np.array([tag_ids[a.tag] for a in actions], dtype=np.int64),
+            "timestamps": np.array([a.timestamp for a in actions], dtype=np.int64),
+        }
 
     def contains(self, user_id: int, item_id: int, tag: str) -> bool:
         """Whether the exact triple has been recorded."""

@@ -6,7 +6,7 @@ this store attaches display metadata and activity summaries to those ids.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
 from ..errors import UnknownUserError
@@ -32,7 +32,8 @@ class User:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable representation."""
-        return asdict(self)
+        return {"user_id": self.user_id, "name": self.name,
+                "attributes": dict(self.attributes)}
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "User":

@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import ProximityConfig, ScoringConfig
@@ -118,6 +118,23 @@ def test_proximity_stream_is_sorted_and_bounded(edges, seeker):
 def test_proximity_symmetry_on_undirected_graph(edges, seeker):
     graph = _graph_from(edges)
     proximity = ShortestPathProximity(graph, ProximityConfig())
+    vector = proximity.vector(seeker)
+    for target, value in vector.items():
+        assert math.isclose(proximity.proximity(target, seeker), value,
+                            rel_tol=1e-9, abs_tol=1e-12)
+
+
+@given(edge_strategy, st.integers(min_value=0, max_value=NUM_USERS - 1))
+@example(edges=[(0, 4, 1.0), (1, 2, 1.0), (1, 4, 1.0), (2, 3, 0.25), (2, 5, 1.0),
+                (3, 5, 1.0)], seeker=0)
+@settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
+def test_proximity_symmetry_when_the_hop_cap_cannot_bind(edges, seeker):
+    # Shortest paths are simple, so NUM_USERS - 1 hops never bind and the
+    # rows are exact best-path products.  The example is a graph where the
+    # default cap does bind and the capped rows are one-sided: 0 reaches 3
+    # over 0-4-1-2-3, but 3 settles 2 over 3-5-2 and never gets back to 0.
+    graph = _graph_from(edges)
+    proximity = ShortestPathProximity(graph, ProximityConfig(max_hops=NUM_USERS - 1))
     vector = proximity.vector(seeker)
     for target, value in vector.items():
         assert math.isclose(proximity.proximity(target, seeker), value,

@@ -21,7 +21,10 @@ def server():
     engine = SocialSearchEngine(dataset)
     service = QueryService(engine, ServiceConfig(port=0))
     httpd = ServiceHTTPServer(("127.0.0.1", 0), service)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    # A short poll interval: shutdown() waits up to one interval for the
+    # serve loop to notice, and this fixture is torn down ~50 times a run.
+    thread = threading.Thread(target=httpd.serve_forever,
+                              kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     yield httpd
     httpd.shutdown()

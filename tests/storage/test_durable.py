@@ -152,6 +152,37 @@ class TestCheckpoint:
         finally:
             recovered.close()
 
+    def test_leaves_the_arena_stores_unmaterialised(self, store):
+        # A checkpoint reads the frozen arrays and the small deltas; it must
+        # never replay the action log into Python objects (or build every
+        # social profile), which is what a served store's RSS would pay.
+        store.updater.add_actions([
+            TaggingAction(0, 100, "rock", timestamp=100),
+            TaggingAction(2, 105, "brand-new-tag", timestamp=101)])
+        assert store.checkpoint()["published"]
+        assert store.checkpoint(force=True)["published"]
+        assert store.dataset.tagging._materialised is False
+        assert store.dataset.social_index._profiles_built is False
+
+    def test_compacts_and_checkpoints_any_int64_item_id(self, store):
+        # /update accepts any int64 item id; the social rebuild in compaction
+        # and in the checkpoint must not depend on the id range.
+        store.updater.add_actions([
+            TaggingAction(0, 2 ** 50, "rock", timestamp=100),
+            TaggingAction(1, 2 ** 62, "jazz", timestamp=101)])
+        store.updater.compact()
+        assert store.dataset.social_index.items_for(0, "rock")[-1] == 2 ** 50
+        assert store.checkpoint(force=True)["published"]
+        directory = store.directory
+        store.close()
+        recovered = DurableStore.open(directory)
+        try:
+            social = recovered.dataset.social_index
+            assert 2 ** 50 in social.items_for(0, "rock")
+            assert 2 ** 62 in social.items_for(1, "jazz")
+        finally:
+            recovered.close()
+
     def test_skips_when_nothing_changed(self, store):
         assert store.checkpoint() == {"published": False, "generation": 0,
                                       "folded": 0}
