@@ -11,10 +11,10 @@ main flows without writing any Python:
   (storage backing, proximity path, executor, frontier bound) without
   executing it.
 * ``repro bench`` — run a small latency/quality comparison over a workload,
-  or the headless suites (``--suite topk`` / ``proximity`` / ``updates`` /
-  ``durability`` / ``scale``).
-* ``repro build-arena`` — serialise a dataset (and optionally materialized
-  proximity shards) into the memory-mapped index arena.
+  or the headless suites (``--suite topk`` / ``updates`` / ``durability`` /
+  ``scale``).
+* ``repro build-arena`` — serialise a dataset into the memory-mapped index
+  arena.
 * ``repro serve`` — expose a dataset behind the concurrent JSON HTTP API
   (``--arena`` for mmap cold start, ``--warmup N`` for cache pre-population).
 * ``repro profile`` — cProfile the per-query path (``engine.run_many``, what
@@ -53,11 +53,7 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
         algorithm=args.algorithm,
         scoring=ScoringConfig(alpha=args.alpha,
                               vectorized=not getattr(args, "scalar", False)),
-        proximity=ProximityConfig(
-            measure=args.proximity,
-            materialize=getattr(args, "materialize", False),
-            cluster_rounds=getattr(args, "cluster_rounds", 5),
-        ),
+        proximity=ProximityConfig(measure=args.proximity),
     )
 
 
@@ -135,8 +131,6 @@ def _command_explain(args: argparse.Namespace) -> int:
 
     dataset = _load_serving_dataset(args)
     engine = SocialSearchEngine(dataset, _engine_config(args))
-    if args.materialize and args.build_shards:
-        engine.proximity.build()
     query = Query(seeker=args.seeker, tags=tuple(args.tags), k=args.k)
     plan = engine.explain_plan(query, algorithm=args.algorithm)
     print(plan.describe())
@@ -198,8 +192,6 @@ def _run_bench_suite(args: argparse.Namespace) -> int:
         print("--scalar has no effect with --suite: the suite benchmarks "
               "both the vectorized and the scalar exact path")
         return 1
-    if args.suite == "proximity":
-        return _run_proximity_suite(args)
     if args.suite == "updates":
         return _run_updates_suite(args)
     if args.suite == "durability":
@@ -240,42 +232,6 @@ def _run_bench_suite(args: argparse.Namespace) -> int:
                   f"{args.max_trace_overhead:.3f}x instrumentation budget "
                   "(tracer state leaking into the disabled path?)")
             return 1
-    return 0
-
-
-def _run_proximity_suite(args: argparse.Namespace) -> int:
-    """Materialization/arena suite with its equivalence gate."""
-    from .eval.bench import format_proximity_report, run_proximity_suite, write_report
-
-    measure = args.proximity
-    if measure == "shortest-path":
-        # The committed report and its CI gate track the PPR comparison
-        # (the paper's materialization case); run_proximity_suite(
-        # measure="shortest-path") measures the server's default measure.
-        measure = "ppr"
-        print("proximity suite: using measure 'ppr' "
-              "(the committed cold-seeker comparison)")
-    report = run_proximity_suite(
-        num_users=args.users,
-        num_queries=args.queries,
-        k=args.k,
-        rounds=args.rounds,
-        alpha=args.alpha,
-        measure=measure,
-        seed=args.seed,
-    )
-    print(format_proximity_report(report))
-    if args.json:
-        path = write_report(report, args.json)
-        print(f"wrote {path}")
-    if not report["equivalent"]:
-        print("FAIL: materialized rankings diverge from the online path")
-        return 1
-    speedup = float(report["speedup_cold_seeker"])
-    if args.min_speedup > 0.0 and speedup < args.min_speedup:
-        print(f"FAIL: cold-seeker speedup {speedup:.2f}x is below the "
-              f"required {args.min_speedup:.2f}x")
-        return 1
     return 0
 
 
@@ -417,20 +373,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     else:
         dataset = _load_serving_dataset(args)
     engine = SocialSearchEngine(dataset, _engine_config(args))
-    if getattr(args, "arena", None) and args.materialize:
-        from .errors import PersistenceError
-        from .proximity import MaterializedProximity
-        from .storage.arena import attach_shards
-
-        if isinstance(engine.proximity, MaterializedProximity):
-            try:
-                if attach_shards(engine.proximity, args.arena):
-                    print(f"attached {engine.proximity.num_rows()} materialized "
-                          f"proximity rows from {args.arena}")
-            except PersistenceError as exc:
-                # Mixed measures would silently serve two proximity
-                # semantics; refine lazily with the engine's measure instead.
-                print(f"not attaching arena shards: {exc}")
     config = ServiceConfig(
         cache_capacity=args.cache_capacity,
         cache_ttl_seconds=args.ttl,
@@ -448,7 +390,7 @@ def _command_serve(args: argparse.Namespace) -> int:
               f"requests, retaining the last {args.trace_capacity} traces "
               "(GET /trace/<X-Request-Id>)")
     if args.warmup > 0:
-        # Pre-populate the proximity cache/shards for the hottest seekers of
+        # Pre-populate the proximity cache for the hottest seekers of
         # the workload trace before accepting traffic.
         if args.trace:
             from .workload.trace import load_queries
@@ -604,10 +546,6 @@ def _command_build_arena(args: argparse.Namespace) -> int:
         from .storage.arena_stream import build_arena_streaming
         from .workload.datasets import scaled_config
 
-        if args.materialize:
-            print("--stream does not support --materialize (proximity "
-                  "shards are built from a loaded arena instead)")
-            return 1
         config = scaled_config(args.users, seed=args.seed)
         started = _time.perf_counter()
         path = build_arena_streaming(config, args.output,
@@ -620,22 +558,8 @@ def _command_build_arena(args: argparse.Namespace) -> int:
         return 0
 
     dataset = delicious_like(scale=args.scale, seed=args.seed)
-    proximity = None
-    if args.materialize:
-        from .config import ProximityConfig as _ProximityConfig
-        from .proximity import MaterializedProximity, create_proximity
-
-        measure = create_proximity(args.proximity, dataset.graph,
-                                   _ProximityConfig(measure=args.proximity))
-        proximity = MaterializedProximity(measure,
-                                          cluster_rounds=args.cluster_rounds)
-        started = _time.perf_counter()
-        rows = proximity.build()
-        print(f"materialized {rows} proximity rows in "
-              f"{(_time.perf_counter() - started) * 1000.0:.1f} ms "
-              f"({len(proximity.shards())} clusters)")
     started = _time.perf_counter()
-    path = build_arena(dataset, args.output, proximity=proximity)
+    path = build_arena(dataset, args.output)
     elapsed = (_time.perf_counter() - started) * 1000.0
     size = path.stat().st_size
     print(f"wrote arena {path} ({size} bytes) in {elapsed:.1f} ms: "
@@ -723,14 +647,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--algorithms", nargs="*", default=None,
                        help="algorithms to measure (both modes)")
     bench.add_argument("--suite", nargs="?", const="topk", default=None,
-                       choices=("topk", "proximity", "updates", "durability",
-                                "scale"),
+                       choices=("topk", "updates", "durability", "scale"),
                        help="run a headless bench_fig*-style suite: 'topk' "
                             "(p50/p95/qps + vectorized-vs-scalar speedup; "
-                            "the default when no value is given), "
-                            "'proximity' (materialized shards vs online "
-                            "computation and arena cold start, with "
-                            "an exact-equivalence gate), 'updates' "
+                            "the default when no value is given), 'updates' "
                             "(interleaved query/update trace over an "
                             "arena-backed dataset: post- vs pre-update p50 "
                             "plus a fresh-rebuild equivalence gate) or "
@@ -753,10 +673,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="suite: write the machine-readable report here "
                             "(e.g. benchmarks/results/BENCH_topk.json)")
     bench.add_argument("--min-speedup", type=float, default=0.0,
-                       help="suite: exit non-zero when the suite's headline "
-                            "speedup (vectorized exact for 'topk', cold "
-                            "seeker for 'proximity') falls below this "
-                            "factor (CI smoke gate)")
+                       help="topk suite: exit non-zero when the vectorized "
+                            "exact speedup falls below this factor (CI "
+                            "smoke gate)")
     bench.add_argument("--max-p50-ratio", type=float, default=0.0,
                        help="updates suite: exit non-zero when the "
                             "post-update query p50 exceeds this multiple "
@@ -798,21 +717,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     build_arena = subparsers.add_parser(
         "build-arena", help="serialise a dataset into the memory-mapped "
-                            "index arena (optionally with materialized "
-                            "proximity shards)")
+                            "index arena")
     build_arena.add_argument("output", help="arena file to create")
     build_arena.add_argument("--scale", type=float, default=0.3,
                              help="synthetic delicious-like dataset scale "
                                   "(default: 0.3)")
     build_arena.add_argument("--seed", type=int, default=7)
-    build_arena.add_argument("--materialize", action="store_true",
-                             help="precompute per-cluster proximity shards "
-                                  "and store them in the arena")
-    build_arena.add_argument("--proximity", default="ppr",
-                             help="measure to materialize (default: ppr)")
-    build_arena.add_argument("--cluster-rounds", type=int, default=5,
-                             help="label-propagation rounds for the seeker "
-                                  "partition (default: 5)")
     build_arena.add_argument("--stream", action="store_true",
                              help="build out-of-core: generate a scaled "
                                   "synthetic corpus (--users) chunk-at-a-"
@@ -842,12 +752,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="synthetic dataset scale when no arena is "
                               "given")
     explain.add_argument("--seed", type=int, default=7)
-    explain.add_argument("--materialize", action="store_true",
-                         help="wrap proximity in materialized shards before "
-                              "planning")
-    explain.add_argument("--build-shards", action="store_true",
-                         help="with --materialize: build the shards so the "
-                              "plan shows the shard-served bound estimates")
     explain.add_argument("--analyze", action="store_true",
                          help="execute the query under a tracer and print "
                               "the recorded span tree — per-stage timings "
@@ -885,17 +789,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "once N delta actions are pending (0 disables "
                             "background compaction; default: 2048)")
     serve.add_argument("--warmup", type=int, default=0, metavar="N",
-                       help="pre-populate the proximity cache/shards for the "
+                       help="pre-populate the proximity cache for the "
                             "N most frequent seekers of the workload trace "
                             "before accepting traffic (default: 0 = off)")
     serve.add_argument("--trace", default=None,
                        help="query trace (JSON lines) supplying the --warmup "
                             "seeker frequencies; defaults to a synthetic "
                             "workload over the served dataset")
-    serve.add_argument("--materialize", action="store_true",
-                       help="serve proximity from materialized shards "
-                            "(attached from --arena when present, refined "
-                            "lazily otherwise)")
     serve.add_argument("--trace-sample-rate", type=float, default=None,
                        metavar="RATE",
                        help="enable end-to-end query tracing, sampling this "
@@ -919,8 +819,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "power loss), 'interval' amortises syncs, "
                             "'off' leaves it to the OS page cache "
                             "(default: always)")
-    serve.add_argument("--cluster-rounds", type=int, default=5,
-                       help=argparse.SUPPRESS)
     _add_engine_arguments(serve)
     serve.set_defaults(handler=_command_serve)
 

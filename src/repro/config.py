@@ -86,15 +86,6 @@ class ProximityConfig:
     cache_size:
         Number of seeker proximity vectors kept in the LRU cache
         (0 disables caching).
-    materialize:
-        Wrap the measure in
-        :class:`~repro.proximity.materialized.MaterializedProximity`: exact
-        per-seeker proximity rows are served from per-cluster shards
-        (precomputed offline) and refined lazily through the online measure
-        for seekers the shards do not cover.  The LRU cache wrapper is
-        skipped in this mode — shard lookups are already O(touch).
-    cluster_rounds:
-        Label-propagation rounds used to partition seekers into shards.
     """
 
     measure: str = "shortest-path"
@@ -105,8 +96,6 @@ class ProximityConfig:
     ppr_iterations: int = 30
     ppr_tolerance: float = 1e-8
     cache_size: int = 128
-    materialize: bool = False
-    cluster_rounds: int = 5
 
     def __post_init__(self) -> None:
         _require(bool(self.measure), "measure name must be a non-empty string")
@@ -117,8 +106,6 @@ class ProximityConfig:
         _require(self.ppr_iterations >= 1, "ppr_iterations must be >= 1")
         _require(self.ppr_tolerance > 0.0, "ppr_tolerance must be positive")
         _require(self.cache_size >= 0, "cache_size must be non-negative")
-        _require(self.cluster_rounds >= 1,
-                 f"cluster_rounds must be >= 1, got {self.cluster_rounds}")
 
     def to_dict(self) -> Dict[str, object]:
         return asdict(self)

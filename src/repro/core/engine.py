@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..config import EngineConfig
 from ..obs import trace as obs_trace
-from ..proximity import CachedProximity, MaterializedProximity, create_proximity
+from ..proximity import CachedProximity, create_proximity
 from ..proximity.base import ProximityMeasure
 from ..storage.dataset import Dataset
 from .plan import ExecutionPlan, QueryPlanner
@@ -52,13 +52,7 @@ class SocialSearchEngine:
         if proximity is None:
             proximity = create_proximity(self._config.proximity.measure,
                                          dataset.graph, self._config.proximity)
-            if self._config.proximity.materialize:
-                # Shard-served proximity replaces the LRU cache: a shard row
-                # lookup is already O(touch), and lazy refinements are
-                # memoised in the shard overlay.
-                proximity = MaterializedProximity(
-                    proximity, cluster_rounds=self._config.proximity.cluster_rounds)
-            elif self._config.proximity.cache_size > 0:
+            if self._config.proximity.cache_size > 0:
                 proximity = CachedProximity(proximity,
                                             capacity=self._config.proximity.cache_size)
         self._proximity = proximity

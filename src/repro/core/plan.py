@@ -1,8 +1,8 @@
 """The query planner: every execution-path choice, made explicit.
 
 Four PRs of optimisation left the engine with many implicit execution
-paths — scalar vs vectorized scoring, online vs cached vs materialized
-proximity, python-dict vs arena-array storage (with or without pending
+paths — scalar vs vectorized scoring, online vs cached proximity,
+python-dict vs arena-array storage (with or without pending
 delta overlays) — chosen by ``if`` checks scattered across
 ``SocialSearchEngine`` and ``QueryService``.
 
@@ -83,8 +83,7 @@ class QueryPlanner:
 
     The planner holds only a reference to its engine; every ``plan`` call
     re-reads the *live* signals that can change under it (pending delta
-    size, whether proximity shards are built), so plans stay truthful while
-    updates stream in.
+    size), so plans stay truthful while updates stream in.
     """
 
     def __init__(self, engine) -> None:
@@ -114,11 +113,7 @@ class QueryPlanner:
 
     def proximity_path(self) -> str:
         """How proximity vectors are served, as a short route name."""
-        proximity = self._engine.proximity
-        kind = type(proximity).__name__
-        if kind == "MaterializedProximity":
-            return "materialized" if proximity.built else "materialized-lazy"
-        if kind == "CachedProximity":
+        if type(self._engine.proximity).__name__ == "CachedProximity":
             return "cached"
         return "online"
 

@@ -30,6 +30,18 @@ def int_field(value: Any, name: str) -> int:
     return int(value)
 
 
+def tag_field(value: Any, name: str) -> str:
+    """A tag record field: a non-blank JSON string, as a query's tags are.
+
+    A ``null``, a number or a blank string is the caller's mistake and a
+    ``ValueError`` — stored, it would be a tag no query can ask for.
+    """
+    if not isinstance(value, str) or not value.strip():
+        raise ValueError(f"field {name!r} must be a non-blank string, "
+                         f"got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Query:
     """A top-k social search request.

@@ -54,7 +54,7 @@ class SocialFrontier:
 
     The underlying ranked stream is opened *lazily*: when the proximity
     measure can answer :meth:`~repro.proximity.base.ProximityMeasure.frontier_bound`
-    cheaply (a materialized shard row, a warm cache entry), the peeks that
+    cheaply (a warm cache entry), the peeks that
     drive termination tests — :meth:`next_proximity` / :meth:`exhausted` —
     are served from that bound, and the stream (which for some measures
     materialises and sorts the full proximity vector) is only built once a

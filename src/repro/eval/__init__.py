@@ -24,10 +24,8 @@ from .timing import (
 )
 from .runner import AlgorithmReport, ExperimentRunner, WorkloadReport, sweep
 from .bench import (
-    format_proximity_report,
     format_report,
     format_updates_report,
-    run_proximity_suite,
     run_topk_suite,
     run_updates_suite,
     write_report,
@@ -60,12 +58,10 @@ __all__ = [
     "AlgorithmReport",
     "WorkloadReport",
     "sweep",
-    "run_proximity_suite",
     "run_scale_suite",
     "run_topk_suite",
     "run_updates_suite",
     "write_report",
-    "format_proximity_report",
     "format_report",
     "format_scale_report",
     "format_updates_report",

@@ -5,26 +5,21 @@ pytest and emits machine-readable JSON documents so the performance
 trajectory of the engine can be tracked commit over commit
 (``benchmarks/results/BENCH_*.json`` in this repo).
 
-Four suites (``scale`` lives in :mod:`repro.eval.scale`):
+Three suites (``scale`` lives in :mod:`repro.eval.scale`):
 
 * ``topk`` — per-query latency across algorithms plus vectorized vs scalar
   exact scoring on the Figure-6 medium corpus (PR 2's kernel layer);
-* ``proximity`` — the offline/online materialization trade-off: cold-seeker
-  latency with shard-served vs online-computed proximity, mmap-arena cold
-  start, and a strict equivalence check (rankings *and* access accounting)
-  across the online and materialized paths that doubles as a CI gate;
 * ``updates`` — the live-update write path: an interleaved query/update
-  trace over an arena-backed, shard-served dataset, reporting post-update
-  vs pre-update query p50 (the delta overlays + incremental shard repair
-  must keep the fast path) and gating on exact equivalence with a dataset
-  rebuilt from scratch after the same updates, for the online and
-  materialized execution paths;
+  trace over an arena-backed dataset served through a proximity cache,
+  reporting post-update vs pre-update query p50 (the delta overlays +
+  selective cache invalidation must keep the fast path) and gating on
+  exact equivalence with a dataset rebuilt from scratch after the same
+  updates, for the online and cached proximity paths;
 * ``durability`` — the crash-safety story: a chaos sweep that kills the
   durable write path at every named fault-injection point (plus a torn
   final WAL record), recovers each directory, and gates on **zero
   acknowledged updates lost** and bit-identical recovered reads vs a
-  from-scratch rebuild, across the online/materialized paths;
-  also measures WAL fsync-policy overhead, replay latency, and that
+  from-scratch rebuild; also measures WAL fsync-policy overhead, replay latency, and that
   concurrent queries see no downtime during a generation swap.
 """
 
@@ -244,118 +239,6 @@ def _measure_instrumentation(engine: SocialSearchEngine,
 _result_signature = result_signature
 
 
-def run_proximity_suite(num_users: int = MEDIUM_USERS, num_queries: int = 20,
-                        k: int = 10, rounds: int = 3, alpha: float = 0.5,
-                        measure: str = "ppr",
-                        algorithms: Sequence[str] = ("exact", "social-first"),
-                        seed: int = 23) -> Dict[str, object]:
-    """Run the materialization/arena suite; returns the JSON report.
-
-    The headline number, ``speedup_cold_seeker``, is the p50 latency of
-    online proximity computation (no cache, every query recomputes, e.g. a
-    PPR power iteration) over the p50 latency with prebuilt materialized
-    shards.  ``cold_start`` records the mmap-arena load time and file size
-    for the same corpus.
-
-    ``equivalent`` is a hard correctness verdict: rankings, scores and
-    access accounting must be identical across the online and materialized
-    execution paths for every query and algorithm measured.
-    """
-    dataset = scaled_dataset(num_users, seed=seed, homophily=0.5)
-    queries = dataset_workload(dataset, num_queries=num_queries, k=k, seed=3)
-
-    def online_engine() -> SocialSearchEngine:
-        # cache_size=0: every query is a cold seeker paying the full online
-        # proximity computation — the "no precomputation" end of the
-        # trade-off.
-        return _engine_with(dataset, ProximityConfig(measure=measure, cache_size=0),
-                            alpha)
-
-    def materialized_engine() -> SocialSearchEngine:
-        return _engine_with(
-            dataset,
-            ProximityConfig(measure=measure, materialize=True, cluster_rounds=5),
-            alpha)
-
-    report: Dict[str, object] = {
-        "suite": "proximity",
-        "dataset": {
-            "name": dataset.name,
-            "num_users": dataset.num_users,
-            "num_items": dataset.num_items,
-            "num_tags": dataset.num_tags,
-            "num_actions": dataset.num_actions,
-        },
-        "workload": {"num_queries": len(queries), "k": k, "rounds": rounds,
-                     "alpha": alpha, "proximity": measure},
-        "platform": {"python": platform.python_version(),
-                     "machine": platform.machine()},
-    }
-
-    # 1. Cold-seeker latency: online per-query computation vs shard lookup.
-    # Each query keeps its *minimum* across rounds — the intrinsic cost with
-    # scheduler/allocator noise stripped — and the distribution summary runs
-    # over those per-query minima.
-    online = online_engine()
-    online_samples = _best_of_rounds(online, queries, rounds)
-
-    materialized = materialized_engine()
-    build_started = time.perf_counter()
-    rows_built = materialized.proximity.build()
-    build_seconds = time.perf_counter() - build_started
-    materialized_samples = _best_of_rounds(materialized, queries, rounds)
-    report["cold_seeker"] = {
-        "online": _summarise(online_samples),
-        "materialized": _summarise(materialized_samples),
-        "offline_build_seconds": build_seconds,
-        "rows_built": rows_built,
-        "shard_bytes": materialized.proximity.memory_bytes(),
-    }
-    online_p50 = report["cold_seeker"]["online"]["p50_ms"]  # type: ignore[index]
-    materialized_p50 = report["cold_seeker"]["materialized"]["p50_ms"]  # type: ignore[index]
-    report["speedup_cold_seeker"] = (
-        float(online_p50) / float(materialized_p50) if materialized_p50 else 0.0)
-
-    # 2. Cold start: mmap arena load.
-    from ..storage.arena import build_arena
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-") as scratch:
-        arena_path = Path(scratch) / "dataset.arena"
-        build_arena(dataset, arena_path, proximity=materialized.proximity)
-        repeats = max(3, rounds)
-        arena_seconds = min(
-            _timed(lambda: Dataset.from_arena(arena_path)) for _ in range(repeats))
-        arena_bytes = arena_path.stat().st_size
-        # Prove the mapped dataset actually serves queries before timing is
-        # trusted: one query through a fresh arena-backed engine.
-        arena_engine = _engine_with(Dataset.from_arena(arena_path),
-                                    ProximityConfig(measure=measure), alpha)
-        arena_engine.run(queries[0], algorithm="exact")
-    report["cold_start"] = {
-        "arena_ms": arena_seconds * 1000.0,
-        "arena_bytes": arena_bytes,
-    }
-
-    # 3. Equivalence gate: identical rankings, scores and access accounting
-    # with proximity computed online and served from materialized shards.
-    verify_materialized = materialized_engine()
-    verify_materialized.proximity.build()
-    mismatches = _path_mismatches(
-        online_engine(), {"materialized": verify_materialized},
-        queries, algorithms)
-    report["equivalence"] = {
-        "algorithms": list(algorithms),
-        # "online" is the baseline the materialized path is compared with.
-        "paths": ["online", "materialized"],
-        "queries_checked": len(queries) * len(algorithms),
-        "mismatches": mismatches[:10],
-        "num_mismatches": len(mismatches),
-    }
-    report["equivalent"] = not mismatches
-    report["memory"] = memory_summary()
-    return report
-
-
 def run_updates_suite(num_users: int = MEDIUM_USERS, num_queries: int = 20,
                       k: int = 10, rounds: int = 3, alpha: float = 0.5,
                       measure: str = "katz", seed: int = 23,
@@ -366,19 +249,21 @@ def run_updates_suite(num_users: int = MEDIUM_USERS, num_queries: int = 20,
     """Run the live-update suite; returns the JSON-serialisable report.
 
     The scenario is the paper's serving story under churn: an arena-backed
-    dataset with materialized proximity shards keeps answering top-k
-    queries while tagging actions and friendships stream in through
+    dataset with cached proximity rows keeps answering top-k queries while
+    tagging actions and friendships stream in through
     :class:`~repro.storage.updates.DatasetUpdater` (watched by a
     :class:`~repro.service.QueryService`, which drives selective
-    invalidation and eager shard repair).  Headline numbers:
+    invalidation of the cached rows).  Headline numbers:
 
-    * ``p50_ratio`` — post-update over pre-update query p50.  Before the
-      delta-overlay write path, the first mutation collapsed every
-      array-backed structure to the scalar fallback; the ratio is the
-      regression gate for that cliff.
+    * ``p50_ratio`` — post-update over pre-update query p50, both read with
+      warm proximity rows.  Before the delta-overlay write path, the first
+      mutation collapsed every array-backed structure to the scalar
+      fallback; the ratio is the regression gate for that cliff.
+    * ``first_read_ratio`` — the same for the first read of each query
+      after a batch, which recomputes the rows the batch invalidated.
     * ``equivalent`` — post-update rankings, scores and access accounting
       must be identical to a dataset rebuilt from scratch from the merged
-      action/edge log, for the online and materialized execution paths.
+      action/edge log, for the online and cached proximity paths.
 
     Mid-trace the delta overlays are compacted once (the epoch swap), so
     both the merged and the freshly-folded read paths are measured.
@@ -420,9 +305,7 @@ def run_updates_suite(num_users: int = MEDIUM_USERS, num_queries: int = 20,
         arena_path = Path(scratch) / "dataset.arena"
         build_arena(base, arena_path)
         live = Dataset.from_arena(arena_path)
-        engine = _engine_with(
-            live, ProximityConfig(measure=measure, materialize=True), alpha)
-        engine.proximity.build()
+        engine = _engine_with(live, ProximityConfig(measure=measure), alpha)
         updater = DatasetUpdater(live)
         service = QueryService(engine, ServiceConfig(
             cache_capacity=0, cache_ttl_seconds=0.0), updater=updater)
@@ -431,13 +314,14 @@ def run_updates_suite(num_users: int = MEDIUM_USERS, num_queries: int = 20,
 
         # Interleave update batches with full query passes.  Tagging
         # actions dominate (the common live update); every batch also adds
-        # a few friendships, exercising the incremental shard repair.
+        # a few friendships, exercising the selective row invalidation.
         rng = np.random.default_rng(seed)
         tags = live.tags()
         added_actions = []
         added_edges = []
         next_item = max(base_items) + 1
         timestamp = 1_000_000
+        best_first = [float("inf")] * len(queries)
         best_post = [float("inf")] * len(queries)
         update_seconds = 0.0
         compaction_seconds = 0.0
@@ -472,19 +356,26 @@ def run_updates_suite(num_users: int = MEDIUM_USERS, num_queries: int = 20,
                 started = time.perf_counter()
                 updater.compact()
                 compaction_seconds = time.perf_counter() - started
-            for position, query in enumerate(queries):
-                started = time.perf_counter()
-                engine.run(query, algorithm="exact")
-                elapsed = time.perf_counter() - started
-                if elapsed < best_post[position]:
-                    best_post[position] = elapsed
+            # The first pass recomputes the rows the batch invalidated; the
+            # second reads them warm, as the pre-update passes do.
+            for best in (best_first, best_post):
+                for position, query in enumerate(queries):
+                    started = time.perf_counter()
+                    engine.run(query, algorithm="exact")
+                    elapsed = time.perf_counter() - started
+                    if elapsed < best[position]:
+                        best[position] = elapsed
 
-        shards = engine.proximity
         report["pre_update"] = _summarise(pre_samples)
         report["post_update"] = _summarise(best_post)
-        pre_p50 = report["pre_update"]["p50_ms"]  # type: ignore[index]
-        post_p50 = report["post_update"]["p50_ms"]  # type: ignore[index]
-        report["p50_ratio"] = float(post_p50) / float(pre_p50) if pre_p50 else 0.0
+        report["first_read_after_update"] = _summarise(best_first)
+        pre_p50 = float(report["pre_update"]["p50_ms"])  # type: ignore[index]
+        report["p50_ratio"] = (
+            float(report["post_update"]["p50_ms"]) / pre_p50  # type: ignore[index]
+            if pre_p50 else 0.0)
+        report["first_read_ratio"] = (
+            float(report["first_read_after_update"]["p50_ms"]) / pre_p50  # type: ignore[index]
+            if pre_p50 else 0.0)
         report["updates"] = {
             "batches": update_batches,
             "actions_added": len(added_actions),
@@ -493,14 +384,13 @@ def run_updates_suite(num_users: int = MEDIUM_USERS, num_queries: int = 20,
             "compaction_ms": compaction_seconds * 1000.0,
             "epoch": updater.epoch,
             "pending_delta": updater.pending_delta(),
-            "shard_rows": shards.num_rows(),
-            "shard_repairs": shards.statistics.repairs,
         }
         service.close()
 
         # Equivalence gate: the live (updated in place) dataset must answer
         # exactly like a dataset rebuilt from scratch from the merged logs,
-        # across the online and materialized execution paths.
+        # with proximity computed online and served from the cache the
+        # service invalidated.
         builder = SocialGraphBuilder(live.num_users)
         for u, v, w in base_edges:
             builder.add_edge(u, v, w)
@@ -513,11 +403,11 @@ def run_updates_suite(num_users: int = MEDIUM_USERS, num_queries: int = 20,
         live_online = _engine_with(
             live, ProximityConfig(measure=measure, cache_size=0), alpha)
         mismatches = _path_mismatches(
-            fresh_online, {"online": live_online, "materialized": engine},
+            fresh_online, {"online": live_online, "cached": engine},
             queries, algorithms)
     report["equivalence"] = {
         "algorithms": list(algorithms),
-        "paths": ["online", "materialized"],
+        "paths": ["online", "cached"],
         "queries_checked": len(queries) * len(algorithms) * 2,
         "mismatches": mismatches[:10],
         "num_mismatches": len(mismatches),
@@ -539,12 +429,13 @@ def format_updates_report(report: Dict[str, object]) -> str:
         f"query p50      pre-update {report['pre_update']['p50_ms']:.3f} ms"  # type: ignore[index]
         f" | post-update {report['post_update']['p50_ms']:.3f} ms"  # type: ignore[index]
         f" | ratio {report['p50_ratio']:.2f}x",
+        f"first read     after each batch "
+        f"{report['first_read_after_update']['p50_ms']:.3f} ms"  # type: ignore[index]
+        f" | ratio {report['first_read_ratio']:.2f}x (recomputes invalidated rows)",
         f"updates        {updates['actions_added']} actions + "  # type: ignore[index]
         f"{updates['edges_added']} edges in {updates['update_ms']:.1f} ms"  # type: ignore[index]
         f" | compaction {updates['compaction_ms']:.1f} ms"  # type: ignore[index]
         f" (epoch {updates['epoch']}, {updates['pending_delta']} pending)",  # type: ignore[index]
-        f"shards         {updates['shard_rows']} rows kept, "  # type: ignore[index]
-        f"{updates['shard_repairs']} repaired in place",  # type: ignore[index]
         f"equivalence    {'OK' if report['equivalent'] else 'FAILED'} "
         f"({report['equivalence']['queries_checked']} checks vs fresh "  # type: ignore[index]
         f"rebuild, {report['equivalence']['num_mismatches']} mismatches)",  # type: ignore[index]
@@ -595,8 +486,7 @@ def run_durability_suite(num_users: int = MEDIUM_USERS, num_queries: int = 10,
       fsync policy this count must be exactly 0.
     * ``equivalent`` — the recovered store must answer queries
       bit-identically (rankings, scores, access accounting) to a dataset
-      rebuilt from scratch from base + the durable log, across the
-      online and materialized execution paths; and the
+      rebuilt from scratch from base + the durable log; and the
       concurrent-query thread of the generation-swap check must complete
       with zero errors (no downtime during a checkpoint).
 
@@ -771,12 +661,8 @@ def run_durability_suite(num_users: int = MEDIUM_USERS, num_queries: int = 10,
             live_online = _engine_with(
                 recovered.dataset,
                 ProximityConfig(measure=measure, cache_size=0), alpha)
-            served = _engine_with(
-                recovered.dataset,
-                ProximityConfig(measure=measure, materialize=True), alpha)
-            served.proximity.build()
             scenario_mismatches = _path_mismatches(
-                fresh_online, {"online": live_online, "materialized": served},
+                fresh_online, {"online": live_online},
                 queries, algorithms, point=point)
             all_mismatches.extend(scenario_mismatches)
             recovered.close()
@@ -906,8 +792,8 @@ def run_durability_suite(num_users: int = MEDIUM_USERS, num_queries: int = 10,
     report["replay"] = replay
     report["equivalence"] = {
         "algorithms": list(algorithms),
-        "paths": ["online", "materialized"],
-        "queries_checked": len(queries) * len(algorithms) * 2
+        "paths": ["online"],
+        "queries_checked": len(queries) * len(algorithms)
         * len(scenario_rows),
         "mismatches": all_mismatches[:10],
         "num_mismatches": len(all_mismatches),
@@ -989,7 +875,7 @@ def _path_mismatches(baseline: SocialSearchEngine,
                      **labels: object) -> List[Dict[str, object]]:
     """Every answer of a ``{path name: engine}`` that differs from ``baseline``'s.
 
-    The equivalence gate of the proximity, updates and durability suites:
+    The equivalence gate of the updates and durability suites:
     each engine answers each query with each algorithm through
     ``engine.run``, and the result signatures (rankings, scores, access
     accounting) must equal the baseline engine's.  ``labels`` (the fault
@@ -1021,38 +907,6 @@ def _engine_with(dataset: Dataset, proximity: ProximityConfig,
         scoring=ScoringConfig(alpha=alpha, vectorized=True),
         proximity=proximity,
     ))
-
-
-def _timed(thunk) -> float:
-    started = time.perf_counter()
-    thunk()
-    return time.perf_counter() - started
-
-
-def format_proximity_report(report: Dict[str, object]) -> str:
-    """Human-readable one-screen summary of a proximity-suite report."""
-    cold = report["cold_seeker"]
-    start = report["cold_start"]
-    lines = [
-        "proximity materialization suite "
-        f"({report['dataset']['num_users']} users, "  # type: ignore[index]
-        f"{report['workload']['num_queries']} queries x "  # type: ignore[index]
-        f"{report['workload']['rounds']} rounds, "  # type: ignore[index]
-        f"measure={report['workload']['proximity']})",  # type: ignore[index]
-        f"cold seeker   online p50 {cold['online']['p50_ms']:.3f} ms"  # type: ignore[index]
-        f" | materialized p50 {cold['materialized']['p50_ms']:.3f} ms"  # type: ignore[index]
-        f" | speedup {report['speedup_cold_seeker']:.2f}x",
-        f"cold start    arena {start['arena_ms']:.2f} ms"  # type: ignore[index]
-        f" ({start['arena_bytes']} bytes)",  # type: ignore[index]
-        f"offline build {cold['offline_build_seconds'] * 1000.0:.1f} ms"  # type: ignore[index]
-        f" for {cold['rows_built']} rows"  # type: ignore[index]
-        f" ({cold['shard_bytes']} bytes)",  # type: ignore[index]
-        f"equivalence   {'OK' if report['equivalent'] else 'FAILED'} "
-        f"({report['equivalence']['queries_checked']} checks, "  # type: ignore[index]
-        f"{report['equivalence']['num_mismatches']} mismatches)",  # type: ignore[index]
-    ]
-    lines.extend(_memory_line(report))
-    return "\n".join(lines)
 
 
 def _memory_line(report: Dict[str, object]) -> List[str]:

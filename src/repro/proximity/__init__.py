@@ -16,12 +16,6 @@ from .neighbourhood import (
 )
 from .landmarks import LandmarkProximity, select_landmarks
 from .cache import CachedProximity, CacheStatistics
-from .materialized import (
-    MaterializedProximity,
-    MaterializedStatistics,
-    ProximityShard,
-    materialize_measure,
-)
 
 __all__ = [
     "ProximityMeasure",
@@ -40,8 +34,4 @@ __all__ = [
     "select_landmarks",
     "CachedProximity",
     "CacheStatistics",
-    "MaterializedProximity",
-    "MaterializedStatistics",
-    "ProximityShard",
-    "materialize_measure",
 ]

@@ -111,7 +111,7 @@ class ProximityMeasure(ABC):
 
         When a measure can answer "how proximate is the seeker's closest
         friend?" without materialising the ranked stream (a cached dense
-        array, a materialized shard row), it returns that exact maximum here
+        array), it returns that exact maximum here
         and :class:`~repro.core.topk.sources.SocialFrontier` defers opening
         the stream until a friend is actually visited.  The value must equal
         the first ranked proximity bit for bit — callers use it in

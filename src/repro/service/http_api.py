@@ -53,7 +53,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from ..core.query import Query, int_field
+from ..core.query import Query, int_field, tag_field
 from ..errors import ReproError
 from ..obs import trace as obs_trace
 from ..storage.tagging import TaggingAction
@@ -270,7 +270,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             TaggingAction(
                 user_id=int_field(entry["user_id"], "user_id"),
                 item_id=int_field(entry["item_id"], "item_id"),
-                tag=str(entry["tag"]),
+                tag=tag_field(entry["tag"], "tag"),
                 timestamp=int_field(entry.get("timestamp", 0), "timestamp"))
             for entry in payload.get("actions") or []]
         friendships = [(int_field(u, "friendships"),

@@ -49,7 +49,6 @@ from ..graph.traversal import bfs_levels
 from ..obs import trace as obs_trace
 from ..obs.metrics import MetricsRegistry
 from ..proximity.cache import CachedProximity
-from ..proximity.materialized import MaterializedProximity
 from ..storage.durable import DurableStore
 from ..storage.updates import DatasetUpdater, UpdateSummary
 from .cache import CacheKey, ResultCache
@@ -234,12 +233,6 @@ class QueryService:
         proximity = self._engine.proximity
         if isinstance(proximity, CachedProximity):
             snapshot["proximity_cache"] = proximity.statistics.to_dict()
-        if isinstance(proximity, MaterializedProximity):
-            snapshot["proximity_shards"] = dict(
-                proximity.statistics.to_dict(),
-                rows=proximity.num_rows(),
-                clusters=len(proximity.shards()),
-            )
         return snapshot
 
     # ------------------------------------------------------------------ #
@@ -334,14 +327,12 @@ class QueryService:
                           algorithm=algorithm).result
 
     def warm_proximity(self, seekers: Iterable[int]) -> int:
-        """Pre-populate the proximity cache/shards for the given seekers.
+        """Pre-populate the proximity cache for the given seekers.
 
         Each seeker's proximity vector is computed once through the engine's
         measure: with a :class:`CachedProximity` both the dense entry and
         the ranked stream land in the LRU caches (frontier algorithms read
-        the latter), with a :class:`MaterializedProximity` it is refined
-        into the shard overlay (seekers already covered by a shard row cost
-        one lookup).  Invalid seeker ids are skipped.  Returns the number of
+        the latter).  Invalid seeker ids are skipped.  Returns the number of
         seekers warmed — this backs ``repro serve --warmup``.
         """
         proximity = self._engine.proximity
@@ -424,16 +415,10 @@ class QueryService:
     def _refresh_proximity(self, summary: UpdateSummary) -> int:
         """Rebind the proximity measure to the rebuilt graph and evict stale state.
 
-        For hop-bounded measures the refresh is incremental: a
-        :class:`MaterializedProximity` keeps its shards across the graph
-        swap (:meth:`~MaterializedProximity.graph_updated`), only the
+        For hop-bounded measures the refresh is incremental: only the
         seekers within the proximity horizon of the touched users are
-        invalidated, and their rows are eagerly *repaired* — recomputed on
-        the new graph and written back into their shards — so post-update
-        queries go straight back to the shard fast path instead of falling
-        into lazy refinement one seeker at a time.  Global measures
-        (personalised PageRank, landmarks) still drop everything: any
-        vector may have shifted.
+        invalidated.  Global measures (personalised PageRank, landmarks)
+        drop everything: any vector may have shifted.
         """
         graph = self._engine.dataset.graph
         proximity = self._engine.proximity
@@ -442,9 +427,8 @@ class QueryService:
         invalidate = getattr(proximity, "invalidate", None)
         if summary.edges_added and measure not in HOP_BOUNDED_MEASURES:
             # Rebind first: misses racing the invalidation below then
-            # compute on the new graph, and the rebind's generation bump /
-            # shard drop discards vectors still being computed on the old
-            # one.
+            # compute on the new graph, and the rebind's generation bump
+            # discards vectors still being computed on the old one.
             proximity.rebind(graph)
             removed += self._cache.clear()
             if invalidate is not None:
@@ -452,18 +436,11 @@ class QueryService:
             return removed
         affected: Set[int] = self._affected_seekers(summary.users_touched) \
             if summary.edges_added else set()
-        graph_updated = getattr(proximity, "graph_updated", None)
-        if graph_updated is not None:
-            graph_updated(graph, affected)
-        else:
-            proximity.rebind(graph)
-            if affected and invalidate is not None:
-                invalidate(affected)
+        proximity.rebind(graph)
         if affected:
+            if invalidate is not None:
+                invalidate(affected)
             removed += self._cache.invalidate_seekers(affected)
-            repair = getattr(proximity, "repair", None)
-            if repair is not None:
-                repair(affected)
         return removed
 
     # ------------------------------------------------------------------ #

@@ -7,13 +7,7 @@ from .inverted_index import InvertedIndex, Posting, PostingList, PostingListCurs
 from .endorser_index import EndorserIndex, TagEndorsers
 from .social_index import SocialIndex
 from .dataset import Dataset
-from .arena import (
-    Arena,
-    attach_shards,
-    build_arena,
-    load_dataset_from_arena,
-    load_shards,
-)
+from .arena import Arena, build_arena, load_dataset_from_arena
 from .statistics import DatasetStatistics, compute_dataset_statistics, graph_statistics_row
 from .updates import DatasetUpdater, UpdateSummary, replay_trace
 from .wal import (
@@ -41,10 +35,8 @@ __all__ = [
     "SocialIndex",
     "Dataset",
     "Arena",
-    "attach_shards",
     "build_arena",
     "load_dataset_from_arena",
-    "load_shards",
     "DatasetStatistics",
     "compute_dataset_statistics",
     "graph_statistics_row",

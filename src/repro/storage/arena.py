@@ -12,9 +12,11 @@ serves its first query after little more than an ``open`` + header parse:
 * the inverted index's frequency-ordered posting-list arrays;
 * the endorser index's per-tag item → tagger CSR;
 * the social index's per-tag user → item CSR;
-* the raw tagging actions (tag names interned through a small tag table);
-* optionally, the :class:`~repro.proximity.materialized.MaterializedProximity`
-  shards — per-cluster proximity rows.
+* the raw tagging actions (tag names interned through a small tag table).
+
+Older arenas may also carry ``materialized.*`` sections (per-cluster
+proximity rows of a removed shard store); readers ignore them, and the next
+checkpoint rewrites the file without them.
 
 File layout (little-endian)::
 
@@ -55,7 +57,6 @@ import numpy as np
 from ..errors import PersistenceError, StorageError
 from ..graph import SocialGraph
 from ..obs.faults import fault_point
-from ..proximity.materialized import MaterializedProximity, ProximityShard
 from .dataset import Dataset
 from .delta import merge_sorted_disjoint
 from .endorser_index import EndorserIndex, TagEndorsers
@@ -398,9 +399,8 @@ def _social_rows(tag_ids: np.ndarray, user_ids: np.ndarray,
     )
 
 
-def build_arena(dataset: Dataset, path: PathLike,
-                proximity: Optional[MaterializedProximity] = None) -> Path:
-    """Serialise ``dataset`` (and optional built shards) into an arena file."""
+def build_arena(dataset: Dataset, path: PathLike) -> Path:
+    """Serialise ``dataset`` into an arena file."""
     tags = dataset.tagging.tags()
     tag_ids = {tag: index for index, tag in enumerate(tags)}
     arrays: Dict[str, np.ndarray] = {}
@@ -469,34 +469,6 @@ def build_arena(dataset: Dataset, path: PathLike,
     else:
         holdout_table = None
 
-    materialized_meta: Optional[Dict[str, object]] = None
-    if proximity is not None and proximity.built:
-        shards = sorted(proximity.shards(), key=lambda shard: shard.cluster_id)
-        member_offsets = np.zeros(len(shards) + 1, dtype=np.int64)
-        row_lengths: List[np.ndarray] = []
-        for index, shard in enumerate(shards):
-            member_offsets[index + 1] = member_offsets[index] + len(shard)
-            row_lengths.append(np.diff(shard.offsets))
-        flat_lengths = _concat(row_lengths, np.int64)
-        row_offsets = _offsets_from_counts(flat_lengths, flat_lengths.shape[0])
-        arrays["materialized.labels"] = np.array(proximity.labels(), dtype=np.int64)
-        arrays["materialized.cluster_ids"] = np.array(
-            [shard.cluster_id for shard in shards], dtype=np.int64)
-        arrays["materialized.member_offsets"] = member_offsets
-        arrays["materialized.members"] = _concat(
-            [shard.members for shard in shards], np.int64)
-        arrays["materialized.row_offsets"] = row_offsets
-        arrays["materialized.row_user_ids"] = _concat(
-            [shard.user_ids for shard in shards], np.int64)
-        arrays["materialized.row_values"] = _concat(
-            [shard.values for shard in shards], np.float64)
-        materialized_meta = {
-            "measure": proximity.inner.name,
-            "num_clusters": len(shards),
-            "num_rows": proximity.num_rows(),
-            "num_entries": proximity.num_entries(),
-        }
-
     meta: Dict[str, object] = {
         "format": "repro-arena",
         "format_version": ARENA_VERSION,
@@ -508,7 +480,9 @@ def build_arena(dataset: Dataset, path: PathLike,
         "users": [user.to_dict() for user in dataset.users],
         "items": [item.to_dict() for item in dataset.items],
         "has_holdout": dataset.holdout is not None,
-        "materialized": materialized_meta,
+        # Kept (always null) so the header stays byte-identical to files
+        # written while the arena could also carry proximity shards.
+        "materialized": None,
     }
     return write_arena(path, meta, arrays)
 
@@ -1206,63 +1180,6 @@ def load_dataset_from_arena(source: Union[PathLike, Arena]) -> Dataset:
     )
 
 
-def load_shards(source: Union[PathLike, Arena]
-                ) -> Optional[Tuple[List[int], List[ProximityShard]]]:
-    """The arena's materialized proximity shards, or ``None`` when absent.
-
-    Older arenas may carry one more array per shard section (per-cluster
-    bound vectors); nothing reads it.
-    """
-    arena = source if isinstance(source, Arena) else Arena.open(source)
-    if "materialized.labels" not in arena:
-        return None
-    labels = [int(label) for label in arena.array("materialized.labels")]
-    cluster_ids = arena.array("materialized.cluster_ids")
-    member_offsets = arena.array("materialized.member_offsets")
-    members = arena.array("materialized.members")
-    row_offsets = arena.array("materialized.row_offsets")
-    row_user_ids = arena.array("materialized.row_user_ids")
-    row_values = arena.array("materialized.row_values")
-    shards: List[ProximityShard] = []
-    for position in range(int(cluster_ids.shape[0])):
-        first = int(member_offsets[position])
-        last = int(member_offsets[position + 1])
-        base = int(row_offsets[first])
-        local_offsets = np.asarray(row_offsets[first:last + 1]) - base
-        shards.append(ProximityShard(
-            cluster_id=int(cluster_ids[position]),
-            members=members[first:last],
-            offsets=local_offsets,
-            user_ids=row_user_ids[base:int(row_offsets[last])],
-            values=row_values[base:int(row_offsets[last])],
-        ))
-    return labels, shards
-
-
-def attach_shards(proximity: MaterializedProximity,
-                  source: Union[PathLike, Arena]) -> bool:
-    """Install the arena's shards into ``proximity``; returns success.
-
-    Returns ``False`` when the arena carries no shards.  Raises
-    :class:`PersistenceError` when it carries shards of a *different*
-    measure than the one ``proximity`` wraps — mixing, say, PPR rows with
-    shortest-path lazy refinement would silently serve two proximity
-    semantics side by side.
-    """
-    arena = source if isinstance(source, Arena) else Arena.open(source)
-    loaded = load_shards(arena)
-    if loaded is None:
-        return False
-    recorded = (arena.meta.get("materialized") or {}).get("measure")
-    if recorded is not None and recorded != proximity.inner.name:
-        raise PersistenceError(
-            f"arena {arena.path} materialized measure {recorded!r} does not "
-            f"match the engine's measure {proximity.inner.name!r}")
-    labels, shards = loaded
-    proximity.install_shards(shards, labels=labels)
-    return True
-
-
 # Re-exported niceties ------------------------------------------------- #
 
 __all__ = [
@@ -1270,9 +1187,7 @@ __all__ = [
     "ArenaInvertedIndex",
     "ArenaSocialIndex",
     "ArenaTaggingStore",
-    "attach_shards",
     "build_arena",
     "load_dataset_from_arena",
-    "load_shards",
     "write_arena",
 ]

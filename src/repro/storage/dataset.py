@@ -99,11 +99,11 @@ class Dataset:
 
         return load_dataset_from_arena(path)
 
-    def to_arena(self, path, proximity=None):
-        """Serialise this dataset (and optional built shards) into an arena file."""
+    def to_arena(self, path):
+        """Serialise this dataset into an arena file."""
         from .arena import build_arena
 
-        return build_arena(self, path, proximity=proximity)
+        return build_arena(self, path)
 
     def with_holdout(self, fraction: float, seed: int = 0) -> "Dataset":
         """Return a copy whose index excludes a per-user holdout slice.

@@ -175,8 +175,8 @@ class DurableStore:
 
     @classmethod
     def initialise(cls, dataset: Dataset, directory: PathLike,
-                   config: Optional[DurabilityConfig] = None,
-                   proximity=None) -> "DurableStore":
+                   config: Optional[DurabilityConfig] = None
+                   ) -> "DurableStore":
         """Bootstrap a durable directory from a built dataset.
 
         Writes ``gen-0.arena``, an empty ``wal-0.log`` and the manifest,
@@ -191,7 +191,7 @@ class DurableStore:
                 "open it instead of initialising")
         directory.mkdir(parents=True, exist_ok=True)
         config = config or DurabilityConfig(directory=str(directory))
-        build_arena(dataset, directory / "gen-0.arena", proximity)
+        build_arena(dataset, directory / "gen-0.arena")
         WriteAheadLog(directory / "wal-0.log", fsync="always").close()
         write_manifest(directory, {
             "format": MANIFEST_FORMAT,
@@ -278,8 +278,7 @@ class DurableStore:
     # Checkpointing: publish a new generation atomically
     # ------------------------------------------------------------------ #
 
-    def checkpoint(self, proximity=None, force: bool = False
-                   ) -> Dict[str, object]:
+    def checkpoint(self, force: bool = False) -> Dict[str, object]:
         """Compact, publish a fresh arena generation and rotate the WAL.
 
         Runs under the updater's mutate lock end to end: writers block for
@@ -308,7 +307,7 @@ class DurableStore:
             generation = int(self.manifest["generation"]) + 1
             arena_name = f"gen-{generation}.arena"
             wal_name = f"wal-{generation}.log"
-            build_arena(self.dataset, self.directory / arena_name, proximity)
+            build_arena(self.dataset, self.directory / arena_name)
             fault_point("publish.after_arena")
             new_wal = WriteAheadLog(
                 self.directory / wal_name, fsync=self.config.wal_fsync,

@@ -245,9 +245,8 @@ class DatasetUpdater:
 
     def _notify(self, summary: UpdateSummary) -> UpdateSummary:
         # No-op updates (duplicate actions, empty batches) must not reach
-        # observers: a notification triggers cache invalidations and shard
-        # staleness marks downstream, which would evict perfectly fresh
-        # state for nothing.
+        # observers: a notification triggers cache invalidations
+        # downstream, which would evict perfectly fresh state for nothing.
         if not self._in_batch and summary.changed:
             for observer in list(self._observers):
                 observer(summary)

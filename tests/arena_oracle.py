@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.proximity.materialized import MaterializedProximity
 from repro.storage.arena import (
     ARENA_VERSION,
     ArenaSocialIndex,
@@ -47,9 +46,8 @@ def _action_arrays(store: TaggingStore, tag_ids: Dict[str, int]
     }
 
 
-def build_arena(dataset: Dataset, path: PathLike,
-                proximity: Optional[MaterializedProximity] = None) -> Path:
-    """Serialise ``dataset`` (and optional built shards) into an arena file."""
+def build_arena(dataset: Dataset, path: PathLike) -> Path:
+    """Serialise ``dataset`` into an arena file."""
     tags = dataset.tagging.tags()
     tag_ids = {tag: index for index, tag in enumerate(tags)}
     arrays: Dict[str, np.ndarray] = {}
@@ -134,35 +132,6 @@ def build_arena(dataset: Dataset, path: PathLike,
     else:
         holdout_table = None
 
-    materialized_meta: Optional[Dict[str, object]] = None
-    if proximity is not None and proximity.built:
-        shards = sorted(proximity.shards(), key=lambda shard: shard.cluster_id)
-        member_offsets = np.zeros(len(shards) + 1, dtype=np.int64)
-        row_lengths: List[np.ndarray] = []
-        for index, shard in enumerate(shards):
-            member_offsets[index + 1] = member_offsets[index] + len(shard)
-            row_lengths.append(np.diff(shard.offsets))
-        flat_lengths = _concat(row_lengths, np.int64)
-        row_offsets = np.zeros(flat_lengths.shape[0] + 1, dtype=np.int64)
-        np.cumsum(flat_lengths, out=row_offsets[1:])
-        arrays["materialized.labels"] = np.array(proximity.labels(), dtype=np.int64)
-        arrays["materialized.cluster_ids"] = np.array(
-            [shard.cluster_id for shard in shards], dtype=np.int64)
-        arrays["materialized.member_offsets"] = member_offsets
-        arrays["materialized.members"] = _concat(
-            [shard.members for shard in shards], np.int64)
-        arrays["materialized.row_offsets"] = row_offsets
-        arrays["materialized.row_user_ids"] = _concat(
-            [shard.user_ids for shard in shards], np.int64)
-        arrays["materialized.row_values"] = _concat(
-            [shard.values for shard in shards], np.float64)
-        materialized_meta = {
-            "measure": proximity.inner.name,
-            "num_clusters": len(shards),
-            "num_rows": proximity.num_rows(),
-            "num_entries": proximity.num_entries(),
-        }
-
     meta: Dict[str, object] = {
         "format": "repro-arena",
         "format_version": ARENA_VERSION,
@@ -174,7 +143,7 @@ def build_arena(dataset: Dataset, path: PathLike,
         "users": [asdict(user) for user in dataset.users],
         "items": [asdict(item) for item in dataset.items],
         "has_holdout": dataset.holdout is not None,
-        "materialized": materialized_meta,
+        "materialized": None,
     }
     return write_arena(path, meta, arrays)
 

@@ -8,16 +8,18 @@ from repro.core.plan import EXECUTOR_ALGORITHM
 from repro.core.query import Query
 
 
-def _engine(dataset, algorithm="exact", vectorized=True, materialize=False):
-    proximity = ProximityConfig(measure="ppr", materialize=True) \
-        if materialize else ProximityConfig(measure="ppr", cache_size=16)
-    engine = SocialSearchEngine(dataset, EngineConfig(
+def _engine(dataset, algorithm="exact", vectorized=True):
+    return SocialSearchEngine(dataset, EngineConfig(
         algorithm=algorithm,
         scoring=ScoringConfig(alpha=0.5, vectorized=vectorized),
-        proximity=proximity,
+        proximity=ProximityConfig(measure="ppr", cache_size=16),
     ))
-    if materialize:
-        engine.proximity.build()
+
+
+def _warm_engine(dataset):
+    """An engine whose cache already holds seeker 1's proximity row."""
+    engine = _engine(dataset)
+    engine.proximity.vector_array(1)
     return engine
 
 
@@ -61,17 +63,12 @@ class TestPlanRecord:
 
     def test_proximity_path_names(self, synthetic_dataset):
         assert _engine(synthetic_dataset).planner.proximity_path() == "cached"
-        materialized = _engine(synthetic_dataset, materialize=True)
-        assert materialized.planner.proximity_path() == "materialized"
-        lazy = SocialSearchEngine(synthetic_dataset, EngineConfig(
-            proximity=ProximityConfig(measure="ppr", materialize=True)))
-        assert lazy.planner.proximity_path() == "materialized-lazy"
         online = SocialSearchEngine(synthetic_dataset, EngineConfig(
             proximity=ProximityConfig(measure="ppr", cache_size=0)))
         assert online.planner.proximity_path() == "online"
 
     def test_describe_is_readable(self, synthetic_dataset):
-        engine = _engine(synthetic_dataset, materialize=True)
+        engine = _warm_engine(synthetic_dataset)
         text = engine.explain_plan(_query(synthetic_dataset)).describe()
         assert "executor:" in text
         assert "bounds:     frontier=" in text
@@ -94,7 +91,7 @@ class TestPlanRecord:
 
 class TestPreview:
     def test_preview_carries_the_frontier_bound(self, synthetic_dataset):
-        engine = _engine(synthetic_dataset, materialize=True)
+        engine = _warm_engine(synthetic_dataset)
         query = _query(synthetic_dataset)
         plan = engine.explain_plan(query)
         assert plan.frontier_bound == engine.proximity.frontier_bound(
@@ -103,12 +100,13 @@ class TestPreview:
         assert engine.planner.plan(query).frontier_bound is None
 
     def test_preview_does_not_execute(self, synthetic_dataset):
-        engine = _engine(synthetic_dataset, materialize=True)
+        engine = _engine(synthetic_dataset)
         engine.explain_plan(_query(synthetic_dataset))
         assert engine.proximity.statistics.lookups == 0
+        assert len(engine.proximity) == 0
 
     def test_plan_and_execute_agree(self, synthetic_dataset):
-        engine = _engine(synthetic_dataset, materialize=True)
+        engine = _engine(synthetic_dataset)
         query = _query(synthetic_dataset)
         plan = engine.planner.plan(query)
         result = engine.run(query)

@@ -20,10 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import arena_oracle
-from repro.config import ProximityConfig
 from repro.graph import SocialGraph
-from repro.proximity import MaterializedProximity
-from repro.proximity.pagerank import PersonalizedPageRankProximity
 from repro.storage import Dataset, DatasetUpdater, TaggingAction
 from repro.storage.arena import build_arena
 from repro.workload.datasets import tiny_dataset
@@ -84,13 +81,12 @@ def _staged_state(staged):
     return None if staged is None else (_social_state(staged[0]), staged[1])
 
 
-def _assert_same_arena(dataset, directory: Path, name: str,
-                       proximity=None) -> None:
+def _assert_same_arena(dataset, directory: Path, name: str) -> None:
     # The array-native build runs first: the reference reads the action log
     # through actions(), which materialises an arena-backed store.
-    built = build_arena(dataset, directory / f"{name}.arena", proximity)
+    built = build_arena(dataset, directory / f"{name}.arena")
     reference = arena_oracle.build_arena(
-        dataset, directory / f"{name}.oracle.arena", proximity)
+        dataset, directory / f"{name}.oracle.arena")
     assert _digest(built) == _digest(reference), name
 
 
@@ -158,9 +154,6 @@ def test_an_empty_overlay_row_keeps_its_tag_like_the_reference(tmp_path):
         _staged_state(arena_oracle.stage_compact(social))
 
 
-def test_holdout_and_shard_sections_match_the_reference(tmp_path):
-    dataset = tiny_dataset(holdout_fraction=0.2)
-    shards = MaterializedProximity(PersonalizedPageRankProximity(
-        dataset.graph, ProximityConfig(measure="ppr")))
-    shards.build()
-    _assert_same_arena(dataset, tmp_path, "shards", shards)
+def test_holdout_section_matches_the_reference(tmp_path):
+    _assert_same_arena(tiny_dataset(holdout_fraction=0.2), tmp_path,
+                       "holdout")

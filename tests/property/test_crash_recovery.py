@@ -9,8 +9,7 @@ a torn-final-record run.  Every recovery must
 * retain every acknowledged update (checked against the raw WAL bytes,
   independently of the recovery code), and
 * answer queries **bit-identically** (rankings, scores, access accounting)
-  to a dataset rebuilt from scratch from base + the durable log, across
-  the online and materialized execution paths.
+  to a dataset rebuilt from scratch from base + the durable log.
 """
 
 import pytest
@@ -46,16 +45,12 @@ def clean_faults():
     faults.reset()
 
 
-def _engine(dataset, materialize=False):
-    engine = SocialSearchEngine(dataset, EngineConfig(
+def _engine(dataset):
+    return SocialSearchEngine(dataset, EngineConfig(
         algorithm="exact",
         scoring=ScoringConfig(alpha=0.5),
-        proximity=ProximityConfig(measure="shortest-path",
-                                  materialize=materialize, cache_size=0),
+        proximity=ProximityConfig(measure="shortest-path", cache_size=0),
     ))
-    if materialize:
-        engine.proximity.build()
-    return engine
 
 
 def _signature(result):
@@ -99,7 +94,7 @@ def _assert_recovery_exact(directory, hand_dataset, base_actions, base_edges,
             f"acked edge lost: ({u}, {v})"
 
     # 2. Bit-identical recovery: the reopened store answers exactly like a
-    #    from-scratch rebuild of base + durable log, on every path.
+    #    from-scratch rebuild of base + durable log.
     recovered = DurableStore.open(directory)
     try:
         builder = SocialGraphBuilder(hand_dataset.num_users)
@@ -112,13 +107,8 @@ def _assert_recovery_exact(directory, hand_dataset, base_actions, base_edges,
                               name="fresh")
         baseline = [_signature(_engine(fresh).run(q)) for q in QUERIES]
         online = _engine(recovered.dataset)
-        served = _engine(recovered.dataset, materialize=True)
-        observed = {
-            "online": [_signature(online.run(q)) for q in QUERIES],
-            "materialized": [_signature(served.run(q)) for q in QUERIES],
-        }
-        for path, signatures in observed.items():
-            assert signatures == baseline, f"{path} diverged after recovery"
+        assert [_signature(online.run(q)) for q in QUERIES] == baseline, \
+            "recovered store diverged from the rebuild"
     finally:
         recovered.close()
 

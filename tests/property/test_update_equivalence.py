@@ -4,11 +4,12 @@ The write path's contract: after any interleaving of live updates (tagging
 actions, friendships, user growth) applied through
 :class:`~repro.storage.updates.DatasetUpdater` — with a
 :class:`~repro.service.QueryService` watching it, so selective invalidation
-and shard repair run exactly as they would in production — every observable
-of a query answer (ranking, exact scores, access accounting) must be
-identical to a dataset rebuilt from scratch from the merged action/edge
-log.  That must hold for the online and materialized execution paths, and
-for both the in-memory and the arena-backed (delta-overlay) storage.
+of cached proximity rows runs exactly as it would in production — every
+observable of a query answer (ranking, exact scores, access accounting)
+must be identical to a dataset rebuilt from scratch from the merged
+action/edge log.  That must hold for proximity computed online and served
+from the cache, and for both the in-memory and the arena-backed
+(delta-overlay) storage.
 """
 
 import numpy as np
@@ -145,9 +146,8 @@ def test_interleaved_updates_match_fresh_rebuild(backing, measure, tmp_path):
     engine = SocialSearchEngine(live, EngineConfig(
         algorithm="exact",
         scoring=ScoringConfig(alpha=0.5),
-        proximity=ProximityConfig(measure=measure, materialize=True),
+        proximity=ProximityConfig(measure=measure),
     ))
-    engine.proximity.build()
     updater = DatasetUpdater(live)
     with QueryService(engine, ServiceConfig(cache_capacity=16),
                       updater=updater):
@@ -171,7 +171,7 @@ def test_interleaved_updates_match_fresh_rebuild(backing, measure, tmp_path):
         assert [_signature(live_online.run(q, algorithm=algorithm))
                 for q in queries] == baseline, f"online/{algorithm}"
         assert [_signature(engine.run(q, algorithm=algorithm))
-                for q in queries] == baseline, f"materialized/{algorithm}"
+                for q in queries] == baseline, f"cached/{algorithm}"
 
 
 def test_arena_fast_path_survives_updates(tmp_path):
@@ -179,10 +179,11 @@ def test_arena_fast_path_survives_updates(tmp_path):
     base = _base_dataset()
     live = _live_dataset("arena", base, tmp_path)
     engine = SocialSearchEngine(live, EngineConfig(
-        algorithm="exact",
-        proximity=ProximityConfig(measure="katz", materialize=True)))
-    engine.proximity.build()
-    rows_before = engine.proximity.num_rows()
+        algorithm="exact", proximity=ProximityConfig(measure="katz")))
+    query = generate_workload(live, WorkloadConfig(num_queries=1, k=5,
+                                                   seed=7))[0]
+    engine.run(query)
+    rows_before = len(engine.proximity)
     updater = DatasetUpdater(live)
     action_steps = [
         ("actions", [a for a in payload if a.user_id < base.num_users])
@@ -194,11 +195,10 @@ def test_arena_fast_path_survives_updates(tmp_path):
     # The delta overlay absorbed the actions; the frozen arrays still serve.
     assert recorded > 0
     assert live.tagging.delta_size == recorded
-    # Tagging-only updates leave every shard row in place.
-    assert engine.proximity.num_rows() == rows_before
+    # Tagging-only updates leave every cached proximity row in place.
+    assert rows_before > 0
+    assert len(engine.proximity) == rows_before
     # Compaction folds the delta and changes no answer.
-    query = generate_workload(live, WorkloadConfig(num_queries=1, k=5,
-                                                   seed=7))[0]
     before = _signature(engine.run(query))
     assert updater.compact() == recorded
     assert updater.epoch == 1
@@ -211,9 +211,7 @@ def test_compaction_mid_stream_is_equivalent(tmp_path):
     base = _base_dataset()
     live = _live_dataset("arena", base, tmp_path)
     engine = SocialSearchEngine(live, EngineConfig(
-        algorithm="exact",
-        proximity=ProximityConfig(measure="katz", materialize=True)))
-    engine.proximity.build()
+        algorithm="exact", proximity=ProximityConfig(measure="katz")))
     updater = DatasetUpdater(live)
     steps = _updates(base)
     middle = len(steps) // 2

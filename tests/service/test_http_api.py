@@ -11,16 +11,14 @@ import pytest
 
 from repro import QueryService, ServiceConfig, SocialSearchEngine
 from repro.service.http_api import MAX_BODY_BYTES, ServiceHTTPServer
+from repro.storage import DurableStore
 from repro.workload import tiny_dataset
 
 
-@pytest.fixture()
-def server():
-    """A live server on an ephemeral port over a fresh tiny dataset."""
-    dataset = tiny_dataset(seed=3)
-    engine = SocialSearchEngine(dataset)
-    service = QueryService(engine, ServiceConfig(port=0))
-    httpd = ServiceHTTPServer(("127.0.0.1", 0), service)
+def _serving(dataset, updater=None):
+    """Serve ``dataset`` on an ephemeral port until the generator resumes."""
+    service = QueryService(SocialSearchEngine(dataset), ServiceConfig(port=0))
+    httpd = ServiceHTTPServer(("127.0.0.1", 0), service, updater=updater)
     # A short poll interval: shutdown() waits up to one interval for the
     # serve loop to notice, and this fixture is torn down ~50 times a run.
     thread = threading.Thread(target=httpd.serve_forever,
@@ -31,6 +29,20 @@ def server():
     httpd.server_close()
     service.close()
     thread.join(timeout=5.0)
+
+
+@pytest.fixture()
+def server():
+    """A live server on an ephemeral port over a fresh tiny dataset."""
+    yield from _serving(tiny_dataset(seed=3))
+
+
+@pytest.fixture()
+def durable_server(tmp_path):
+    """A live server whose ``/update`` goes through a durable store's WAL."""
+    store = DurableStore.initialise(tiny_dataset(seed=3), tmp_path / "store")
+    yield from _serving(store.dataset, updater=store.updater)
+    store.close()
 
 
 def base_url(server):
@@ -296,6 +308,26 @@ class TestUpdateEndpoint:
                                     template % value.encode())
             assert status == 400
             assert "must be an integer" in body["error"]
+
+    @pytest.mark.parametrize("tag", [b"null", b"5", b'""', b'"  "', b"true",
+                                     b'["jazz"]', b'{"name": "jazz"}'])
+    def test_a_tag_that_is_not_a_non_blank_string_is_400(self, durable_server,
+                                                         tag):
+        # A query cannot ask for a blank or non-string tag, so storing one
+        # would only grow the corpus with actions no query can read.
+        dataset = durable_server.service.engine.dataset
+        wal = durable_server.updater.wal.path
+        size, actions = wal.stat().st_size, dataset.num_actions
+        good = b'{"user_id": 1, "item_id": 1, "tag": "fresh"}'
+        status, body = post_raw(
+            durable_server, "/update",
+            b'{"actions": [%s, {"user_id": 1, "item_id": 2, "tag": %s}]}'
+            % (good, tag))
+        assert status == 400
+        assert "tag" in body["error"]
+        assert wal.stat().st_size == size
+        assert dataset.num_actions == actions
+        assert "fresh" not in dataset.tags()
 
     def test_empty_update_is_noop(self, server):
         status, summary = post_json(server, "/update", {})

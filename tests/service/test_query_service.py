@@ -404,17 +404,30 @@ class TestWarmup:
     def test_warm_proximity_skips_invalid_seekers(self, service, live_engine):
         assert service.warm_proximity([-3, 0, 10_000]) == 1
 
-    def test_warm_proximity_refines_materialized_shards(self):
+    def test_stats_report_the_warmed_row_cache(self):
         from repro import EngineConfig, ProximityConfig
 
-        dataset = tiny_dataset(seed=3)
-        engine = SocialSearchEngine(dataset, EngineConfig(
-            proximity=ProximityConfig(measure="ppr", materialize=True)))
+        engine = SocialSearchEngine(tiny_dataset(seed=3), EngineConfig(
+            proximity=ProximityConfig(measure="ppr")))
         with QueryService(engine) as svc:
             assert svc.warm_proximity([0, 1]) == 2
-            assert engine.proximity.statistics.refinements == 2
             stats = svc.stats()
-            assert "proximity_shards" in stats
+        assert len(engine.proximity) == 2
+        assert stats["proximity_cache"] \
+            == engine.proximity.statistics.to_dict()
+        assert stats["proximity_cache"]["misses"] > 0
+        assert "proximity_shards" not in stats
+
+    def test_warm_proximity_without_a_row_cache(self):
+        from repro import EngineConfig, ProximityConfig
+
+        engine = SocialSearchEngine(tiny_dataset(seed=3), EngineConfig(
+            proximity=ProximityConfig(measure="ppr", cache_size=0)))
+        with QueryService(engine) as svc:
+            assert svc.warm_proximity([0, 1]) == 2
+            stats = svc.stats()
+        assert "proximity_cache" not in stats
+        assert stats["engine"]["proximity"] == "ppr"
 
 
 class TestNoOpUpdates:

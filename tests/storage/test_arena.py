@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from repro import SocialSearchEngine
-from repro.config import EngineConfig, ProximityConfig, WorkloadConfig
+from repro.config import WorkloadConfig
 from repro.errors import PersistenceError
-from repro.proximity import MaterializedProximity
-from repro.proximity.pagerank import PersonalizedPageRankProximity
-from repro.storage import Dataset, build_arena, load_shards
+from repro.eval.quality import result_signature
+from repro.storage import Dataset, DurableStore, build_arena
 from repro.storage import arena as arena_module
-from repro.storage.arena import Arena, attach_shards, write_arena
+from repro.storage.arena import Arena, write_arena
 from repro.workload import generate_workload
 from repro.workload.datasets import tiny_dataset
 
@@ -23,10 +22,7 @@ def corpus():
 @pytest.fixture(scope="module")
 def arena_path(corpus, tmp_path_factory):
     path = tmp_path_factory.mktemp("arena") / "tiny.arena"
-    inner = PersonalizedPageRankProximity(corpus.graph, ProximityConfig(measure="ppr"))
-    materialized = MaterializedProximity(inner)
-    materialized.build()
-    build_arena(corpus, path, proximity=materialized)
+    build_arena(corpus, path)
     return path
 
 
@@ -71,6 +67,15 @@ class TestFormat:
         for name, array in payload.items():
             np.testing.assert_array_equal(arena.array(name), array)
 
+
+    def test_a_new_arena_carries_no_shard_sections(self, arena_path):
+        # The header keeps its "materialized": null entry, so files stay
+        # byte-identical to those written while shards could be attached.
+        arena = Arena.open(arena_path)
+        assert "materialized" in arena.meta
+        assert arena.meta["materialized"] is None
+        assert not [name for name in arena.arrays
+                    if name.startswith("materialized.")]
 
     def test_arrays_are_read_only_plain_ndarray_views(self, arena_path):
         arena = Arena.open(arena_path)
@@ -228,73 +233,88 @@ class TestLiveUpdates:
         assert [item.item_id for item in result.items] == [7777]
 
 
-class TestShards:
-    def test_shards_round_trip(self, corpus, arena_path):
-        loaded = load_shards(arena_path)
-        assert loaded is not None
-        labels, shards = loaded
-        assert len(labels) == corpus.num_users
-        assert sum(len(shard) for shard in shards) == corpus.num_users
+class TestOlderArenas:
+    """Arenas written while the file could also carry proximity shards.
 
-    def test_attach_shards_serves_identical_vectors(self, corpus, arena_path):
-        inner = PersonalizedPageRankProximity(corpus.graph,
-                                              ProximityConfig(measure="ppr"))
-        fresh = MaterializedProximity(
-            PersonalizedPageRankProximity(corpus.graph,
-                                          ProximityConfig(measure="ppr")))
-        assert attach_shards(fresh, arena_path)
-        for seeker in range(0, corpus.num_users, 5):
-            np.testing.assert_array_equal(fresh.vector_array(seeker),
-                                          inner.vector_array(seeker))
-        assert fresh.statistics.refinements == 0
+    Earlier builds could add per-cluster proximity rows (the
+    ``materialized.*`` sections, described in the header's
+    ``"materialized"`` entry), per-cluster bound vectors and a landmark
+    sketch.  Nothing reads them now; such a file must keep attaching, answer
+    exactly like the current layout and lose the sections at the next
+    checkpoint.
+    """
 
-    def test_attach_shards_rejects_measure_mismatch(self, corpus, arena_path):
-        from repro.proximity.shortest_path import ShortestPathProximity
-
-        mismatched = MaterializedProximity(
-            ShortestPathProximity(corpus.graph,
-                                  ProximityConfig(measure="shortest-path")))
-        with pytest.raises(PersistenceError):
-            attach_shards(mismatched, arena_path)
-        assert not mismatched.built
-
-    def test_arena_without_shards(self, corpus, tmp_path):
-        path = tmp_path / "plain.arena"
-        build_arena(corpus, path)
-        assert load_shards(path) is None
-        engine_dataset = Dataset.from_arena(path)
-        assert engine_dataset.graph == corpus.graph
-
-    def test_older_arena_with_extra_sections_still_attaches(
-            self, corpus, arena_path, tmp_path):
-        # Earlier builds also wrote per-cluster bound vectors and a landmark
-        # sketch section; nothing reads them now, but such a file must keep
-        # loading and serving exactly what the current layout serves.
+    @pytest.fixture()
+    def older(self, corpus, arena_path, tmp_path):
         current = Arena.open(arena_path)
         num_users = corpus.num_users
-        num_clusters = int(current.array("materialized.cluster_ids").shape[0])
+        users = np.arange(num_users, dtype=np.int64)
         arrays = {name: np.array(array)
                   for name, array in current.arrays.items()}
-        arrays["materialized.bounds"] = np.ones(num_clusters * num_users)
-        arrays["landmark.ids"] = np.arange(2, dtype=np.int64)
-        arrays["landmark.distances"] = np.zeros((2, num_users))
-        arrays["landmark.hops"] = np.zeros((2, num_users), dtype=np.int64)
+        # One cluster holding every seeker, one row entry per seeker.  The
+        # rows are deliberately wrong (each seeker "close" to the next id),
+        # so an answer served from them would differ from the graph's.
+        arrays.update({
+            "materialized.labels": np.zeros(num_users, dtype=np.int64),
+            "materialized.cluster_ids": np.zeros(1, dtype=np.int64),
+            "materialized.member_offsets": np.array([0, num_users],
+                                                    dtype=np.int64),
+            "materialized.members": users,
+            "materialized.row_offsets": np.arange(num_users + 1,
+                                                  dtype=np.int64),
+            "materialized.row_user_ids": (users + 1) % num_users,
+            "materialized.row_values": np.ones(num_users),
+            "materialized.bounds": np.ones(num_users),
+            "landmark.ids": np.arange(2, dtype=np.int64),
+            "landmark.distances": np.zeros((2, num_users)),
+            "landmark.hops": np.zeros((2, num_users), dtype=np.int64),
+        })
         meta = dict(current.meta)
+        meta["materialized"] = {"measure": "shortest-path", "num_clusters": 1,
+                                "num_rows": num_users,
+                                "num_entries": num_users}
         meta["landmark"] = {"measure": "landmark", "num_landmarks": 2,
                             "strategy": "degree", "seed": 0, "decay": 0.5}
-        older = write_arena(tmp_path / "older.arena", meta, arrays)
+        return write_arena(tmp_path / "older.arena", meta, arrays)
 
-        fresh = MaterializedProximity(
-            PersonalizedPageRankProximity(corpus.graph,
-                                          ProximityConfig(measure="ppr")))
-        assert attach_shards(fresh, older)
-        inner = PersonalizedPageRankProximity(corpus.graph,
-                                              ProximityConfig(measure="ppr"))
-        for seeker in range(0, num_users, 5):
-            np.testing.assert_array_equal(fresh.vector_array(seeker),
-                                          inner.vector_array(seeker))
-        assert fresh.statistics.refinements == 0
-        assert Dataset.from_arena(older).graph == corpus.graph
+    @staticmethod
+    def _answers(dataset, corpus):
+        engine = SocialSearchEngine(dataset)
+        mix = generate_workload(corpus, WorkloadConfig(num_queries=8, k=5,
+                                                       seed=3))
+        return [result_signature(engine.run(query, algorithm=algorithm))
+                for algorithm in ("exact", "social-first") for query in mix]
+
+    def test_opens_and_answers_like_the_current_layout(self, corpus,
+                                                       arena_path, older):
+        assert "materialized.row_values" in Arena.open(older)
+        dataset = Dataset.from_arena(older)
+        assert dataset.graph == corpus.graph
+        assert self._answers(dataset, corpus) \
+            == self._answers(Dataset.from_arena(arena_path), corpus)
+
+    def test_durable_store_opens_it_and_the_checkpoint_drops_the_sections(
+            self, corpus, arena_path, older, tmp_path):
+        directory = tmp_path / "store"
+        DurableStore.initialise(corpus, directory).close()
+        (directory / "gen-0.arena").write_bytes(older.read_bytes())
+
+        store = DurableStore.open(directory)
+        try:
+            assert self._answers(store.dataset, corpus) \
+                == self._answers(Dataset.from_arena(arena_path), corpus)
+            assert store.checkpoint(force=True)["published"]
+            published = directory / str(store.manifest["arena"])
+        finally:
+            store.close()
+        rewritten = Arena.open(published)
+        assert rewritten.meta["materialized"] is None
+        assert "landmark" not in rewritten.meta
+        assert not [name for name in rewritten.arrays
+                    if name.startswith(("materialized.", "landmark."))]
+        plain = build_arena(Dataset.from_arena(arena_path),
+                            tmp_path / "plain.arena")
+        assert published.read_bytes() == plain.read_bytes()
 
 
 class TestDeltaOverlay:

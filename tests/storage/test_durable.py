@@ -1,11 +1,19 @@
 """Tests for atomic arena generations + crash recovery (repro.storage.durable)."""
 
+import numpy as np
 import pytest
 
-from repro.config import DurabilityConfig, ProximityConfig, ServiceConfig
+from repro.config import (
+    DurabilityConfig,
+    EngineConfig,
+    ProximityConfig,
+    ServiceConfig,
+)
 from repro.core import SocialSearchEngine, Query
 from repro.errors import PersistenceError
+from repro.graph import SocialGraph
 from repro.obs.faults import InjectedCrash, armed, faults
+from repro.proximity import available_proximities, create_proximity
 from repro.service import QueryService
 from repro.storage import TaggingAction
 from repro.storage.durable import (
@@ -84,6 +92,34 @@ class TestRecovery:
             assert recovered.dataset.tagging.contains(0, 100, "rock")
             assert recovered.dataset.graph.edge_weight(2, 3) \
                 == pytest.approx(0.9)
+        finally:
+            recovered.close()
+
+    @pytest.mark.parametrize("measure", available_proximities())
+    def test_a_reopened_store_serves_the_rows_of_replayed_friendships(
+            self, small_graph, store, measure):
+        # User 5 is isolated in the generation's graph; the acked friendship
+        # lives only in the WAL.  Every row served after the restart must be
+        # the replayed graph's, never one computed before the friendship.
+        store.updater.add_friendships([(0, 5, 0.9)])
+        directory = store.directory
+        store.close()
+
+        recovered = DurableStore.open(directory)
+        try:
+            config = ProximityConfig(measure=measure)
+            engine = SocialSearchEngine(recovered.dataset,
+                                        EngineConfig(proximity=config))
+            truth = create_proximity(measure, SocialGraph.from_edges(
+                6, list(small_graph.iter_edges()) + [(0, 5, 0.9)]), config)
+            before = create_proximity(measure, small_graph, config)
+            assert any(not np.array_equal(truth.vector_array(seeker),
+                                          before.vector_array(seeker))
+                       for seeker in range(6))
+            for seeker in range(6):
+                np.testing.assert_array_equal(
+                    engine.proximity.vector_array(seeker),
+                    truth.vector_array(seeker))
         finally:
             recovered.close()
 

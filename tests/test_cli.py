@@ -31,8 +31,8 @@ class TestParser:
         parser = build_parser()
         assert parser.parse_args(["bench"]).suite is None
         assert parser.parse_args(["bench", "--suite"]).suite == "topk"
-        assert parser.parse_args(["bench", "--suite", "proximity"]).suite \
-            == "proximity"
+        assert parser.parse_args(["bench", "--suite", "updates"]).suite \
+            == "updates"
         args = parser.parse_args(["bench", "--suite", "scale",
                                   "--scale-sizes", "2500,10000",
                                   "--chunk-size", "50000",
@@ -75,6 +75,21 @@ class TestParser:
             main(argv + ["--snapshot", "snap"])
         assert excinfo.value.code == 2
         assert "--snapshot" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,named", [
+        (["serve", "--materialize"], "--materialize"),
+        (["explain", "1", "jazz", "--build-shards"], "--build-shards"),
+        (["build-arena", "x", "--materialize"], "--materialize"),
+        (["bench", "--suite", "proximity"], "proximity"),
+        (["serve", "--cluster-rounds", "3"], "--cluster-rounds"),
+        (["explain", "1", "jazz", "--materialize"], "--materialize"),
+        (["build-arena", "x", "--proximity", "ppr"], "--proximity"),
+        (["build-arena", "x", "--cluster-rounds", "3"], "--cluster-rounds")])
+    def test_removed_shard_flags_are_argparse_errors(self, argv, named, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert named in capsys.readouterr().err
 
 
 class TestExplain:
@@ -236,44 +251,27 @@ class TestBench:
                      "--max-trace-overhead", "1e-9"]) == 1
         assert "instrumentation budget" in capsys.readouterr().out
 
-    def test_bench_proximity_suite_writes_json(self, tmp_path, capsys):
-        target = tmp_path / "BENCH_proximity.json"
-        assert main(["bench", "--suite", "proximity", "--users", "40",
-                     "--queries", "3", "--rounds", "1",
-                     "--json", str(target)]) == 0
-        output = capsys.readouterr().out
-        assert "cold seeker" in output
-        assert "equivalence   OK" in output
-        assert target.exists()
-
-    def test_bench_proximity_suite_min_speedup_gate(self, capsys):
-        assert main(["bench", "--suite", "proximity", "--users", "40",
-                     "--queries", "3", "--rounds", "1",
-                     "--min-speedup", "1e9"]) == 1
-        assert "FAIL" in capsys.readouterr().out
-
 
 class TestBuildArena:
     def test_build_arena_then_serve_dataset(self, tmp_path, capsys):
         arena = tmp_path / "corpus.arena"
-        assert main(["build-arena", str(arena), "--scale", "0.1",
-                     "--materialize", "--proximity", "ppr"]) == 0
-        output = capsys.readouterr().out
-        assert "materialized" in output
-        assert "wrote arena" in output
-        assert arena.exists()
+        assert main(["build-arena", str(arena), "--scale", "0.1"]) == 0
+        capsys.readouterr()
 
-        from repro.storage import Dataset, load_shards
+        from repro.storage import Dataset
         from repro.workload import delicious_like
 
         dataset = Dataset.from_arena(arena)
         assert dataset.num_users == delicious_like(scale=0.1, seed=7).num_users
-        assert load_shards(arena) is not None
+        assert main(["query", str(arena), "1", dataset.tags()[0],
+                     "--k", "3"]) == 0
+        assert capsys.readouterr().out
 
     def test_build_arena_synthetic_default(self, tmp_path, capsys):
         arena = tmp_path / "synthetic.arena"
         assert main(["build-arena", str(arena), "--scale", "0.1"]) == 0
         assert "wrote arena" in capsys.readouterr().out
+        assert arena.exists()
 
 
 class TestProfile:

@@ -51,6 +51,12 @@ class TestProximityConfig:
         with pytest.raises(ConfigurationError):
             ProximityConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["materialize", "cluster_rounds"])
+    def test_removed_shard_fields_are_not_accepted(self, field):
+        with pytest.raises(TypeError):
+            ProximityConfig(**{field: 1})
+        assert field not in ProximityConfig().to_dict()
+
 
 class TestEngineConfig:
     def test_defaults(self):
