@@ -9,7 +9,7 @@ friendships arrive continuously.  This example replays a stream of new
 tagging actions and friendships against a live dataset with
 :class:`repro.storage.DatasetUpdater`, interleaving queries, and shows how
 a newly endorsed item climbs into the seeker's top-k as the seeker's friends
-discover it.  It also renders the item's rank trajectory as an ASCII chart.
+discover it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro import (
     default_engine_config,
     delicious_like,
 )
-from repro.eval import ascii_line_chart
 from repro.storage import DatasetUpdater
 from repro.workload import generate_workload
 
@@ -47,7 +46,6 @@ def main() -> None:
     print(f"new item {new_item} will be endorsed, one friend at a time, by "
           f"{len(friends)} of the seeker's closest friends\n")
 
-    trajectory = []
     timestamp = 1_000_000
     for step, friend in enumerate(friends, start=1):
         updater.add_actions([
@@ -56,17 +54,8 @@ def main() -> None:
         ])
         result = engine.run(query)
         rank = result.item_ids.index(new_item) + 1 if new_item in result.item_ids else 0
-        trajectory.append((step, rank))
         shown = f"rank {rank}" if rank else "not in top-10 yet"
         print(f"  after {step:2d} friend endorsement(s): {shown}")
-
-    in_top = [(step, rank) for step, rank in trajectory if rank > 0]
-    if in_top:
-        print("\n" + ascii_line_chart(
-            {"rank of the new item (lower is better)": in_top},
-            width=40, height=8,
-            title="rank trajectory as endorsements accumulate",
-        ))
 
     # Friendships are updates too: connect the seeker directly to the item's
     # very first endorser and watch the social score tighten further.

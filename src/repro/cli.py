@@ -51,8 +51,7 @@ from .workload.queries import generate_workload
 def _engine_config(args: argparse.Namespace) -> EngineConfig:
     return EngineConfig(
         algorithm=args.algorithm,
-        scoring=ScoringConfig(alpha=args.alpha,
-                              vectorized=not getattr(args, "scalar", False)),
+        scoring=ScoringConfig(alpha=args.alpha),
         proximity=ProximityConfig(measure=args.proximity),
     )
 
@@ -64,9 +63,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                         help="default top-k algorithm (default: social-first)")
     parser.add_argument("--proximity", default="shortest-path",
                         help="proximity measure (default: shortest-path)")
-    parser.add_argument("--scalar", action="store_true",
-                        help="disable the vectorized numpy scoring kernels "
-                             "(scalar fallback; identical results, slower)")
 
 
 def _command_demo(args: argparse.Namespace) -> int:
@@ -185,13 +181,6 @@ def _run_bench_suite(args: argparse.Namespace) -> int:
     """Headless ``bench_fig*``-style suites with machine-readable output."""
     from .eval.bench import DEFAULT_ALGORITHMS, format_report, run_topk_suite, write_report
 
-    if args.scalar:
-        # The suite always measures both modes (the speedup IS the point);
-        # silently benchmarking something else than asked would be worse
-        # than refusing.
-        print("--scalar has no effect with --suite: the suite benchmarks "
-              "both the vectorized and the scalar exact path")
-        return 1
     if args.suite == "updates":
         return _run_updates_suite(args)
     if args.suite == "durability":
@@ -219,11 +208,6 @@ def _run_bench_suite(args: argparse.Namespace) -> int:
     if args.json:
         path = write_report(report, args.json)
         print(f"wrote {path}")
-    speedup = float(report["speedup_vectorized_exact"])
-    if args.min_speedup > 0.0 and speedup < args.min_speedup:
-        print(f"FAIL: vectorized exact speedup {speedup:.2f}x is below the "
-              f"required {args.min_speedup:.2f}x")
-        return 1
     if args.max_trace_overhead > 0.0:
         overhead = float(report["instrumentation"]["overhead_disabled"])  # type: ignore[index]
         if overhead > args.max_trace_overhead:
@@ -649,8 +633,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--suite", nargs="?", const="topk", default=None,
                        choices=("topk", "updates", "durability", "scale"),
                        help="run a headless bench_fig*-style suite: 'topk' "
-                            "(p50/p95/qps + vectorized-vs-scalar speedup; "
-                            "the default when no value is given), 'updates' "
+                            "(per-algorithm p50/p95/qps; the default when "
+                            "no value is given), 'updates' "
                             "(interleaved query/update trace over an "
                             "arena-backed dataset: post- vs pre-update p50 "
                             "plus a fresh-rebuild equivalence gate) or "
@@ -672,10 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--json", default=None, metavar="PATH",
                        help="suite: write the machine-readable report here "
                             "(e.g. benchmarks/results/BENCH_topk.json)")
-    bench.add_argument("--min-speedup", type=float, default=0.0,
-                       help="topk suite: exit non-zero when the vectorized "
-                            "exact speedup falls below this factor (CI "
-                            "smoke gate)")
     bench.add_argument("--max-p50-ratio", type=float, default=0.0,
                        help="updates suite: exit non-zero when the "
                             "post-update query p50 exceeds this multiple "

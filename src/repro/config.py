@@ -29,32 +29,12 @@ class ScoringConfig:
     alpha:
         Weight of the textual component in ``[0, 1]``.  ``alpha = 1`` means a
         purely textual (non-social) ranking, ``alpha = 0`` a purely social one.
-    include_seeker:
-        Whether the seeker's own tagging actions contribute to the social
-        component.  The paper-family convention is to exclude them (a user's
-        own bookmarks are not "help from friends"), which is the default.
-    proximity_floor:
-        Proximity values below this threshold are treated as zero.  This
-        bounds the social expansion of frontier-based algorithms.
-    vectorized:
-        Whether algorithms may use the numpy scoring kernels (batched
-        posting-list reads, CSR endorser reductions, ``argpartition``
-        top-k).  The kernels return exactly the same rankings as the scalar
-        path; disabling them is the scalar fallback for debugging and for
-        the benchmark suite's speedup baseline.
     """
 
     alpha: float = 0.5
-    include_seeker: bool = False
-    proximity_floor: float = 1e-4
-    vectorized: bool = True
 
     def __post_init__(self) -> None:
         _require(0.0 <= self.alpha <= 1.0, f"alpha must be in [0, 1], got {self.alpha}")
-        _require(
-            0.0 <= self.proximity_floor < 1.0,
-            f"proximity_floor must be in [0, 1), got {self.proximity_floor}",
-        )
 
     def to_dict(self) -> Dict[str, object]:
         """Return a plain-dict view suitable for experiment logs."""
@@ -164,10 +144,6 @@ class ServiceConfig:
         Time-to-live of a cached result; 0 means entries never expire on
         their own (they are still evicted by LRU pressure and update-driven
         invalidation).
-    invalidation_horizon:
-        Hop radius around a user touched by a friendship update within which
-        cached results and proximity vectors are considered stale.  0 means
-        "use the proximity measure's ``max_hops``".
     compact_threshold:
         Once a watched updater's delta overlays (live updates accumulated on
         top of frozen arena arrays) hold at least this many actions, the
@@ -182,7 +158,6 @@ class ServiceConfig:
 
     cache_capacity: int = 1024
     cache_ttl_seconds: float = 300.0
-    invalidation_horizon: int = 0
     compact_threshold: int = 0
     host: str = "127.0.0.1"
     port: int = 8080
@@ -192,8 +167,6 @@ class ServiceConfig:
                  f"cache_capacity must be non-negative, got {self.cache_capacity}")
         _require(self.cache_ttl_seconds >= 0.0,
                  f"cache_ttl_seconds must be non-negative, got {self.cache_ttl_seconds}")
-        _require(self.invalidation_horizon >= 0,
-                 f"invalidation_horizon must be non-negative, got {self.invalidation_horizon}")
         _require(self.compact_threshold >= 0,
                  f"compact_threshold must be non-negative, got {self.compact_threshold}")
         _require(bool(self.host), "host must be a non-empty string")

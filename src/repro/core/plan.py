@@ -1,13 +1,12 @@
 """The query planner: every execution-path choice, made explicit.
 
-Four PRs of optimisation left the engine with many implicit execution
-paths — scalar vs vectorized scoring, online vs cached proximity,
-python-dict vs arena-array storage (with or without pending
-delta overlays) — chosen by ``if`` checks scattered across
-``SocialSearchEngine`` and ``QueryService``.
+The engine has a few implicit execution paths — online vs cached
+proximity, python-dict vs arena-array storage (with or without pending
+delta overlays) — that would otherwise be chosen by ``if`` checks
+scattered across ``SocialSearchEngine`` and ``QueryService``.
 
 This module centralises those decisions.  A :class:`QueryPlanner` inspects
-the engine once (dataset backing, proximity wrapper, scoring mode) and
+the engine once (dataset backing, proximity wrapper) and
 emits an :class:`ExecutionPlan` per query — a plain, inspectable record of
 *how* the query will run — which the engine then merely drives.  ``repro
 explain`` and the service's ``/explain`` endpoint print plans without
@@ -40,7 +39,6 @@ class ExecutionPlan:
     backing: str
     pending_delta: int
     proximity_path: str
-    scoring_path: str
     reason: str
     frontier_bound: Optional[float] = None
 
@@ -54,7 +52,6 @@ class ExecutionPlan:
             "backing": self.backing,
             "pending_delta": self.pending_delta,
             "proximity_path": self.proximity_path,
-            "scoring_path": self.scoring_path,
             "reason": self.reason,
         }
         if self.frontier_bound is not None:
@@ -65,7 +62,7 @@ class ExecutionPlan:
         """Human-readable multi-line rendering (the ``repro explain`` output)."""
         lines = [
             f"query:      seeker={self.seeker} tags={list(self.tags)} k={self.k}",
-            f"algorithm:  {self.algorithm} ({self.scoring_path} scoring)",
+            f"algorithm:  {self.algorithm}",
             f"backing:    {self.backing}"
             + (f" ({self.pending_delta} delta actions pending)"
                if self.pending_delta else ""),
@@ -117,11 +114,6 @@ class QueryPlanner:
             return "cached"
         return "online"
 
-    def scoring_path(self) -> str:
-        """``"vectorized"`` (numpy kernels) or ``"scalar"`` (reference path)."""
-        return ("vectorized" if self._engine.config.scoring.vectorized
-                else "scalar")
-
     def _resolve(self, algorithm: Optional[str]) -> str:
         return algorithm or self._engine.config.algorithm
 
@@ -148,7 +140,6 @@ class QueryPlanner:
             backing=self.backing(),
             pending_delta=self.pending_delta(),
             proximity_path=self.proximity_path(),
-            scoring_path=self.scoring_path(),
             reason=reason,
             frontier_bound=(self._engine.proximity.frontier_bound(query.seeker)
                             if preview else None),
@@ -200,7 +191,6 @@ class QueryPlanner:
             "backing": self.backing(),
             "pending_delta": self.pending_delta(),
             "proximity_path": self.proximity_path(),
-            "scoring_path": self.scoring_path(),
         }
         description.update(self.route_stats())
         return description

@@ -34,9 +34,10 @@ class ScoredBlock:
     """Vectorized scores of a block of candidate items (parallel arrays).
 
     ``random_charges`` (present when requested) is the number of random
-    accesses the scalar path would spend scoring each item exactly — one
-    frequency lookup per tag plus one per charged endorser — so callers can
-    mirror the scalar access accounting without redoing the gathers.
+    accesses :meth:`ScoringModel.exact_score` would spend scoring each item
+    — one frequency lookup per tag plus one per endorser other than the
+    seeker — so callers can charge the same accounting without redoing the
+    gathers.
     """
 
     item_ids: np.ndarray
@@ -123,13 +124,15 @@ class ScoringModel:
                     accountant: Optional[AccessAccountant] = None) -> float:
         """Raw proximity-weighted endorser mass ``Σ_v prox(s, v)``.
 
-        Taggers are visited in ascending id order — the same order the
-        endorser index stores its CSR segments in — so the scalar and
-        vectorized scorers accumulate floating-point mass identically.
+        The seeker's own endorsement is skipped uncharged: a user's own
+        bookmarks are not "help from friends".  Taggers are visited in
+        ascending id order — the same order the endorser index stores its
+        CSR segments in — so this loop and :meth:`score_block` accumulate
+        floating-point mass in the same order.
         """
         mass = 0.0
         for tagger in self._dataset.tagging.taggers_sorted(item_id, tag):
-            if tagger == seeker and not self._config.include_seeker:
+            if tagger == seeker:
                 continue
             if accountant is not None:
                 accountant.charge_random()
@@ -169,9 +172,10 @@ class ScoringModel:
     def proximity_vector_array(self, seeker: int) -> np.ndarray:
         """Dense per-user proximity array of the seeker (read-only).
 
-        The seeker's own entry is always 0, which is exactly the value the
-        scalar path observes (``vector()`` never contains the seeker), so
-        gathering from this array needs no seeker-exclusion branch.
+        The seeker's own entry is always 0, which is exactly the value
+        :meth:`social_mass` observes (``vector()`` never contains the
+        seeker), so gathering from this array needs no seeker-exclusion
+        branch.
         """
         return self._proximity.vector_array(seeker)
 
@@ -193,8 +197,8 @@ class ScoringModel:
         identical rankings under the (score desc, item id asc) order.
 
         With ``with_charges`` the returned block also carries the per-item
-        scalar-equivalent random-access counts (computed in the same pass,
-        from the same gathers).
+        random-access counts :meth:`exact_score` would charge (computed in
+        the same pass, from the same gathers).
         """
         if proximity is None:
             proximity = self.proximity_vector_array(seeker)
@@ -212,9 +216,8 @@ class ScoringModel:
                         charges += 1  # the frequency lookup still happens
                     continue
                 # prox[seeker] is 0 by the vector_array contract, so the
-                # include_seeker flag needs no branch here: the seeker's own
-                # endorsements contribute zero mass either way (it only
-                # affects access accounting).
+                # seeker's own endorsements contribute zero mass here; they
+                # only have to be left out of the charges below.
                 mass = bundle.social_mass(proximity)
                 if item_ids is bundle.item_ids:
                     # Single-tag fast path: the candidate block IS this
@@ -231,16 +234,10 @@ class ScoringModel:
                 textual_total += frequencies / normaliser
                 social_total += social
                 if charges is not None:
-                    endorsers = frequencies
-                    if not self._config.include_seeker:
-                        # The scalar path skips the seeker before charging.
-                        seeker_flags = bundle.seeker_flags(seeker)
-                        if item_ids is bundle.item_ids:
-                            endorsers = endorsers - seeker_flags.astype(np.int64)
-                        else:
-                            endorsers = endorsers - np.where(
-                                found, seeker_flags[positions].astype(np.int64), 0)
-                    charges += 1 + endorsers
+                    seeker_flags = bundle.seeker_flags(seeker).astype(np.int64)
+                    if item_ids is not bundle.item_ids:
+                        seeker_flags = np.where(found, seeker_flags[positions], 0)
+                    charges += 1 + frequencies - seeker_flags
         m = float(len(tags)) if tags else 1.0
         textual_component = textual_total / m
         social_component = social_total / m

@@ -5,28 +5,22 @@ that carries at least one query tag, scores each exactly and keeps the best
 ``k``.  It is the correctness oracle for every other algorithm and the
 "no early termination" end of the latency spectrum.
 
-Two implementations answer the same contract:
-
-* the **scalar** path — one Python-level ``exact_score`` per candidate,
-  kept as the reference implementation and the benchmark baseline;
-* the **vectorized** path (``scoring.vectorized``, default) — scores the
-  whole candidate block with the numpy kernels
-  (:meth:`~repro.core.scoring.ScoringModel.score_block`) and selects the
-  top ``k`` with ``argpartition``, producing the identical ranking and the
-  identical access-accounting numbers.
+The candidate block is scored with the numpy kernels
+(:meth:`~repro.core.scoring.ScoringModel.score_block`) and the top ``k``
+is selected with ``argpartition``.  The per-candidate ``exact_score`` loop
+this replaced is kept as the test oracle (``tests/scoring_oracle.py``):
+identical rankings and access accounting, scores within 1e-12.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Set
 
 import numpy as np
 
 from ..accounting import AccessAccountant
 from ..query import Query, QueryResult, ScoredItem
 from .base import TopKAlgorithm, register_algorithm
-from .heap import TopKHeap
 
 
 def select_topk(item_ids: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
@@ -59,49 +53,6 @@ class ExactBaseline(TopKAlgorithm):
     def search(self, query: Query) -> QueryResult:
         """Answer the query by exhaustive scoring."""
         self._validate(query)
-        if self._config.scoring.vectorized:
-            return self._search_vectorized(query)
-        return self._search_scalar(query)
-
-    # ------------------------------------------------------------------ #
-    # Scalar reference path
-    # ------------------------------------------------------------------ #
-
-    def _search_scalar(self, query: Query) -> QueryResult:
-        started_at = time.perf_counter()
-        accountant = AccessAccountant()
-
-        proximity_vector = self._scoring.proximity_vector(query.seeker)
-        accountant.charge_user_visit(len(proximity_vector))
-
-        candidates: Set[int] = set()
-        for tag in query.tags:
-            postings = self._dataset.inverted_index.cursor(tag)
-            while True:
-                posting = postings.next()
-                if posting is None:
-                    break
-                accountant.charge_sequential()
-                candidates.add(posting.item_id)
-        accountant.charge_candidate(len(candidates))
-
-        heap = TopKHeap(query.k)
-        for item_id in sorted(candidates):
-            breakdown = self._scoring.exact_score(
-                query.seeker, item_id, query.tags, proximity_vector,
-                accountant=accountant,
-            )
-            heap.offer(item_id, breakdown.score)
-
-        return self._finalise(query, heap, accountant, started_at,
-                              terminated_early=False,
-                              proximity_vector=proximity_vector)
-
-    # ------------------------------------------------------------------ #
-    # Vectorized fast path
-    # ------------------------------------------------------------------ #
-
-    def _search_vectorized(self, query: Query) -> QueryResult:
         started_at = time.perf_counter()
         accountant = AccessAccountant()
         seeker = query.seeker
@@ -113,9 +64,9 @@ class ExactBaseline(TopKAlgorithm):
         block = self._scoring.score_block(seeker, candidates, query.tags,
                                           proximity=proximity, with_charges=True)
 
-        # Mirror the scalar path's access accounting exactly: one sequential
-        # access per posting read, plus the per-item random-access charges
-        # score_block derived in the same pass as the scores.
+        # The accounting of scoring every candidate with exact_score: one
+        # sequential access per posting read, plus the per-item random-access
+        # charges score_block derived in the same pass as the scores.
         sequential = sum(self._dataset.inverted_index.list_length(tag)
                          for tag in query.tags)
         accountant.charge_sequential(sequential)
@@ -123,13 +74,13 @@ class ExactBaseline(TopKAlgorithm):
         accountant.charge_random(int(block.random_charges.sum()))
 
         top = select_topk(candidates, block.scores, query.k)
-        # The scalar path re-scores the final heap in _finalise; mirror the
-        # charges without redoing the arithmetic.
+        # Every other algorithm re-scores its final top k in _finalise;
+        # charge those accesses too, without redoing the arithmetic.
         accountant.charge_random(int(block.random_charges[top].sum()))
 
         # Bulk tolist() conversion: one call per array instead of one numpy
         # scalar __float__ per field per item (a measurable share of the
-        # per-query cost once scoring itself is vectorized).
+        # per-query cost once scoring itself is in numpy).
         items = [
             ScoredItem(item_id=item_id, score=score, textual=textual, social=social)
             for item_id, score, textual, social in zip(

@@ -33,7 +33,6 @@ from .bench import (
 from .quality import result_signature
 from .scale import format_scale_report, run_scale_suite
 from .tables import format_series, format_table, select_columns
-from .plots import ascii_bar_chart, ascii_line_chart, series_from_rows
 
 __all__ = [
     "precision_at_k",
@@ -69,7 +68,4 @@ __all__ = [
     "format_table",
     "format_series",
     "select_columns",
-    "ascii_bar_chart",
-    "ascii_line_chart",
-    "series_from_rows",
 ]

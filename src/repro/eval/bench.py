@@ -7,8 +7,8 @@ trajectory of the engine can be tracked commit over commit
 
 Three suites (``scale`` lives in :mod:`repro.eval.scale`):
 
-* ``topk`` — per-query latency across algorithms plus vectorized vs scalar
-  exact scoring on the Figure-6 medium corpus (PR 2's kernel layer);
+* ``topk`` — per-query latency and throughput of each algorithm on the
+  Figure-6 medium corpus;
 * ``updates`` — the live-update write path: an interleaved query/update
   trace over an arena-backed dataset served through a proximity cache,
   reporting post-update vs pre-update query p50 (the delta overlays +
@@ -77,11 +77,9 @@ def _summarise(samples: List[float]) -> Dict[str, float]:
     }
 
 
-def _engine(dataset: Dataset, vectorized: bool, alpha: float,
-            measure: str, algorithm: str = "social-first") -> SocialSearchEngine:
+def _engine(dataset: Dataset, alpha: float, measure: str) -> SocialSearchEngine:
     config = EngineConfig(
-        algorithm=algorithm,
-        scoring=ScoringConfig(alpha=alpha, vectorized=vectorized),
+        scoring=ScoringConfig(alpha=alpha),
         proximity=ProximityConfig(measure=measure, cache_size=256),
     )
     return SocialSearchEngine(dataset, config)
@@ -96,7 +94,7 @@ def run_topk_suite(num_users: int = MEDIUM_USERS, num_queries: int = 20,
     """Run the suite and return the JSON-serialisable report.
 
     With ``instrumentation=True`` the report gains an ``instrumentation``
-    block: an A/B/C of the exact vectorized path with the tracer off,
+    block: an A/B/C of the exact path with the tracer off,
     installed-but-unsampled and fully sampled (the disabled-path overhead
     gate), plus the per-stage time breakdown aggregated over the traced
     round.  ``trace_jsonl`` additionally writes one fully-traced query's
@@ -121,35 +119,15 @@ def run_topk_suite(num_users: int = MEDIUM_USERS, num_queries: int = 20,
         "entries": [],
     }
 
-    # Kernel speedup: vectorized vs scalar exact, identical engine otherwise.
-    vectorized_exact = _time_queries(
-        _engine(dataset, vectorized=True, alpha=alpha, measure=measure),
-        queries, "exact", rounds)
-    scalar_exact = _time_queries(
-        _engine(dataset, vectorized=False, alpha=alpha, measure=measure),
-        queries, "exact", rounds)
     entries: List[Dict[str, object]] = report["entries"]  # type: ignore[assignment]
-    entries.append(dict(_summarise(vectorized_exact),
-                        algorithm="exact", mode="vectorized"))
-    entries.append(dict(_summarise(scalar_exact),
-                        algorithm="exact", mode="scalar"))
-    vectorized_qps = entries[0]["qps"]
-    scalar_qps = entries[1]["qps"]
-    report["speedup_vectorized_exact"] = (
-        float(vectorized_qps) / float(scalar_qps) if scalar_qps else 0.0)
-
-    # Per-algorithm serving view with the default (vectorized) engine.
-    serving_engine = _engine(dataset, vectorized=True, alpha=alpha, measure=measure)
+    serving_engine = _engine(dataset, alpha=alpha, measure=measure)
     for algorithm in algorithms:
-        if algorithm == "exact":
-            continue  # already covered above in both modes
         samples = _time_queries(serving_engine, queries, algorithm, rounds)
-        entries.append(dict(_summarise(samples), algorithm=algorithm,
-                            mode="vectorized"))
+        entries.append(dict(_summarise(samples), algorithm=algorithm))
 
     if instrumentation:
         report["instrumentation"] = _measure_instrumentation(
-            _engine(dataset, vectorized=True, alpha=alpha, measure=measure),
+            _engine(dataset, alpha=alpha, measure=measure),
             queries, rounds, trace_jsonl=trace_jsonl)
     report["memory"] = memory_summary()
     return report
@@ -158,7 +136,7 @@ def run_topk_suite(num_users: int = MEDIUM_USERS, num_queries: int = 20,
 def _measure_instrumentation(engine: SocialSearchEngine,
                              queries: Sequence[Query], rounds: int,
                              trace_jsonl: PathLike = None) -> Dict[str, object]:
-    """A/B/C the tracer's cost on the exact vectorized path.
+    """A/B/C the tracer's cost on the exact path.
 
     Four measurements, interleaved round by round on ONE engine so cache
     state and allocator drift hit all modes equally, each query keeping
@@ -904,7 +882,7 @@ def _engine_with(dataset: Dataset, proximity: ProximityConfig,
                  alpha: float) -> SocialSearchEngine:
     return SocialSearchEngine(dataset, EngineConfig(
         algorithm="exact",
-        scoring=ScoringConfig(alpha=alpha, vectorized=True),
+        scoring=ScoringConfig(alpha=alpha),
         proximity=proximity,
     ))
 
@@ -936,17 +914,13 @@ def format_report(report: Dict[str, object]) -> str:
         f"({report['dataset']['num_users']} users, "  # type: ignore[index]
         f"{report['workload']['num_queries']} queries x "  # type: ignore[index]
         f"{report['workload']['rounds']} rounds)",  # type: ignore[index]
-        f"{'algorithm':<14} {'mode':<11} {'p50 ms':>8} {'p95 ms':>8} {'qps':>9}",
+        f"{'algorithm':<14} {'p50 ms':>8} {'p95 ms':>8} {'qps':>9}",
     ]
     for entry in report["entries"]:  # type: ignore[union-attr]
         lines.append(
-            f"{entry['algorithm']:<14} {entry['mode']:<11} "
+            f"{entry['algorithm']:<14} "
             f"{entry['p50_ms']:>8.3f} {entry['p95_ms']:>8.3f} {entry['qps']:>9.1f}"
         )
-    lines.append(
-        f"vectorized exact speedup vs scalar: "
-        f"{report['speedup_vectorized_exact']:.2f}x"
-    )
     instrumentation = report.get("instrumentation")
     if instrumentation:
         lines.append(

@@ -45,7 +45,7 @@ from ..storage.dataset import Dataset
 from ..workload.datasets import build_dataset, scaled_config
 from ..workload.sampler import dataset_workload, sample_workload
 from .bench import _result_signature
-from .timing import Timer, measure_in_subprocess, memory_summary
+from .timing import Timer, measure_in_subprocess, memory_summary, percentile
 
 #: default sweep (the last entry is the headline out-of-core size).
 DEFAULT_SIZES = (2500, 10000, 25000, 50000, 100000)
@@ -56,7 +56,7 @@ _MB = 1024.0 * 1024.0
 def _engine_for(dataset: Dataset) -> SocialSearchEngine:
     return SocialSearchEngine(dataset, EngineConfig(
         algorithm="social-first",
-        scoring=ScoringConfig(alpha=0.5, vectorized=True),
+        scoring=ScoringConfig(alpha=0.5),
         proximity=ProximityConfig(measure="shortest-path", cache_size=256),
     ))
 
@@ -84,13 +84,6 @@ def arena_workload(arena: Arena, num_queries: int, k: int,
                            tags_per_query=tags_per_query)
 
 
-def _percentile_ms(samples: List[float], fraction: float) -> float:
-    ordered = sorted(samples)
-    rank = min(len(ordered) - 1,
-               max(0, int(round(fraction * (len(ordered) - 1)))))
-    return ordered[rank] * 1000.0
-
-
 def _serve_from_arena(arena_path: Path, num_queries: int, k: int,
                       rounds: int) -> Dict[str, float]:
     """Cold-start + steady-state serving numbers for one arena (runs in a
@@ -109,8 +102,8 @@ def _serve_from_arena(arena_path: Path, num_queries: int, k: int,
             samples.append(time.perf_counter() - started)
     return {
         "cold_start_ms": cold.elapsed_milliseconds,
-        "p50_ms": _percentile_ms(samples, 0.5),
-        "p95_ms": _percentile_ms(samples, 0.95),
+        "p50_ms": percentile(samples, 0.5) * 1000.0,
+        "p95_ms": percentile(samples, 0.95) * 1000.0,
         "mean_ms": sum(samples) / len(samples) * 1000.0,
         "queries": float(len(queries)),
         "rounds": float(rounds),

@@ -90,7 +90,7 @@ class QueryService:
         The search engine to serve.  Its proximity measure is shared across
         calling threads; :class:`CachedProximity` is internally locked.
     config:
-        Service knobs (cache capacity/TTL, horizon, compaction threshold).
+        Service knobs (cache capacity/TTL, compaction threshold).
     updater:
         Optional :class:`DatasetUpdater` to watch from construction; more
         can be attached later with :meth:`watch`.
@@ -201,10 +201,9 @@ class QueryService:
                 "algorithm": engine_config.algorithm,
                 "alpha": engine_config.scoring.alpha,
                 "proximity": engine_config.proximity.measure,
-                "vectorized": engine_config.scoring.vectorized,
             },
             # The planner's engine-level decision record: storage backing,
-            # proximity route, scoring path, route counters.
+            # proximity route, route counters.
             "plan": self._engine.planner.describe(),
             "result_cache": dict(self._cache.statistics.to_dict(),
                                  size=len(self._cache),
@@ -379,21 +378,17 @@ class QueryService:
         """The attached durable store, if any."""
         return self._durable
 
-    @property
-    def invalidation_horizon(self) -> int:
-        """Hop radius used for friendship-driven invalidation."""
-        if self._config.invalidation_horizon > 0:
-            return self._config.invalidation_horizon
-        return self._engine.config.proximity.max_hops
-
     def _affected_seekers(self, users: Iterable[int]) -> Set[int]:
         """Every seeker within the proximity horizon of one of ``users``.
 
-        Computed on the *new* graph, which is already in place when the
-        updater notifies.  Includes the touched users themselves.
+        The horizon is the measure's ``max_hops``: a friendship can change
+        the row of any seeker that reaches it within the hop cap, so a
+        smaller radius would leave cached rows stale.  Computed on the
+        *new* graph, which is already in place when the updater notifies.
+        Includes the touched users themselves.
         """
         graph = self._engine.dataset.graph
-        horizon = self.invalidation_horizon
+        horizon = self._engine.config.proximity.max_hops
         affected: Set[int] = set()
         # Every touched user gets its own BFS: hop-balls are not transitively
         # closed, so a user inside another's ball can still reach seekers the

@@ -61,15 +61,17 @@ class TestEngineReconfiguration:
         assert other.config.scoring.alpha == pytest.approx(0.9)
         assert engine.config.scoring.alpha == pytest.approx(0.5)
 
-    def test_with_alpha_keeps_every_other_scoring_field(self, synthetic_dataset):
-        # A scalar engine must stay scalar: only alpha changes.
-        scoring = ScoringConfig(alpha=0.5, include_seeker=True,
-                                proximity_floor=0.01, vectorized=False)
-        scalar = SocialSearchEngine(synthetic_dataset,
-                                    EngineConfig(scoring=scoring))
-        other = scalar.with_alpha(0.3)
-        assert other.config.scoring == replace(scoring, alpha=0.3)
-        assert other.planner.scoring_path() == "scalar"
+    def test_with_alpha_keeps_every_other_config_field(self, synthetic_dataset):
+        # Only alpha changes: algorithm, proximity, early termination and
+        # batch size all carry over.
+        config = EngineConfig(
+            algorithm="nra", scoring=ScoringConfig(alpha=0.5),
+            proximity=ProximityConfig(measure="katz", max_hops=2, cache_size=0),
+            early_termination=False, batch_size=3)
+        engine = SocialSearchEngine(synthetic_dataset, config)
+        other = engine.with_alpha(0.3)
+        assert other.config == replace(config, scoring=ScoringConfig(alpha=0.3))
+        assert other.planner.proximity_path() == "online"
 
     def test_with_algorithm(self, engine, workload):
         other = engine.with_algorithm("nra")

@@ -8,10 +8,10 @@ from repro.core.plan import EXECUTOR_ALGORITHM
 from repro.core.query import Query
 
 
-def _engine(dataset, algorithm="exact", vectorized=True):
+def _engine(dataset, algorithm="exact"):
     return SocialSearchEngine(dataset, EngineConfig(
         algorithm=algorithm,
-        scoring=ScoringConfig(alpha=0.5, vectorized=vectorized),
+        scoring=ScoringConfig(alpha=0.5),
         proximity=ProximityConfig(measure="ppr", cache_size=16),
     ))
 
@@ -38,11 +38,12 @@ class TestRouting:
             assert plan.algorithm == algorithm
             assert algorithm in plan.reason
 
-    def test_scalar_scoring_routes_algorithm(self, synthetic_dataset):
-        engine = _engine(synthetic_dataset, vectorized=False)
+    def test_plan_without_algorithm_uses_the_engine_default(
+            self, synthetic_dataset):
+        engine = _engine(synthetic_dataset, algorithm="nra")
         plan = engine.planner.plan(_query(synthetic_dataset))
         assert plan.executor == EXECUTOR_ALGORITHM
-        assert plan.scoring_path == "scalar"
+        assert plan.algorithm == "nra"
 
     def test_route_is_memoised(self, synthetic_dataset):
         engine = _engine(synthetic_dataset)
@@ -54,10 +55,8 @@ class TestPlanRecord:
     def test_to_dict_shape(self, synthetic_dataset):
         engine = _engine(synthetic_dataset)
         data = engine.planner.plan(_query(synthetic_dataset)).to_dict()
-        for key in ("query", "algorithm", "executor", "backing",
-                    "pending_delta", "proximity_path", "scoring_path",
-                    "reason"):
-            assert key in data
+        assert set(data) == {"query", "algorithm", "executor", "backing",
+                             "pending_delta", "proximity_path", "reason"}
         assert data["backing"] == "python"
         assert data["pending_delta"] == 0
 
@@ -77,7 +76,7 @@ class TestPlanRecord:
         engine = _engine(synthetic_dataset)
         block = engine.planner.describe()
         assert block["backing"] == "python"
-        assert block["scoring_path"] == "vectorized"
+        assert "scoring_path" not in block
 
     def test_arena_backing_reported(self, synthetic_dataset, tmp_path):
         from repro.storage import Dataset

@@ -74,12 +74,17 @@ class TestExactScore:
         # item 104 was only tagged jazz/rock by the isolated user 5.
         assert breakdown.score == pytest.approx(0.0)
 
-    def test_seeker_own_action_excluded_by_default(self, hand_dataset, proximity):
+    def test_seeker_own_action_is_excluded(self, hand_dataset, proximity):
         # Item 103 was tagged "jazz" by the seeker (user 0) and by nobody else,
-        # so with include_seeker=False the social part must be zero.
+        # so the social part is zero and the only access charged is the
+        # frequency lookup: the seeker's own endorsement is never read.
         model = ScoringModel(hand_dataset, proximity, ScoringConfig(alpha=0.0))
         vector = proximity.vector(0)
-        assert model.exact_score(0, 103, ("jazz",), vector).score == pytest.approx(0.0)
+        accountant = AccessAccountant()
+        breakdown = model.exact_score(0, 103, ("jazz",), vector,
+                                      accountant=accountant)
+        assert breakdown.score == pytest.approx(0.0)
+        assert accountant.random_accesses == 1
 
     def test_multi_tag_score_is_average(self, hand_dataset, proximity):
         model = ScoringModel(hand_dataset, proximity, ScoringConfig(alpha=1.0))

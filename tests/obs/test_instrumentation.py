@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.config import EngineConfig, ProximityConfig, ScoringConfig, WorkloadConfig
+from repro.config import EngineConfig, ProximityConfig, WorkloadConfig
 from repro.core.engine import SocialSearchEngine
 from repro.obs.trace import Tracer, use
 from repro.workload.datasets import scaled_dataset
@@ -36,7 +36,6 @@ def exact_engine(dataset):
     is ~5 % of the root)."""
     return SocialSearchEngine(dataset, EngineConfig(
         algorithm="exact",
-        scoring=ScoringConfig(vectorized=True),
         proximity=ProximityConfig(measure="ppr", cache_size=0),
     ))
 

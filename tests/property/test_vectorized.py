@@ -1,15 +1,17 @@
-"""Property-based equivalence tests: vectorized kernels vs the scalar path.
+"""Property-based equivalence tests: vectorized kernels vs the scalar oracle.
 
 The vectorized scoring layer (endorser-index reductions, ``score_block``,
-the ``argpartition`` exact top-k) must be a pure performance change: same
-scores to float precision, identical rankings, identical access accounting.
-These tests drive both paths over random datasets, seekers, tag sets and
-alpha values and require exact agreement.
+the ``argpartition`` exact top-k) must be a pure performance change over
+the scalar loop it replaced (``tests/scoring_oracle.py``): same scores to
+float precision, identical rankings, identical access accounting.  These
+tests drive both over random datasets, seekers, tag sets and alpha values
+and require exact agreement.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -18,8 +20,9 @@ from repro.core import Query, SocialSearchEngine
 from repro.core.scoring import ScoringModel
 from repro.core.topk.exact import select_topk
 from repro.graph import SocialGraph
-from repro.proximity import ShortestPathProximity
-from repro.storage import Dataset, TaggingAction
+from repro.proximity import ShortestPathProximity, available_proximities
+from repro.storage import Dataset, DatasetUpdater, TaggingAction
+from scoring_oracle import scalar_exact
 
 NUM_USERS = 8
 
@@ -96,7 +99,7 @@ def test_vector_array_is_dense_form_of_vector(edges, seeker):
 
 
 # ---------------------------------------------------------------------------
-# Vectorized exact search vs the scalar reference
+# Vectorized exact search vs the scalar oracle
 # ---------------------------------------------------------------------------
 
 @given(edge_strategy, action_strategy,
@@ -106,14 +109,12 @@ def test_vector_array_is_dense_form_of_vector(edges, seeker):
           suppress_health_check=[HealthCheck.too_slow])
 def test_vectorized_exact_identical_to_scalar(edges, actions, seeker, tags, k, alpha):
     dataset = _dataset_from(edges, actions)
-    vectorized = SocialSearchEngine(
-        dataset, EngineConfig(scoring=ScoringConfig(alpha=alpha, vectorized=True)))
-    scalar = SocialSearchEngine(
-        dataset, EngineConfig(scoring=ScoringConfig(alpha=alpha, vectorized=False)))
+    engine = SocialSearchEngine(
+        dataset, EngineConfig(scoring=ScoringConfig(alpha=alpha)))
     query = Query(seeker=seeker, tags=tags, k=k)
 
-    fast = vectorized.run(query, algorithm="exact")
-    reference = scalar.run(query, algorithm="exact")
+    fast = engine.run(query, algorithm="exact")
+    reference = scalar_exact(engine, query)
 
     assert fast.item_ids == reference.item_ids
     for fast_item, reference_item in zip(fast.items, reference.items):
@@ -122,6 +123,49 @@ def test_vectorized_exact_identical_to_scalar(edges, actions, seeker, tags, k, a
         assert math.isclose(fast_item.social, reference_item.social, abs_tol=1e-12)
     assert fast.accounting.to_dict() == reference.accounting.to_dict()
     assert fast.terminated_early == reference.terminated_early
+
+
+def _assert_matches_oracle(engine, query):
+    fast = engine.run(query, algorithm="exact")
+    reference = scalar_exact(engine, query)
+    assert fast.item_ids == reference.item_ids
+    for fast_item, reference_item in zip(fast.items, reference.items):
+        assert math.isclose(fast_item.score, reference_item.score, abs_tol=1e-12)
+        assert math.isclose(fast_item.social, reference_item.social, abs_tol=1e-12)
+    assert fast.accounting.to_dict() == reference.accounting.to_dict()
+
+
+@pytest.mark.parametrize("measure", available_proximities())
+def test_exact_matches_the_scalar_oracle_for_every_measure(
+        synthetic_dataset, workload, measure):
+    engine = SocialSearchEngine(synthetic_dataset, EngineConfig(
+        scoring=ScoringConfig(alpha=0.3),
+        proximity=ProximityConfig(measure=measure)))
+    for query in workload:
+        _assert_matches_oracle(engine, query)
+
+
+def test_exact_matches_the_scalar_oracle_over_pending_deltas(
+        synthetic_dataset, workload, tmp_path):
+    # Delta overlays on an arena, including the seekers' own endorsements
+    # of the queried tags: those are read from the merged bundles and must
+    # be left out of the charges exactly as the scalar loop skips them.
+    path = synthetic_dataset.to_arena(tmp_path / "live.arena")
+    dataset = Dataset.from_arena(path)
+    updater = DatasetUpdater(dataset)
+    new_item = max(dataset.items.ids()) + 1
+    actions = []
+    for position, query in enumerate(workload):
+        for tag in query.tags:
+            for user in (query.seeker, (query.seeker + 1) % dataset.num_users):
+                actions.append(TaggingAction(user_id=user, item_id=new_item + position,
+                                             tag=tag, timestamp=10_000 + len(actions)))
+    updater.add_actions(actions)
+    assert dataset.tagging.delta_size > 0
+    engine = SocialSearchEngine(dataset, EngineConfig(
+        scoring=ScoringConfig(alpha=0.3)))
+    for query in workload:
+        _assert_matches_oracle(engine, query)
 
 
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=50),

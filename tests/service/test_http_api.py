@@ -341,8 +341,7 @@ class TestExplainEndpoint:
         status, body = get_json(server, f"/explain?seeker=1&tags={tag}&k=3")
         assert status == 200
         assert body["query"] == {"seeker": 1, "tags": [tag], "k": 3}
-        for key in ("executor", "backing", "proximity_path", "scoring_path",
-                    "reason"):
+        for key in ("executor", "backing", "proximity_path", "reason"):
             assert key in body
 
     def test_post_explain_matches_get(self, server):

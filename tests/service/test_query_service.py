@@ -245,7 +245,7 @@ class TestUpdateInvalidation:
             near_query = Query(seeker=seeker, tags=(tag,), k=5)
             # A seeker more than max_hops from both endpoints keeps its entry.
             from repro.graph.traversal import bfs_levels
-            horizon = svc.invalidation_horizon
+            horizon = live_engine.config.proximity.max_hops
             ball = set(bfs_levels(graph, seeker, max_hops=horizon))
             ball |= set(bfs_levels(graph, stranger, max_hops=horizon))
             far = [u for u in range(graph.num_users) if u not in ball]
@@ -475,7 +475,7 @@ class TestStatsUnderLiveUpdates:
     """
 
     def test_blocks_track_interleaved_updates(self, tmp_path):
-        from repro.config import EngineConfig, ScoringConfig
+        from repro.config import EngineConfig
         from repro.storage import Dataset
 
         base = tiny_dataset(seed=3)
@@ -484,7 +484,6 @@ class TestStatsUnderLiveUpdates:
         dataset = Dataset.from_arena(path)
         engine = SocialSearchEngine(dataset, EngineConfig(
             algorithm="exact",
-            scoring=ScoringConfig(vectorized=True),
         ))
         updater = DatasetUpdater(dataset)
         svc = QueryService(engine, ServiceConfig(cache_capacity=0),

@@ -91,6 +91,21 @@ class TestParser:
         assert excinfo.value.code == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,named", [
+        (["demo", "--scalar"], "--scalar"),
+        (["query", "snap", "1", "jazz", "--scalar"], "--scalar"),
+        (["bench", "--scalar"], "--scalar"),
+        (["explain", "1", "jazz", "--scalar"], "--scalar"),
+        (["serve", "--scalar"], "--scalar"),
+        (["profile", "trace.jsonl", "--scalar"], "--scalar"),
+        (["bench", "--suite", "--min-speedup", "1"], "--min-speedup")])
+    def test_removed_scoring_flags_are_argparse_errors(self, argv, named,
+                                                       capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert named in capsys.readouterr().err
+
 
 class TestExplain:
     def test_explain_prints_plan_without_executing(self, capsys):
@@ -194,14 +209,15 @@ class TestBench:
         assert main(["bench", "--suite", "--users", "40", "--queries", "2",
                      "--rounds", "1", "--json", str(target)]) == 0
         output = capsys.readouterr().out
-        assert "speedup" in output
+        assert "top-k benchmark suite" in output
         assert target.exists()
 
-    def test_bench_suite_min_speedup_gate(self, tmp_path, capsys):
+    def test_bench_updates_suite_p50_ratio_gate(self, capsys):
         # An impossible bar must flip the exit code (the CI smoke gate).
-        assert main(["bench", "--suite", "--users", "40", "--queries", "2",
-                     "--rounds", "1", "--min-speedup", "1e9"]) == 1
-        assert "FAIL" in capsys.readouterr().out
+        assert main(["bench", "--suite", "updates", "--users", "40",
+                     "--queries", "2", "--rounds", "1", "--algorithms",
+                     "exact", "--max-p50-ratio", "1e-9"]) == 1
+        assert "FAIL: post-update p50" in capsys.readouterr().out
 
     def test_bench_suite_honours_algorithm_selection(self, capsys):
         assert main(["bench", "--suite", "--users", "40", "--queries", "2",
@@ -209,17 +225,6 @@ class TestBench:
         output = capsys.readouterr().out
         assert "ta" in output
         assert "social-first" not in output
-
-    def test_bench_suite_rejects_scalar_flag(self, capsys):
-        assert main(["bench", "--suite", "--scalar"]) == 1
-        assert "no effect" in capsys.readouterr().out
-
-    def test_scalar_flag_disables_vectorized_kernels(self):
-        parser = build_parser()
-        args = parser.parse_args(["bench", "--scalar"])
-        assert args.scalar is True
-        args = parser.parse_args(["query", "snap", "1", "tag"])
-        assert args.scalar is False
 
     def test_bench_suite_instrumentation_block(self, tmp_path, capsys):
         import json

@@ -7,6 +7,7 @@ from repro.config import (
     EngineConfig,
     ProximityConfig,
     ScoringConfig,
+    ServiceConfig,
     WorkloadConfig,
     default_engine_config,
 )
@@ -17,16 +18,21 @@ class TestScoringConfig:
     def test_defaults_valid(self):
         config = ScoringConfig()
         assert config.alpha == 0.5
-        assert config.include_seeker is False
+        assert config.to_dict() == {"alpha": 0.5}
 
     @pytest.mark.parametrize("alpha", [-0.1, 1.1, 2.0])
     def test_alpha_out_of_range_rejected(self, alpha):
         with pytest.raises(ConfigurationError):
             ScoringConfig(alpha=alpha)
 
-    def test_proximity_floor_validated(self):
-        with pytest.raises(ConfigurationError):
-            ScoringConfig(proximity_floor=1.0)
+    @pytest.mark.parametrize("field,value", [
+        ("vectorized", False),
+        ("include_seeker", True),
+        ("proximity_floor", 0.5),
+    ])
+    def test_removed_scoring_fields_are_not_accepted(self, field, value):
+        with pytest.raises(TypeError):
+            ScoringConfig(**{field: value})
 
     def test_to_dict(self):
         assert ScoringConfig(alpha=0.7).to_dict()["alpha"] == 0.7
@@ -56,6 +62,14 @@ class TestProximityConfig:
         with pytest.raises(TypeError):
             ProximityConfig(**{field: 1})
         assert field not in ProximityConfig().to_dict()
+
+
+class TestServiceConfig:
+    def test_removed_invalidation_horizon_is_not_accepted(self):
+        # Friendship invalidation always reaches the measure's max_hops.
+        with pytest.raises(TypeError):
+            ServiceConfig(invalidation_horizon=1)
+        assert "invalidation_horizon" not in ServiceConfig().to_dict()
 
 
 class TestEngineConfig:
