@@ -4,7 +4,9 @@ The workload-generator materialisation trap cost a scale bisect once:
 a serve-path call quietly replayed the whole arena action log into
 per-user Python dicts.  This rule bans the known materialisation shapes
 from the modules that run per query — anything under ``service/`` or
-``core/``:
+``core/`` — and from ``storage/delta.py``, whose kernels run on every
+update acknowledgement and once rebuilt each touched tag through a
+``dict(zip(item_ids.tolist(), ...))``:
 
 * ``.tolist()`` — converts an array into a Python list; fine on a k-sized
   top-k slice (annotate it), catastrophic on a corpus-sized array;
@@ -39,11 +41,12 @@ MATERIALISING_ACCESSORS = {"actions", "tags_for_user", "activity"}
 @register_rule
 class HotPathMaterialisationRule(LintRule):
     rule_id = "hot-path-materialisation"
-    description = ("serve/executor modules must not materialise "
-                   "corpus-sized Python structures")
+    description = ("serve/executor and delta-merge modules must not "
+                   "materialise corpus-sized Python structures")
 
     def applies_to(self, module: str) -> bool:
-        return "service/" in module or "core/" in module
+        return ("service/" in module or "core/" in module
+                or module.endswith("storage/delta.py"))
 
     def check(self, context: ModuleContext) -> Iterator[Finding]:
         for node in ast.walk(context.tree):

@@ -24,6 +24,25 @@ from ..errors import InvalidEdgeError, UnknownUserError
 Edge = Tuple[int, int, float]
 
 
+def check_edge(u: int, v: int, weight: float, num_users: int) -> None:
+    """Raise unless ``{u, v}`` is a valid edge of a ``num_users``-node graph.
+
+    Endpoints must be nodes, self loops are rejected and the weight must
+    lie in ``(0, 1]`` — checked in that order, so every construction path
+    reports the same error for the same bad edge.
+    """
+    if not 0 <= u < num_users:
+        raise UnknownUserError(u, num_users)
+    if not 0 <= v < num_users:
+        raise UnknownUserError(v, num_users)
+    if u == v:
+        raise InvalidEdgeError(f"self loops are not allowed (user {u})")
+    if not 0.0 < weight <= 1.0:
+        raise InvalidEdgeError(
+            f"edge weight must be in (0, 1], got {weight} for edge ({u}, {v})"
+        )
+
+
 class SocialGraph:
     """Undirected, weighted social graph in CSR form.
 
@@ -86,6 +105,74 @@ class SocialGraph:
             np.zeros(0, dtype=np.int64),
             np.zeros(0, dtype=np.float64),
         )
+
+    def with_edges(self, edges: Iterable[Edge]
+                   ) -> Tuple["SocialGraph", int, int]:
+        """This graph plus ``edges``, as ``(graph, edges_added, edges_raised)``.
+
+        The result equals re-adding every existing edge and then ``edges``
+        to a :class:`SocialGraphBuilder`: a new edge is inserted, a
+        duplicate keeps the maximum weight.  ``edges_raised`` counts the
+        existing edges whose weight went up.  When nothing changed the
+        graph itself is returned.  The batch is validated edge by edge, in
+        order, before anything is built.
+
+        The merge is array-native: the CSR slots are keyed
+        ``source * num_users + neighbour`` (ascending, because rows are
+        neighbour-sorted), the doubled batch is deduplicated to its maximum
+        weight per key and located with ``searchsorted``; existing slots
+        take the ``np.maximum`` of the weights, new ones go in with
+        ``np.insert`` and the offsets are rebuilt from a ``bincount``.
+        """
+        edges = list(edges)
+        for u, v, w in edges:
+            check_edge(u, v, w, self._num_users)
+        if not edges:
+            return self, 0, 0
+        n = self._num_users
+        us = np.array([edge[0] for edge in edges], dtype=np.int64)
+        vs = np.array([edge[1] for edge in edges], dtype=np.int64)
+        ws = np.array([edge[2] for edge in edges], dtype=np.float64)
+        keys = np.concatenate([us * n + vs, vs * n + us])
+        batch_weights = np.concatenate([ws, ws])
+        order = np.lexsort((-batch_weights, keys))
+        keys = keys[order]
+        batch_weights = batch_weights[order]
+        first = np.ones(keys.shape[0], dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        keys = keys[first]
+        batch_weights = batch_weights[first]
+
+        degrees = np.diff(self._offsets)
+        slot_keys = np.repeat(np.arange(n, dtype=np.int64), degrees) * n \
+            + self._neighbours
+        slots = np.searchsorted(slot_keys, keys)
+        found = slots < slot_keys.shape[0]
+        found[found] = slot_keys[slots[found]] == keys[found]
+        old_weights = self._weights[slots[found]]
+        raised = batch_weights[found] > old_weights
+        new = ~found
+        if not raised.any() and not new.any():
+            return self, 0, 0
+        weights = self._weights.copy()
+        weights[slots[found]] = np.maximum(old_weights, batch_weights[found])
+        new_keys = keys[new]
+        neighbours = np.insert(self._neighbours, slots[new], new_keys % n)
+        weights = np.insert(weights, slots[new], batch_weights[new])
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degrees + np.bincount(new_keys // n, minlength=n),
+                  out=offsets[1:])
+        graph = SocialGraph(n, offsets, neighbours, weights)
+        # The doubled batch holds both directions of every edge.
+        return graph, int(new.sum()) // 2, int(raised.sum()) // 2
+
+    def with_users(self, count: int) -> "SocialGraph":
+        """This graph plus ``count`` isolated nodes (ids after the last)."""
+        offsets = np.concatenate([
+            self._offsets,
+            np.full(count, self._offsets[-1], dtype=self._offsets.dtype)])
+        return SocialGraph(self._num_users + count, offsets,
+                           self._neighbours, self._weights)
 
     # ------------------------------------------------------------------ #
     # Basic accessors
@@ -266,16 +353,7 @@ class SocialGraphBuilder:
 
     def add_edge(self, u: int, v: int, weight: float = 1.0) -> None:
         """Add the undirected edge ``{u, v}`` with the given tie strength."""
-        if not 0 <= u < self._num_users:
-            raise UnknownUserError(u, self._num_users)
-        if not 0 <= v < self._num_users:
-            raise UnknownUserError(v, self._num_users)
-        if u == v:
-            raise InvalidEdgeError(f"self loops are not allowed (user {u})")
-        if not 0.0 < weight <= 1.0:
-            raise InvalidEdgeError(
-                f"edge weight must be in (0, 1], got {weight} for edge ({u}, {v})"
-            )
+        check_edge(u, v, weight, self._num_users)
         key = (u, v) if u < v else (v, u)
         existing = self._edges.get(key)
         if existing is None or weight > existing:

@@ -411,16 +411,17 @@ class QueryService:
         """Rebind the proximity measure to the rebuilt graph and evict stale state.
 
         For hop-bounded measures the refresh is incremental: only the
-        seekers within the proximity horizon of the touched users are
-        invalidated.  Global measures (personalised PageRank, landmarks)
-        drop everything: any vector may have shifted.
+        seekers within the proximity horizon of a changed friendship's
+        endpoints are invalidated — no other user's row can move.  Global
+        measures (personalised PageRank, landmarks) drop everything: any
+        vector may have shifted.
         """
         graph = self._engine.dataset.graph
         proximity = self._engine.proximity
         measure = self._engine.config.proximity.measure
         removed = 0
         invalidate = getattr(proximity, "invalidate", None)
-        if summary.edges_added and measure not in HOP_BOUNDED_MEASURES:
+        if summary.edges_changed and measure not in HOP_BOUNDED_MEASURES:
             # Rebind first: misses racing the invalidation below then
             # compute on the new graph, and the rebind's generation bump
             # discards vectors still being computed on the old one.
@@ -429,8 +430,7 @@ class QueryService:
             if invalidate is not None:
                 invalidate(range(graph.num_users))
             return removed
-        affected: Set[int] = self._affected_seekers(summary.users_touched) \
-            if summary.edges_added else set()
+        affected = self._affected_seekers(summary.edge_endpoints)
         proximity.rebind(graph)
         if affected:
             if invalidate is not None:

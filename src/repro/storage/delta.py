@@ -15,25 +15,31 @@ keys, same tie-breaks, same dtypes — so a delta-merged read is
 indistinguishable from a from-scratch rebuild (the property
 ``tests/property/test_update_equivalence.py`` pins down).
 
-The deltas themselves are plain dictionaries produced by
-:meth:`repro.storage.updates.DatasetUpdater.add_actions` from the batch of
-*newly recorded* (already deduplicated) actions:
+A batch costs what it touches: :func:`merged_tag_endorsers` folds one
+tag's new ``(item, tagger)`` pairs into its CSR bundle with a
+``searchsorted`` and one ``np.insert`` per array, never visiting the tag's
+untouched items in Python.  The posting list of a tag is the merged
+bundle's ``(item_ids, frequencies)`` reordered by ``(-frequency,
+item_id)`` (see :meth:`repro.storage.inverted_index.InvertedIndex.apply_delta`).
+The deltas come from
+:meth:`repro.storage.updates.DatasetUpdater.add_actions`, built from the
+batch of *newly recorded* (already deduplicated) actions:
 
-* ``tag -> item -> [new taggers]`` for the endorser CSR,
-* ``tag -> item -> extra distinct-endorser count`` for posting lists,
+* ``tag -> ([items], [taggers])`` pairs for the endorser CSR and, through
+  the merged bundles, the posting lists;
 * ``(user, tag) -> [new items]`` for the social index.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .endorser_index import TagEndorsers
-from .inverted_index import PostingList
 
 _EMPTY_IDS = np.zeros(0, dtype=np.int64)
+_NO_SEGMENTS = np.zeros(1, dtype=np.int64)
 
 
 def merge_sorted_disjoint(base: np.ndarray, extra: Sequence[int]) -> np.ndarray:
@@ -51,86 +57,67 @@ def merge_sorted_disjoint(base: np.ndarray, extra: Sequence[int]) -> np.ndarray:
     return merged
 
 
-def merged_counts(base: Optional[PostingList],
-                  extra_counts: Mapping[int, int]) -> Dict[int, int]:
-    """One tag's ``item -> frequency`` map with increments applied."""
-    counts: Dict[int, int] = {}
-    if base is not None and len(base):
-        counts = dict(zip(base.item_ids.tolist(), base.frequencies.tolist()))
-    for item_id, extra in extra_counts.items():
-        counts[item_id] = counts.get(item_id, 0) + int(extra)
-    return counts
-
-
-def posting_list_from_counts(counts: Mapping[int, int]
-                             ) -> Tuple[PostingList, int]:
-    """Build ``(postings, max_frequency)`` from an ``item -> frequency`` map.
-
-    Ordered by decreasing frequency with ties broken by ascending item id —
-    byte-identical to what :meth:`InvertedIndex.build` produces from the
-    merged tagging store.
-    """
-    entries = sorted(counts.items(), key=lambda entry: (-entry[1], entry[0]))
-    if not entries:
-        return PostingList(_EMPTY_IDS, _EMPTY_IDS), 0
-    item_ids = np.array([item_id for item_id, _ in entries], dtype=np.int64)
-    frequencies = np.array([frequency for _, frequency in entries],
-                           dtype=np.int64)
-    return PostingList(item_ids, frequencies), int(frequencies[0])
-
-
 def merged_tag_endorsers(tag: str, base: Optional[TagEndorsers],
-                         added: Mapping[int, Sequence[int]]) -> TagEndorsers:
-    """One tag's endorser CSR with new ``item -> taggers`` pairs merged in.
+                         items: Sequence[int],
+                         taggers: Sequence[int]) -> TagEndorsers:
+    """One tag's endorser CSR with new ``(item, tagger)`` pairs merged in.
 
-    Items stay ascending, taggers stay ascending within each segment, and
-    segments stay non-empty — the invariants ``reduceat``-based scoring and
-    the binary-search lookups rely on.  The base arrays are left untouched
-    (they may be read-only arena views); every merged segment is a fresh
-    array, untouched segments are reused by reference.
+    ``items[i]`` was endorsed by ``taggers[i]``; no pair may already be in
+    ``base`` (the tagging store deduplicates).  Items stay ascending,
+    taggers stay ascending within each segment, and segments stay non-empty
+    — the invariants ``reduceat``-based scoring and the binary-search
+    lookups rely on.  The base arrays are left untouched (they may be
+    read-only arena views); the result is a fresh bundle.
+
+    The sorted pairs are located with ``searchsorted``: an item already in
+    the tag inserts each new tagger at its rank inside the item's segment,
+    a new item inserts all of its taggers in front of the next item's
+    segment.  One ``np.insert`` each then builds ``taggers``, ``item_ids``
+    and the per-item counts, and ``offsets`` is their ``cumsum``.
     """
-    segments: Dict[int, np.ndarray] = {}
-    if base is not None:
-        item_list = base.item_ids.tolist()
-        offsets = base.offsets
-        for position, item_id in enumerate(item_list):
-            segments[item_id] = base.taggers[int(offsets[position]):
-                                             int(offsets[position + 1])]
-    for item_id, taggers in added.items():
-        if not len(taggers):
-            continue
-        segments[int(item_id)] = merge_sorted_disjoint(
-            segments.get(int(item_id), _EMPTY_IDS), sorted(taggers))
-    items = sorted(segments)
-    offsets = np.zeros(len(items) + 1, dtype=np.int64)
-    parts: List[np.ndarray] = []
-    for position, item_id in enumerate(items):
-        segment = segments[item_id]
-        parts.append(segment)
-        offsets[position + 1] = offsets[position] + segment.shape[0]
-    taggers_flat = np.concatenate(parts) if parts else _EMPTY_IDS
-    return TagEndorsers(
-        tag=tag,
-        item_ids=np.array(items, dtype=np.int64),
-        frequencies=np.diff(offsets),
-        offsets=offsets,
-        taggers=np.ascontiguousarray(taggers_flat, dtype=np.int64),
-    )
+    pair_items = np.asarray(items, dtype=np.int64)
+    pair_taggers = np.asarray(taggers, dtype=np.int64)
+    order = np.lexsort((pair_taggers, pair_items))
+    pair_items = pair_items[order]
+    pair_taggers = pair_taggers[order]
+    if base is None:
+        base_items, base_counts = _EMPTY_IDS, _EMPTY_IDS
+        base_offsets, base_taggers = _NO_SEGMENTS, _EMPTY_IDS
+    else:
+        base_items = np.asarray(base.item_ids, dtype=np.int64)
+        base_counts = np.asarray(base.frequencies, dtype=np.int64)
+        base_offsets = np.asarray(base.offsets, dtype=np.int64)
+        base_taggers = np.asarray(base.taggers, dtype=np.int64)
 
+    touched, added_counts = np.unique(pair_items, return_counts=True)
+    slots = np.searchsorted(base_items, touched)
+    existing = slots < base_items.shape[0]
+    existing[existing] = base_items[slots[existing]] == touched[existing]
 
-def posting_deltas(by_tag: Mapping[str, Mapping[int, Sequence[int]]]
-                   ) -> Dict[str, Dict[int, int]]:
-    """Collapse an endorser delta into per-item frequency increments."""
-    return {
-        tag: {item_id: len(taggers) for item_id, taggers in items.items()}
-        for tag, items in by_tag.items()
-    }
+    # Where each pair's tagger lands in the base tagger column.
+    pair_slots = np.repeat(slots, added_counts)
+    positions = base_offsets[pair_slots]
+    for pair in np.flatnonzero(np.repeat(existing, added_counts)):
+        start = positions[pair]
+        end = base_offsets[pair_slots[pair] + 1]
+        positions[pair] = start + np.searchsorted(base_taggers[start:end],
+                                                  pair_taggers[pair])
+    # Equal positions keep the pairs' (item, tagger) order, so a new item's
+    # taggers follow any tagger appended to the segment in front of it.
+    merged_taggers = np.insert(base_taggers, positions, pair_taggers)
+
+    counts = base_counts.copy()
+    counts[slots[existing]] += added_counts[existing]
+    fresh = ~existing
+    counts = np.insert(counts, slots[fresh], added_counts[fresh])
+    item_ids = np.insert(base_items, slots[fresh], touched[fresh])
+    offsets = np.zeros(item_ids.shape[0] + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return TagEndorsers(tag=tag, item_ids=item_ids, frequencies=counts,
+                        offsets=offsets, taggers=merged_taggers)
 
 
 __all__ = [
     "merge_sorted_disjoint",
-    "merged_counts",
     "merged_tag_endorsers",
-    "posting_deltas",
-    "posting_list_from_counts",
 ]

@@ -215,28 +215,31 @@ class EndorserIndex:
     # Incremental maintenance
     # ------------------------------------------------------------------ #
 
-    def apply_delta(self, added: Mapping[str, Mapping[int, Sequence[int]]]
-                    ) -> None:
-        """Merge new ``tag -> item -> [taggers]`` pairs into the touched tags.
+    def apply_delta(self, added: Mapping[str, Tuple[Sequence[int], Sequence[int]]]
+                    ) -> Dict[str, TagEndorsers]:
+        """Merge new ``tag -> ([items], [taggers])`` pairs into the touched tags.
 
         Each touched tag's CSR bundle is replaced wholesale with a merged
-        one (O(tag size), not O(corpus)); untouched tags keep their —
-        possibly arena-mapped — arrays by reference.  The replaced bundles
-        are byte-identical to what :meth:`build` would produce from the
-        merged tagging store, so readers racing the swap see either the old
-        or the new bundle, both internally consistent.
+        one built from the base arrays and the batch's pairs alone (see
+        :func:`repro.storage.delta.merged_tag_endorsers`); untouched tags
+        keep their — possibly arena-mapped — arrays by reference.  The
+        replaced bundles are byte-identical to what :meth:`build` would
+        produce from the merged tagging store, so readers racing the swap
+        see either the old or the new bundle, both internally consistent.
+        Returns the merged bundles by tag (the posting lists are read off
+        them).
         """
         from .delta import merged_tag_endorsers
 
-        touched = False
-        for tag, items in added.items():
-            if not items:
+        merged: Dict[str, TagEndorsers] = {}
+        for tag, (items, taggers) in added.items():
+            if not len(items):
                 continue
-            self._tags[tag] = merged_tag_endorsers(tag, self._tags.get(tag),
-                                                   items)
-            touched = True
-        if touched:
+            merged[tag] = self._tags[tag] = merged_tag_endorsers(
+                tag, self._tags.get(tag), items, taggers)
+        if merged:
             self.version += 1
+        return merged
 
     def snapshot(self) -> Dict[str, TagEndorsers]:
         """A frozen ``tag -> bundle`` view of the current state.

@@ -17,11 +17,12 @@ kept as a thin view over the arrays for the scalar algorithms and tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import UnknownTagError
+from .endorser_index import TagEndorsers
 from .tagging import TaggingStore
 
 _EMPTY_IDS = np.zeros(0, dtype=np.int64)
@@ -176,31 +177,33 @@ class InvertedIndex:
     # Incremental maintenance
     # ------------------------------------------------------------------ #
 
-    def apply_delta(self, added: Mapping[str, Mapping[int, int]]) -> None:
-        """Fold per-item frequency increments into the touched tags' lists.
+    def apply_delta(self, merged: Mapping[str, TagEndorsers],
+                    touched: Mapping[str, Tuple[Sequence[int], Sequence[int]]]
+                    ) -> None:
+        """Refresh the touched tags' lists from their merged endorser bundles.
 
-        ``added`` maps ``tag -> item -> extra distinct-endorser count`` (the
-        shape :func:`repro.storage.delta.posting_deltas` produces from a
-        batch of newly recorded actions).  Only the touched tags' posting
-        lists are re-sorted — O(list length) per touched tag instead of a
-        full rebuild over the whole action log — and the refreshed arrays
-        are byte-identical to what :meth:`build` would produce from the
-        merged store.  Untouched tags keep their (possibly arena-mapped)
-        arrays by reference.
+        ``merged`` is what :meth:`EndorserIndex.apply_delta` returned for a
+        batch and ``touched`` the batch it folded in (``tag -> ([items],
+        [taggers])``).  A posting list holds the same ``(item, frequency)``
+        pairs as the tag's endorser bundle, so each touched list is the
+        bundle's arrays reordered by ``(-frequency, item_id)`` — one
+        ``lexsort`` per tag, byte-identical to what :meth:`build` produces
+        from the merged store.  Untouched tags keep their (possibly
+        arena-mapped) arrays by reference; the random-access frequencies of
+        the batch's items are patched in place.
         """
-        from .delta import merged_counts, posting_list_from_counts
-
-        for tag, extras in added.items():
-            if not extras:
-                continue
-            counts = merged_counts(self._lists.get(tag), extras)
-            postings, max_frequency = posting_list_from_counts(counts)
-            self._lists[tag] = postings
-            self._max_frequency[tag] = max_frequency
+        for tag, bundle in merged.items():
+            order = np.lexsort((bundle.item_ids, -bundle.frequencies))
+            frequencies = bundle.frequencies[order]
+            self._lists[tag] = PostingList(bundle.item_ids[order], frequencies)
+            self._max_frequency[tag] = int(frequencies[0]) if len(order) else 0
             self._posting_views.pop(tag, None)
-            # Random-access lookups: only the touched items shifted.
-            for item_id in extras:
-                self._frequency[(tag, item_id)] = counts[item_id]
+            items = touched[tag][0]
+            positions = np.searchsorted(bundle.item_ids,
+                                        np.asarray(items, dtype=np.int64))
+            for item_id, frequency in zip(
+                    items, bundle.frequencies[positions].tolist()):
+                self._frequency[(tag, item_id)] = frequency
 
     # ------------------------------------------------------------------ #
     # Lookup

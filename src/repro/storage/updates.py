@@ -4,11 +4,16 @@ A production deployment of the system does not rebuild its indexes from
 scratch whenever a user bookmarks something or befriends someone; it applies
 the delta.  :class:`DatasetUpdater` provides that path: it accepts new
 tagging actions, users, items and friendships, applies them to the stores,
-and refreshes only the derived state that actually changed — the posting
-list and endorser CSR of each *touched tag* are re-merged in place (O(tag)
-per update, see :mod:`repro.storage.delta`), the social profiles of the
-touched ``(user, tag)`` pairs are patched, and — because the CSR graph is
-immutable — the graph itself is rebuilt only when edges were added.
+and refreshes only the derived state that actually changed.  A batch of
+actions becomes, per *touched tag*, the arrays of its new ``(item,
+tagger)`` pairs; :mod:`repro.storage.delta` folds them into the tag's
+endorser CSR with ``searchsorted`` + ``np.insert`` (the tag's untouched
+items are never visited in Python), the posting list is re-read off the
+merged bundle, and the social profiles of the touched ``(user, tag)``
+pairs are patched.  The CSR graph is immutable: new or stronger
+friendships merge into a new graph with
+:meth:`~repro.graph.SocialGraph.with_edges`, and new users pad its
+offsets.
 
 Arena-backed datasets additionally accumulate the raw actions in small
 delta overlays on top of their frozen memory-mapped arrays;
@@ -30,11 +35,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..errors import StorageError
-from ..graph import SocialGraph, SocialGraphBuilder
 from ..obs.faults import fault_point
 from ..obs.trace import span as obs_span
 from .dataset import Dataset
-from .delta import posting_deltas
 from .items import Item
 from .tagging import TaggingAction
 from .users import User
@@ -48,31 +51,43 @@ class UpdateSummary:
     actions_added: int = 0
     actions_ignored: int = 0
     edges_added: int = 0
+    #: Existing friendships whose weight the update raised.
+    edges_raised: int = 0
     users_added: int = 0
     items_added: int = 0
     tags_touched: Set[str] = field(default_factory=set)
     users_touched: Set[int] = field(default_factory=set)
+    #: Endpoints of the friendships of a batch that changed the graph —
+    #: the only users whose proximity horizon an update can shift.
+    edge_endpoints: Set[int] = field(default_factory=set)
 
     @property
     def changed(self) -> bool:
         """Whether this update modified the dataset at all."""
-        return bool(self.actions_added or self.edges_added
+        return bool(self.actions_added or self.edges_changed
                     or self.users_added or self.items_added)
+
+    @property
+    def edges_changed(self) -> bool:
+        """Whether a friendship was added or strengthened."""
+        return bool(self.edges_added or self.edges_raised)
 
     @property
     def graph_rebuilt(self) -> bool:
         """Whether the CSR graph object was replaced (observers must rebind)."""
-        return bool(self.edges_added or self.users_added)
+        return bool(self.edges_changed or self.users_added)
 
     def merge(self, other: "UpdateSummary") -> None:
         """Accumulate another summary into this one."""
         self.actions_added += other.actions_added
         self.actions_ignored += other.actions_ignored
         self.edges_added += other.edges_added
+        self.edges_raised += other.edges_raised
         self.users_added += other.users_added
         self.items_added += other.items_added
         self.tags_touched |= other.tags_touched
         self.users_touched |= other.users_touched
+        self.edge_endpoints |= other.edge_endpoints
 
     def to_dict(self) -> Dict[str, object]:
         """Plain-dict view for logs."""
@@ -80,6 +95,7 @@ class UpdateSummary:
             "actions_added": self.actions_added,
             "actions_ignored": self.actions_ignored,
             "edges_added": self.edges_added,
+            "edges_raised": self.edges_raised,
             "users_added": self.users_added,
             "items_added": self.items_added,
             "tags_touched": sorted(self.tags_touched),
@@ -269,10 +285,7 @@ class DatasetUpdater:
         with self._mutate_lock:
             old = self._dataset.graph
             new_size = old.num_users + count
-            builder = SocialGraphBuilder(new_size)
-            for u, v, w in old.iter_edges():
-                builder.add_edge(u, v, w)
-            self._dataset.graph = builder.build()
+            self._dataset.graph = old.with_users(count)
             for user_id in range(old.num_users, new_size):
                 self._dataset.users.add(User(user_id=user_id, name=f"user-{user_id}"))
             summary.users_added = count
@@ -296,39 +309,45 @@ class DatasetUpdater:
             return self._notify(summary)
 
     def add_friendships(self, edges: Iterable[Tuple[int, int, float]]) -> UpdateSummary:
-        """Add friendships; the CSR graph is rebuilt once for the whole batch."""
+        """Add friendships, keeping the maximum weight of a repeated edge.
+
+        The batch is merged into the CSR graph once.  A new edge and an
+        existing edge whose weight went up both change the graph: it is
+        replaced, the batch is logged and observers are notified.  A batch
+        of duplicates at equal or lower weights changes nothing.
+        """
         edges = list(edges)
         summary = UpdateSummary()
         if not edges:
             return summary
         with self._mutate_lock, obs_span("updates.graph_rebuild",
                                          edges=len(edges)):
-            old = self._dataset.graph
-            builder = SocialGraphBuilder(old.num_users)
-            for u, v, w in old.iter_edges():
-                builder.add_edge(u, v, w)
-            before = builder.num_edges
-            for u, v, w in edges:
-                builder.add_edge(u, v, w)
+            graph, summary.edges_added, summary.edges_raised = \
+                self._dataset.graph.with_edges(edges)
+            for u, v, _ in edges:
                 summary.users_touched.update((u, v))
-            summary.edges_added = builder.num_edges - before
-            self._dataset.graph = builder.build()
-            if summary.edges_added and self._wal is not None:
-                # The full batch is logged (not just the novel edges):
-                # replaying duplicates through the graph builder is
-                # idempotent, and the record mirrors what the caller sent.
-                self._wal.append("friendships", {
-                    "edges": [[int(u), int(v), float(w)] for u, v, w in edges]})
+            if summary.edges_changed:
+                self._dataset.graph = graph
+                summary.edge_endpoints = set(summary.users_touched)
+                if self._wal is not None:
+                    # The full batch is logged (not just the novel edges):
+                    # replaying duplicates keeps the maximum weight, so it
+                    # is idempotent, and the record mirrors what the caller
+                    # sent.
+                    self._wal.append("friendships", {
+                        "edges": [[int(u), int(v), float(w)]
+                                  for u, v, w in edges]})
             return self._notify(summary)
 
     def add_actions(self, actions: Iterable[TaggingAction]) -> UpdateSummary:
         """Record tagging actions and refresh the affected index entries.
 
         Maintenance is incremental: the batch's newly recorded (post-dedup)
-        actions form an explicit delta — ``tag -> item -> [taggers]`` and
-        ``(user, tag) -> [items]`` — and only the touched tags' posting
-        lists / endorser CSR bundles and the touched profiles are re-merged,
-        in place, against their frozen arrays.  The refreshed entries are
+        actions form an explicit delta — ``tag -> ([items], [taggers])`` and
+        ``(user, tag) -> [items]`` — and only the touched tags' endorser CSR
+        bundles and posting lists and the touched profiles are re-merged
+        against their frozen arrays, at a cost set by the batch rather than
+        by the size of the tags.  The refreshed entries are
         value-identical to a from-scratch index rebuild over the merged
         store, so queries racing the per-tag swaps see consistent data.
         """
@@ -336,7 +355,7 @@ class DatasetUpdater:
         touched_tags: Set[str] = set()
         touched_users: Set[int] = set()
         recorded: List[TaggingAction] = []
-        by_tag: Dict[str, Dict[int, List[int]]] = {}
+        by_tag: Dict[str, Tuple[List[int], List[int]]] = {}
         by_user_tag: Dict[Tuple[int, str], List[int]] = {}
         with self._mutate_lock:
             for action in actions:
@@ -350,8 +369,9 @@ class DatasetUpdater:
                     recorded.append(action)
                     touched_tags.add(action.tag)
                     touched_users.add(action.user_id)
-                    by_tag.setdefault(action.tag, {}) \
-                        .setdefault(action.item_id, []).append(action.user_id)
+                    items, taggers = by_tag.setdefault(action.tag, ([], []))
+                    items.append(action.item_id)
+                    taggers.append(action.user_id)
                     by_user_tag.setdefault((action.user_id, action.tag), []) \
                         .append(action.item_id)
                     self._dataset.items.ensure(action.item_id)
@@ -362,9 +382,8 @@ class DatasetUpdater:
                 with obs_span("updates.delta_merge",
                               actions=summary.actions_added,
                               tags=len(touched_tags)):
-                    self._dataset.endorser_index.apply_delta(by_tag)
-                    self._dataset.inverted_index.apply_delta(
-                        posting_deltas(by_tag))
+                    merged = self._dataset.endorser_index.apply_delta(by_tag)
+                    self._dataset.inverted_index.apply_delta(merged, by_tag)
                     self._dataset.social_index.apply_delta(by_user_tag)
                 if self._wal is not None:
                     # Durable *before* the caller gets its summary back —

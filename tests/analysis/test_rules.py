@@ -120,6 +120,17 @@ def test_hot_path_rule_scopes_on_module_path():
     assert not lint_source(source, "eval/report.py", rules=[rule])
 
 
+def test_hot_path_rule_covers_the_delta_merge_module():
+    rule = get_rule("hot-path-materialisation")
+    report = lint_fixture("flagging/storage/delta.py")
+    # The dict(zip(...)) of two .tolist() calls in the old merged_counts.
+    assert {finding.line for finding in report.findings} == {7}
+    messages = " ".join(finding.message for finding in report.findings)
+    assert "dict(zip(...))" in messages and ".tolist()" in messages
+    assert rule.applies_to("repro/storage/delta.py")
+    assert not rule.applies_to("repro/storage/updates.py")
+
+
 def test_syntax_error_is_reported_not_raised():
     report = LintReport()
     findings = lint_source("def broken(:\n", "broken.py", report=report)

@@ -22,8 +22,9 @@ from repro import (
     ServiceError,
     SocialSearchEngine,
 )
+from repro.graph import SocialGraph
 from repro.service import HOP_BOUNDED_MEASURES
-from repro.storage import DatasetUpdater, TaggingAction
+from repro.storage import Dataset, DatasetUpdater, TaggingAction
 from repro.workload import tiny_dataset
 
 
@@ -260,6 +261,46 @@ class TestUpdateInvalidation:
             assert svc.serve(near_query).outcome == "computed"
             if far_query is not None:
                 assert svc.serve(far_query).outcome == "hit"
+        finally:
+            svc.close()
+
+    def test_friendship_invalidates_around_its_endpoints_only(self):
+        """Action users beyond the horizon of both endpoints keep their rows."""
+        num_users = 30
+        graph = SocialGraph.from_edges(
+            num_users, [(u, u + 1, 0.9) for u in range(num_users - 1)])
+        dataset = Dataset.build(graph, [TaggingAction(u, 100 + u, "jazz")
+                                        for u in range(num_users)])
+        engine = SocialSearchEngine(dataset)
+        horizon = engine.config.proximity.max_hops
+        svc = QueryService(engine)
+        updater = svc.watch(DatasetUpdater(dataset))
+        proximity = engine.proximity
+
+        def cached(seeker):
+            hits = proximity.statistics.hits
+            proximity.vector_array(seeker)
+            return proximity.statistics.hits > hits
+
+        try:
+            # A new edge 13-15 on the path 0-1-...-29; users 0 and 28 act
+            # in the same batch, more than max_hops from both endpoints.
+            far, near = (0, 2, 28), (12, 16)
+            assert all(min(abs(u - 13), abs(u - 15)) > horizon for u in far)
+            for seeker in far + near:
+                proximity.vector_array(seeker)
+            summary = updater.apply(
+                actions=[TaggingAction(0, 7, "rock"),
+                         TaggingAction(28, 7, "rock")],
+                friendships=[(13, 15, 1.0)])
+            assert summary.edge_endpoints == {13, 15}
+            assert summary.users_touched == {0, 13, 15, 28}
+            assert [cached(seeker) for seeker in far] == [True] * 3
+            assert [cached(seeker) for seeker in near] == [False] * 2
+            fresh = SocialSearchEngine(dataset).proximity
+            for seeker in far + near:
+                np.testing.assert_array_equal(
+                    proximity.vector_array(seeker), fresh.vector_array(seeker))
         finally:
             svc.close()
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import delta_oracle
+
 from repro.config import (
     DurabilityConfig,
     EngineConfig,
@@ -15,7 +17,7 @@ from repro.graph import SocialGraph
 from repro.obs.faults import InjectedCrash, armed, faults
 from repro.proximity import available_proximities, create_proximity
 from repro.service import QueryService
-from repro.storage import TaggingAction
+from repro.storage import Dataset, TaggingAction
 from repro.storage.durable import (
     MANIFEST_NAME,
     DurableStore,
@@ -23,6 +25,7 @@ from repro.storage.durable import (
     write_manifest,
 )
 from repro.storage.wal import scan_wal
+from repro.workload.datasets import scaled_dataset
 
 
 @pytest.fixture(autouse=True)
@@ -117,6 +120,51 @@ class TestRecovery:
                                           before.vector_array(seeker))
                        for seeker in range(6))
             for seeker in range(6):
+                np.testing.assert_array_equal(
+                    engine.proximity.vector_array(seeker),
+                    truth.vector_array(seeker))
+        finally:
+            recovered.close()
+
+    def test_a_raised_edge_weight_is_served_logged_and_recovered(
+            self, tmp_path):
+        dataset = scaled_dataset(200, 23)
+        original = dataset.graph
+        weight = original.edge_weight(0, 1)
+        assert 0.0 < weight < 1.0
+        rebuilt, _ = delta_oracle.builder_with_edges(original, [(0, 1, 1.0)])
+        truth = SocialSearchEngine(
+            Dataset.build(rebuilt, [], name="truth")).proximity
+        durable = DurableStore.initialise(dataset, tmp_path / "db")
+        engine = SocialSearchEngine(durable.dataset)
+        service = QueryService(engine, durable=durable)
+        try:
+            before = engine.proximity.vector_array(0).copy()
+            summary = durable.updater.apply(friendships=[(0, 1, 1.0)])
+            assert (summary.edges_added, summary.edges_raised) == (0, 1)
+            assert summary.changed and summary.to_dict()["edges_raised"] == 1
+            assert durable.wal.stats()["records_appended"] == 1
+            served = engine.proximity.vector_array(0)
+            assert not np.array_equal(served, before)
+            np.testing.assert_array_equal(served, truth.vector_array(0))
+            np.testing.assert_array_equal(
+                engine.proximity.vector_array(1), truth.vector_array(1))
+            # Equal and lower weights change nothing and log nothing.
+            graph = durable.dataset.graph
+            again = durable.updater.add_friendships([(1, 0, 1.0), (0, 1, 0.5)])
+            assert not again.changed
+            assert durable.dataset.graph is graph
+            assert durable.wal.stats()["records_appended"] == 1
+        finally:
+            service.close()
+            durable.close()
+
+        recovered = DurableStore.open(tmp_path / "db")
+        try:
+            assert recovered.dataset.graph.edge_weight(0, 1) == 1.0
+            assert recovered.dataset.graph == rebuilt
+            engine = SocialSearchEngine(recovered.dataset)
+            for seeker in (0, 1):
                 np.testing.assert_array_equal(
                     engine.proximity.vector_array(seeker),
                     truth.vector_array(seeker))
