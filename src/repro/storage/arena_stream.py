@@ -2,8 +2,8 @@
 
 :func:`repro.storage.arena.build_arena` serialises an already-built
 :class:`~repro.storage.dataset.Dataset` — which means the whole corpus has
-been materialised in Python dicts first (tagging store hash indexes,
-per-user social profiles, posting-list dicts).  At the 2,500-user benchmark
+been materialised in Python objects first (one per action, plus the
+tagging store's hash indexes).  At the 2,500-user benchmark
 scale that is irrelevant; at the 100k–1M-user scale the ROADMAP targets it
 is the difference between a few hundred MB and many GB of peak RSS.
 
@@ -49,11 +49,10 @@ from .arena import (
     ARENA_VERSION,
     LazyRecordList,
     PathLike,
-    _offsets_from_counts,
     _release_mapped_pages,
-    _social_rows,
     write_arena,
 )
+from .social_index import _offsets_from_counts, _social_rows
 
 #: default number of actions per generated chunk.
 DEFAULT_CHUNK_SIZE = 100_000

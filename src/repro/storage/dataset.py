@@ -2,9 +2,9 @@
 
 A :class:`Dataset` is the unit every algorithm, example and benchmark
 operates on.  It owns the social graph, the user/item catalogues, the raw
-tagging relation and the two derived indexes (inverted and social), and it
-guarantees they are mutually consistent because they are always built
-together from the same tagging store.
+tagging relation and the three derived indexes (endorser, inverted and
+social), and it guarantees they are mutually consistent because they are
+always built together from the same tagging store.
 """
 
 from __future__ import annotations
@@ -27,7 +27,12 @@ class Dataset:
     """A complete social-tagging corpus ready for querying.
 
     Use :meth:`Dataset.build` instead of the raw constructor so the derived
-    indexes are always consistent with the tagging store.
+    indexes are always consistent with the tagging store.  Both
+    constructors produce the same index classes: the inverted index reads
+    its posting lists off the endorser index, and the social index is a
+    per-tag CSR whose live updates sit in a small overlay until
+    :meth:`~repro.storage.updates.DatasetUpdater.compact` folds them in —
+    on in-memory and arena-backed datasets alike.
     """
 
     name: str
@@ -75,15 +80,16 @@ class Dataset:
     def _from_tagging(cls, graph: SocialGraph, tagging: TaggingStore, name: str,
                       users: UserStore, items: ItemStore,
                       holdout: Optional[TaggingStore] = None) -> "Dataset":
+        endorsers = EndorserIndex.build(tagging)
         return cls(
             name=name,
             graph=graph,
             users=users,
             items=items,
             tagging=tagging,
-            inverted_index=InvertedIndex.build(tagging),
+            inverted_index=InvertedIndex.build(endorsers),
             social_index=SocialIndex.build(tagging),
-            endorser_index=EndorserIndex.build(tagging),
+            endorser_index=endorsers,
             holdout=holdout,
         )
 

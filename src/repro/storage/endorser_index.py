@@ -139,24 +139,6 @@ class TagEndorsers:
             flags[self._sorted_positions[lo:hi]] = True
         return flags
 
-    def seeker_count(self, seeker: int) -> int:
-        """Number of items the seeker endorsed with this tag (``O(log E)``).
-
-        The cheap precursor to :meth:`seeker_flags`: callers that only need
-        "did the seeker touch this tag at all?" (per-query charge
-        adjustments) skip the flag-array allocation and gather when the
-        answer is 0 — the common case for tags outside the seeker's own
-        profile.
-        """
-        if len(self) == 0:
-            return 0
-        if self._sorted_taggers is None:
-            self.seeker_flags(seeker)  # builds the sorted view
-        sorted_taggers = self._sorted_taggers
-        lo = int(np.searchsorted(sorted_taggers, seeker, side="left"))
-        hi = int(np.searchsorted(sorted_taggers, seeker, side="right"))
-        return hi - lo
-
     def memory_bytes(self) -> int:
         """Approximate memory footprint of the CSR arrays in bytes."""
         return int(self.item_ids.nbytes + self.frequencies.nbytes
@@ -166,17 +148,13 @@ class TagEndorsers:
 class EndorserIndex:
     """Tag → :class:`TagEndorsers` CSR bundle over the tagging relation.
 
-    This is the third derived index of a dataset (next to the inverted and
-    social indexes) and the backbone of the vectorized scoring kernels.
+    This is the first derived index of a dataset — the inverted index reads
+    its posting lists and random-access frequencies off these bundles — and
+    the backbone of the vectorized scoring kernels.
     """
 
     def __init__(self) -> None:
         self._tags: Dict[str, TagEndorsers] = {}
-        #: Bumped whenever a delta is folded in.  Consumers that memoise
-        #: derived state (the scoring model's candidate blocks) key their
-        #: caches on ``(id(index), version)`` so incremental, in-place
-        #: maintenance invalidates them exactly like an object swap would.
-        self.version = 0
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -237,8 +215,6 @@ class EndorserIndex:
                 continue
             merged[tag] = self._tags[tag] = merged_tag_endorsers(
                 tag, self._tags.get(tag), items, taggers)
-        if merged:
-            self.version += 1
         return merged
 
     def snapshot(self) -> Dict[str, TagEndorsers]:

@@ -11,19 +11,17 @@ Storage layout: each posting list is a pair of parallel numpy int64 arrays
 (``item_ids`` / ``frequencies``) so the vectorized scoring kernels can
 consume whole lists (or blocks of them) without materialising Python
 objects.  The classic :class:`Posting` / :class:`PostingListCursor` API is
-kept as a thin view over the arrays for the scalar algorithms and tests.
+kept as a thin view over the arrays for the interleaving algorithms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..errors import UnknownTagError
-from .endorser_index import TagEndorsers
-from .tagging import TaggingStore
+from .endorser_index import EndorserIndex, TagEndorsers
 
 _EMPTY_IDS = np.zeros(0, dtype=np.int64)
 _EMPTY_FREQS = np.zeros(0, dtype=np.int64)
@@ -36,17 +34,13 @@ class Posting:
     item_id: int
     frequency: int
 
-    def to_tuple(self) -> Tuple[int, int]:
-        """Return ``(item_id, frequency)``."""
-        return (self.item_id, self.frequency)
-
 
 class PostingList:
     """One tag's posting list as parallel ``item_ids`` / ``frequencies`` arrays.
 
     Both arrays are ordered by decreasing frequency with ties broken by
-    ascending item id, exactly like the tuple-of-:class:`Posting` view.
-    The arrays are owned by the index and must not be mutated.
+    ascending item id.  The arrays are owned by the index and must not be
+    mutated.
     """
 
     __slots__ = ("item_ids", "frequencies")
@@ -136,74 +130,50 @@ class PostingListCursor:
 
 
 class InvertedIndex:
-    """Tag → frequency-ordered posting list, plus per-tag statistics."""
+    """Tag → frequency-ordered posting list, plus per-tag statistics.
 
-    def __init__(self) -> None:
-        self._lists: Dict[str, PostingList] = {}
-        self._posting_views: Dict[str, Tuple[Posting, ...]] = {}
-        self._max_frequency: Dict[str, int] = {}
-        self._frequency: Dict[Tuple[str, int], int] = {}
+    A posting list holds the same ``(item, frequency)`` pairs as the tag's
+    endorser bundle, reordered by ``(-frequency, item_id)``; the index keeps
+    its :class:`~repro.storage.endorser_index.EndorserIndex` to answer
+    random-access :meth:`frequency` lookups by binary search over the
+    bundle's ascending item ids.
+    """
+
+    def __init__(self, endorsers: EndorserIndex,
+                 lists: Optional[Dict[str, PostingList]] = None) -> None:
+        self._endorsers = endorsers
+        self._lists: Dict[str, PostingList] = lists or {}
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
 
     @classmethod
-    def build(cls, tagging: TaggingStore) -> "InvertedIndex":
-        """Build the index from a tagging store."""
-        index = cls()
-        for tag in tagging.tags():
-            entries: List[Tuple[int, int]] = []
-            for item_id in tagging.items_for_tag(tag):
-                frequency = tagging.tag_frequency(item_id, tag)
-                if frequency > 0:
-                    entries.append((item_id, frequency))
-            # Sort by decreasing frequency, breaking ties by item id so the
-            # order (and therefore every algorithm's access trace) is
-            # deterministic.
-            entries.sort(key=lambda entry: (-entry[1], entry[0]))
-            if entries:
-                item_ids = np.array([item_id for item_id, _ in entries], dtype=np.int64)
-                frequencies = np.array([freq for _, freq in entries], dtype=np.int64)
-            else:
-                item_ids, frequencies = _EMPTY_IDS, _EMPTY_FREQS
-            index._lists[tag] = PostingList(item_ids, frequencies)
-            index._max_frequency[tag] = entries[0][1] if entries else 0
-            for item_id, frequency in entries:
-                index._frequency[(tag, item_id)] = frequency
+    def build(cls, endorsers: EndorserIndex) -> "InvertedIndex":
+        """Build every posting list off the endorser index's bundles."""
+        index = cls(endorsers)
+        index.apply_delta({tag: endorsers.for_tag(tag)
+                           for tag in endorsers.tags()})
         return index
 
     # ------------------------------------------------------------------ #
     # Incremental maintenance
     # ------------------------------------------------------------------ #
 
-    def apply_delta(self, merged: Mapping[str, TagEndorsers],
-                    touched: Mapping[str, Tuple[Sequence[int], Sequence[int]]]
-                    ) -> None:
+    def apply_delta(self, merged: Mapping[str, TagEndorsers]) -> None:
         """Refresh the touched tags' lists from their merged endorser bundles.
 
         ``merged`` is what :meth:`EndorserIndex.apply_delta` returned for a
-        batch and ``touched`` the batch it folded in (``tag -> ([items],
-        [taggers])``).  A posting list holds the same ``(item, frequency)``
-        pairs as the tag's endorser bundle, so each touched list is the
-        bundle's arrays reordered by ``(-frequency, item_id)`` — one
-        ``lexsort`` per tag, byte-identical to what :meth:`build` produces
-        from the merged store.  Untouched tags keep their (possibly
-        arena-mapped) arrays by reference; the random-access frequencies of
-        the batch's items are patched in place.
+        batch.  Each touched list is the bundle's arrays reordered by
+        ``(-frequency, item_id)`` — one ``lexsort`` per tag, the same rule
+        :meth:`build` applies to every tag, so ties are broken by item id
+        and every algorithm's access trace stays deterministic.  Untouched
+        tags keep their (possibly arena-mapped) arrays by reference.
         """
         for tag, bundle in merged.items():
             order = np.lexsort((bundle.item_ids, -bundle.frequencies))
-            frequencies = bundle.frequencies[order]
-            self._lists[tag] = PostingList(bundle.item_ids[order], frequencies)
-            self._max_frequency[tag] = int(frequencies[0]) if len(order) else 0
-            self._posting_views.pop(tag, None)
-            items = touched[tag][0]
-            positions = np.searchsorted(bundle.item_ids,
-                                        np.asarray(items, dtype=np.int64))
-            for item_id, frequency in zip(
-                    items, bundle.frequencies[positions].tolist()):
-                self._frequency[(tag, item_id)] = frequency
+            self._lists[tag] = PostingList(bundle.item_ids[order],
+                                           bundle.frequencies[order])
 
     # ------------------------------------------------------------------ #
     # Lookup
@@ -215,30 +185,6 @@ class InvertedIndex:
     def tags(self) -> List[str]:
         """All indexed tags in sorted order."""
         return sorted(self._lists)
-
-    def has_tag(self, tag: str) -> bool:
-        """Whether the tag has a (possibly empty) posting list."""
-        return tag in self._lists
-
-    def postings(self, tag: str) -> Tuple[Posting, ...]:
-        """The full posting list of ``tag`` (raises for unknown tags).
-
-        The tuple-of-:class:`Posting` view is materialised lazily from the
-        backing arrays and cached, so scalar consumers keep their API while
-        the arrays remain the single source of truth.
-        """
-        if tag not in self._lists:
-            raise UnknownTagError(tag)
-        view = self._posting_views.get(tag)
-        if view is None:
-            postings = self._lists[tag]
-            view = tuple(
-                Posting(item_id=int(item_id), frequency=int(frequency))
-                for item_id, frequency in zip(postings.item_ids.tolist(),
-                                              postings.frequencies.tolist())
-            )
-            self._posting_views[tag] = view
-        return view
 
     def arrays(self, tag: str) -> PostingList:
         """The array-backed posting list of ``tag`` (empty for unknown tags).
@@ -258,7 +204,13 @@ class InvertedIndex:
 
     def frequency(self, item_id: int, tag: str) -> int:
         """Random-access lookup of an item's frequency for a tag (0 if absent)."""
-        return self._frequency.get((tag, item_id), 0)
+        bundle = self._endorsers.for_tag(tag)
+        if bundle is None or len(bundle) == 0:
+            return 0
+        position = int(np.searchsorted(bundle.item_ids, item_id))
+        if position >= len(bundle) or int(bundle.item_ids[position]) != item_id:
+            return 0
+        return int(bundle.frequencies[position])
 
     def max_frequency(self, tag: str) -> int:
         """Largest frequency on ``tag``'s posting list (0 for unknown tags).
@@ -268,7 +220,8 @@ class InvertedIndex:
         item can accumulate for the tag; both scoring components are
         normalised by it.
         """
-        return self._max_frequency.get(tag, 0)
+        postings = self._lists.get(tag)
+        return int(postings.frequencies[0]) if postings else 0
 
     def list_length(self, tag: str) -> int:
         """Number of postings for ``tag`` (0 for unknown tags)."""
@@ -277,12 +230,6 @@ class InvertedIndex:
     def num_postings(self) -> int:
         """Total number of postings across all tags."""
         return sum(len(postings) for postings in self._lists.values())
-
-    def iter_all(self) -> Iterator[Tuple[str, Posting]]:
-        """Yield ``(tag, posting)`` pairs across the whole index."""
-        for tag in self.tags():
-            for posting in self.postings(tag):
-                yield tag, posting
 
     def memory_bytes(self) -> int:
         """Approximate memory footprint of the posting lists in bytes."""

@@ -9,17 +9,18 @@ actions becomes, per *touched tag*, the arrays of its new ``(item,
 tagger)`` pairs; :mod:`repro.storage.delta` folds them into the tag's
 endorser CSR with ``searchsorted`` + ``np.insert`` (the tag's untouched
 items are never visited in Python), the posting list is re-read off the
-merged bundle, and the social profiles of the touched ``(user, tag)``
-pairs are patched.  The CSR graph is immutable: new or stronger
+merged bundle, and the touched ``(user, tag)`` rows of the social index
+land in its overlay.  The CSR graph is immutable: new or stronger
 friendships merge into a new graph with
 :meth:`~repro.graph.SocialGraph.with_edges`, and new users pad its
 offsets.
 
-Arena-backed datasets additionally accumulate the raw actions in small
-delta overlays on top of their frozen memory-mapped arrays;
+Arena-backed datasets additionally accumulate the raw actions in a small
+delta on top of their frozen memory-mapped arrays;
 :meth:`DatasetUpdater.compact` (driven by a ``compact_threshold``, or by
-:class:`repro.service.QueryService` in the background) folds those deltas
-back into fresh contiguous arrays and advances the updater's **epoch**.
+:class:`repro.service.QueryService` in the background) folds that delta
+and the social overlay back into fresh contiguous arrays and advances the
+updater's **epoch**.
 Because a delta-merged read and a compacted read are value-identical, a
 query racing a compaction sees consistent data whichever epoch's structures
 it grabs.
@@ -173,10 +174,11 @@ class DatasetUpdater:
     def pending_delta(self) -> int:
         """Number of delta actions awaiting compaction.
 
-        Non-zero only for array-backed (arena) datasets: the in-memory
-        stores absorb updates directly into their hash indexes and the
-        derived per-tag arrays are refreshed in place, so they have nothing
-        pending.
+        Non-zero only for arena-backed datasets, whose tagging store holds
+        new actions in a delta.  An in-memory tagging store absorbs them
+        directly into its hash indexes, so it reports 0 — although its
+        social index carries an overlay of updated rows like the arena's
+        does, which :meth:`compact` folds on every dataset form.
         """
         return int(getattr(self._dataset.tagging, "delta_size", 0))
 
@@ -190,12 +192,14 @@ class DatasetUpdater:
 
         Folds the arena tagging store's delta (its base snapshot advances to
         the live endorser index, which incremental maintenance has already
-        merged the same delta into) and the arena social index's overlay.
+        merged the same delta into) and the social index's overlay, which
+        every dataset form carries.
         Value-identical before and after — readers racing the swap see
         consistent data either way — so this is safe to run on a background
         thread while queries are being served; only writers are blocked.
         Returns the number of delta actions folded; 0 when nothing was
-        pending.
+        pending (always, on an in-memory dataset, whose social overlay is
+        folded all the same).
 
         Compaction is **two-phase** for failure atomicity: both stores
         first *stage* their next epoch (all the work that can fail —
@@ -216,8 +220,7 @@ class DatasetUpdater:
                 if staged_tagging is not None:
                     folded = staged_tagging[1]
             fault_point("compact.stage")
-            stage_social = getattr(social, "stage_compact", None)
-            staged_social = stage_social() if stage_social is not None else None
+            staged_social = social.stage_compact()
             if folded and self._wal is not None:
                 # The marker is durable before the swap: recovery can
                 # correlate log positions with epochs, and a failing append
@@ -226,8 +229,7 @@ class DatasetUpdater:
             fault_point("compact.commit")
             if staged_tagging is not None:
                 tagging.commit_compact(staged_tagging)
-            if staged_social is not None:
-                social.commit_compact(staged_social)
+            social.commit_compact(staged_social)
             if folded:
                 self._epoch += 1
             compact_span.set(actions_folded=folded)
@@ -345,11 +347,12 @@ class DatasetUpdater:
         Maintenance is incremental: the batch's newly recorded (post-dedup)
         actions form an explicit delta — ``tag -> ([items], [taggers])`` and
         ``(user, tag) -> [items]`` — and only the touched tags' endorser CSR
-        bundles and posting lists and the touched profiles are re-merged
-        against their frozen arrays, at a cost set by the batch rather than
-        by the size of the tags.  The refreshed entries are
-        value-identical to a from-scratch index rebuild over the merged
-        store, so queries racing the per-tag swaps see consistent data.
+        bundles and posting lists are re-merged against their frozen arrays
+        and the touched social rows put in the social index's overlay, at a
+        cost set by the batch rather than by the size of the tags.  The
+        refreshed entries are value-identical to a from-scratch index
+        rebuild over the merged store, so queries racing the per-tag swaps
+        see consistent data.
         """
         summary = UpdateSummary()
         touched_tags: Set[str] = set()
@@ -383,7 +386,7 @@ class DatasetUpdater:
                               actions=summary.actions_added,
                               tags=len(touched_tags)):
                     merged = self._dataset.endorser_index.apply_delta(by_tag)
-                    self._dataset.inverted_index.apply_delta(merged, by_tag)
+                    self._dataset.inverted_index.apply_delta(merged)
                     self._dataset.social_index.apply_delta(by_user_tag)
                 if self._wal is not None:
                     # Durable *before* the caller gets its summary back —

@@ -11,8 +11,8 @@ oracle of ``tests/property/test_arena_oracle.py``:
   encoded by ``dataclasses.asdict``;
 * :func:`_action_arrays` — the action section read through
   ``TaggingStore.actions()`` (which materialises an arena-backed store);
-* :func:`stage_compact` — ``ArenaSocialIndex.stage_compact`` over the
-  ``_merged_staging`` profile dict.
+* :func:`stage_compact` — ``SocialIndex.stage_compact`` over the
+  :func:`_merged_staging` profile dict.
 """
 
 from __future__ import annotations
@@ -23,15 +23,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.storage.arena import (
-    ARENA_VERSION,
-    ArenaSocialIndex,
-    PathLike,
-    _concat,
-    _SocialArrays,
-    write_arena,
-)
+from repro.storage.arena import ARENA_VERSION, PathLike, _concat, write_arena
 from repro.storage.dataset import Dataset
+from repro.storage.social_index import SocialIndex, _SocialArrays
 from repro.storage.tagging import TaggingStore
 
 
@@ -102,7 +96,7 @@ def build_arena(dataset: Dataset, path: PathLike) -> Path:
     soc_users: List[int] = []
     soc_lengths: List[int] = []
     soc_items: List[int] = []
-    all_users = dataset.social_index.users()
+    all_users = dataset.tagging.users()
     for index, tag in enumerate(tags):
         with_tag = 0
         for user in all_users:  # ascending, so each tag segment is sorted
@@ -148,7 +142,25 @@ def build_arena(dataset: Dataset, path: PathLike) -> Path:
     return write_arena(path, meta, arrays)
 
 
-def stage_compact(social: ArenaSocialIndex
+def _merged_staging(social: SocialIndex
+                    ) -> Dict[int, Dict[str, Tuple[int, ...]]]:
+    base = social._base
+    staging: Dict[int, Dict[str, Tuple[int, ...]]] = {}
+    for tag, tag_index in base.tag_ids.items():
+        start = int(base.user_offsets[tag_index])
+        end = int(base.user_offsets[tag_index + 1])
+        for position in range(start, end):
+            user = int(base.user_ids[position])
+            row_start = int(base.segment_offsets[position])
+            row_end = int(base.segment_offsets[position + 1])
+            staging.setdefault(user, {})[tag] = tuple(
+                int(i) for i in base.item_ids[row_start:row_end])
+    for (user, tag), row in social._overlay.items():
+        staging.setdefault(user, {})[tag] = row
+    return staging
+
+
+def stage_compact(social: SocialIndex
                   ) -> Optional[Tuple[_SocialArrays, int]]:
     """Build the next epoch's arrays without mutating anything.
 
@@ -162,7 +174,7 @@ def stage_compact(social: ArenaSocialIndex
     """
     if not social._overlay:
         return None
-    staging = social._merged_staging()
+    staging = _merged_staging(social)
     tags = sorted({tag for profile in staging.values() for tag in profile})
     tag_ids = {tag: index for index, tag in enumerate(tags)}
     ordered_users = sorted(staging)

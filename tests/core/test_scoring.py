@@ -27,8 +27,9 @@ class TestNormalisation:
 
     def test_normalised_tf_in_unit_interval(self, model, hand_dataset):
         for tag in hand_dataset.tags():
-            for posting in hand_dataset.inverted_index.postings(tag):
-                value = model.normalised_tf(posting.item_id, tag)
+            postings = hand_dataset.inverted_index.arrays(tag)
+            for item_id in postings.item_ids.tolist():
+                value = model.normalised_tf(item_id, tag)
                 assert 0.0 <= value <= 1.0
 
     def test_top_item_has_normalised_tf_one(self, model):

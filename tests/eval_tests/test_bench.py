@@ -97,6 +97,21 @@ class TestUpdatesSuite:
         path = write_report(updates_report, tmp_path / "BENCH_updates.json")
         assert json.loads(path.read_text())["suite"] == "updates"
 
+    def test_ci_size_pins_the_proximity_cache_counts(self, tmp_path, capsys):
+        # The CI step's size.  Its p50 ratio swings +-20 % between
+        # identical runs (so it is not gated here); the rows the cached
+        # engine computed and the rows the updates invalidated do not move
+        # unless the invalidation logic does.
+        from repro.cli import main
+
+        target = tmp_path / "BENCH_updates.json"
+        assert main(["bench", "--suite", "updates", "--users", "100",
+                     "--queries", "10", "--rounds", "2", "--json",
+                     str(target)]) == 0
+        assert "49 computed, 42 invalidated" in capsys.readouterr().out
+        assert json.loads(target.read_text())["proximity_cache"] \
+            == {"misses": 49, "invalidations": 42}
+
 
 class TestPathMismatches:
     """The one compare loop behind the three suites' equivalence gates."""

@@ -2,7 +2,7 @@
 
 ``build_arena`` derives the social section from one ``lexsort`` of the
 action columns, reads an arena store's action columns without
-materialising it, and ``ArenaSocialIndex.stage_compact`` re-sorts triples
+materialising it, and ``SocialIndex.stage_compact`` re-sorts triples
 instead of walking a profile dict.  The contract is exact: on every random
 small corpus — new users, friendships, delta tags absent from the base tag
 table, an optional holdout split, repeated compactions, rounds with an

@@ -140,17 +140,36 @@ class TestRoundTrip:
                     == corpus.tagging.tag_frequency(item_id, tag)
 
     def test_random_access_frequency(self, corpus, mapped):
+        from index_oracle import OracleInvertedIndex
+
+        oracle = OracleInvertedIndex.build(corpus.tagging)
         tag = corpus.tags()[0]
         for item_id in list(corpus.tagging.items_for_tag(tag))[:5]:
             assert mapped.inverted_index.frequency(item_id, tag) \
-                == corpus.inverted_index.frequency(item_id, tag)
+                == corpus.inverted_index.frequency(item_id, tag) \
+                == oracle.frequency(item_id, tag)
         assert mapped.inverted_index.frequency(999999, tag) == 0
 
     def test_social_index_round_trip(self, corpus, mapped):
-        for user in corpus.social_index.users():
-            for tag in corpus.social_index.tags_for(user):
+        from index_oracle import OracleSocialIndex
+
+        oracle = OracleSocialIndex.build(corpus.tagging)
+        for user in oracle.users():
+            for tag in oracle.tags_for(user):
                 assert mapped.social_index.items_for(user, tag) \
-                    == corpus.social_index.items_for(user, tag)
+                    == corpus.social_index.items_for(user, tag) \
+                    == oracle.items_for(user, tag)
+        assert mapped.social_index.num_entries() \
+            == corpus.social_index.num_entries() == oracle.num_entries()
+
+    def test_index_footprint_matches_the_built_dataset(self, corpus, mapped):
+        # Same arrays, same bytes: the reported footprint depends on neither
+        # the dataset form nor on which lookups ran before.
+        mapped.social_index.items_for(0, corpus.tags()[0])
+        assert mapped.social_index.memory_bytes() \
+            == corpus.social_index.memory_bytes()
+        assert mapped.inverted_index.memory_bytes() \
+            == corpus.inverted_index.memory_bytes()
 
     def test_holdout_preserved(self, corpus, mapped):
         assert mapped.holdout is not None

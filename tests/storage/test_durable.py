@@ -238,15 +238,14 @@ class TestCheckpoint:
 
     def test_leaves_the_arena_stores_unmaterialised(self, store):
         # A checkpoint reads the frozen arrays and the small deltas; it must
-        # never replay the action log into Python objects (or build every
-        # social profile), which is what a served store's RSS would pay.
+        # never replay the action log into Python objects, which is what a
+        # served store's RSS would pay.
         store.updater.add_actions([
             TaggingAction(0, 100, "rock", timestamp=100),
             TaggingAction(2, 105, "brand-new-tag", timestamp=101)])
         assert store.checkpoint()["published"]
         assert store.checkpoint(force=True)["published"]
         assert store.dataset.tagging._materialised is False
-        assert store.dataset.social_index._profiles_built is False
 
     def test_compacts_and_checkpoints_any_int64_item_id(self, store):
         # /update accepts any int64 item id; the social rebuild in compaction

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import UnknownTagError
+from index_oracle import OracleInvertedIndex, OracleSocialIndex
 from repro.storage import (
     Dataset,
     EndorserIndex,
@@ -32,7 +32,7 @@ def tagging():
 
 @pytest.fixture()
 def index(tagging):
-    return InvertedIndex.build(tagging)
+    return InvertedIndex.build(EndorserIndex.build(tagging))
 
 
 @pytest.fixture()
@@ -42,15 +42,14 @@ def social(tagging):
 
 class TestInvertedIndex:
     def test_postings_sorted_by_decreasing_frequency(self, index):
-        postings = index.postings("jazz")
-        frequencies = [posting.frequency for posting in postings]
+        postings = index.arrays("jazz")
+        frequencies = postings.frequencies.tolist()
         assert frequencies == sorted(frequencies, reverse=True)
-        assert postings[0].item_id == 100
-        assert postings[0].frequency == 3
+        assert postings.posting(0).item_id == 100
+        assert postings.posting(0).frequency == 3
 
     def test_frequency_ties_broken_by_item_id(self, index):
-        postings = index.postings("rock")
-        assert [posting.item_id for posting in postings] == [102, 103]
+        assert index.arrays("rock").item_ids.tolist() == [102, 103]
 
     def test_max_frequency(self, index):
         assert index.max_frequency("jazz") == 3
@@ -60,10 +59,11 @@ class TestInvertedIndex:
     def test_random_access_frequency(self, index):
         assert index.frequency(101, "jazz") == 2
         assert index.frequency(101, "rock") == 0
+        assert index.frequency(101, "unknown") == 0
 
-    def test_unknown_tag_postings_raise(self, index):
-        with pytest.raises(UnknownTagError):
-            index.postings("unknown")
+    def test_unknown_tag_has_no_list(self, index):
+        assert "unknown" not in index
+        assert index.list_length("unknown") == 0
 
     def test_unknown_tag_cursor_is_empty(self, index):
         cursor = index.cursor("unknown")
@@ -89,12 +89,20 @@ class TestInvertedIndex:
     def test_tags_and_contains(self, index):
         assert index.tags() == ["jazz", "rock"]
         assert "jazz" in index
-        assert index.has_tag("rock")
+        assert "rock" in index
         assert "funk" not in index
 
-    def test_iter_all(self, index):
-        entries = list(index.iter_all())
+    def test_lists_and_frequencies_match_the_dict_oracle(self, index, tagging):
+        oracle = OracleInvertedIndex.build(tagging)
+        assert index.tags() == oracle.tags()
+        entries = list(oracle.iter_all())
         assert len(entries) == index.num_postings()
+        for tag in oracle.tags():
+            assert index.arrays(tag).item_ids.tolist() == oracle.item_ids(tag)
+            assert index.arrays(tag).frequencies.tolist() \
+                == oracle.frequencies(tag)
+        for tag, posting in entries:
+            assert index.frequency(posting.item_id, tag) == posting.frequency
 
     def test_memory_bytes_positive(self, index):
         assert index.memory_bytes() > 0
@@ -240,35 +248,43 @@ class TestSocialIndex:
         assert social.items_for(2, "vinyl") == ()
         assert social.items_for(42, "jazz") == ()
 
-    def test_profile(self, social):
-        profile = social.profile(3)
-        assert profile == {"jazz": (100,), "rock": (103,)}
-        assert social.profile(42) == {}
-
-    def test_tags_for(self, social):
-        assert social.tags_for(2) == ("jazz", "rock")
-
-    def test_users(self, social):
-        assert social.users() == [1, 2, 3]
-        assert 1 in social
-        assert len(social) == 3
+    def test_rows_match_the_dict_oracle(self, social, tagging):
+        oracle = OracleSocialIndex.build(tagging)
+        assert oracle.users() == [1, 2, 3]
+        for user in range(5):
+            for tag in ("jazz", "rock", "funk"):
+                assert social.items_for(user, tag) == oracle.items_for(user, tag)
+        assert {tag: social.items_for(3, tag) for tag in oracle.tags_for(3)} \
+            == {"jazz": (100,), "rock": (103,)}
 
     def test_num_entries_matches_distinct_triples(self, social, tagging):
         assert social.num_entries() == tagging.num_distinct_triples()
+        assert social.num_entries() \
+            == len(list(OracleSocialIndex.build(tagging).iter_entries()))
 
-    def test_iter_entries(self, social, tagging):
-        entries = set(social.iter_entries())
-        assert (1, "jazz", 100) in entries
-        assert len(entries) == tagging.num_distinct_triples()
-
-    def test_memory_bytes_positive(self, social):
-        assert social.memory_bytes() > 0
+    def test_memory_bytes_counts_arrays_and_overlay(self, social):
+        arrays = social.memory_bytes()
+        assert arrays > 0
+        # Reads do not change the reported footprint.
+        social.items_for(1, "jazz")
+        assert social.memory_bytes() == arrays
+        social.apply_delta({(1, "jazz"): [103], (4, "funk"): [7, 8]})
+        assert social.memory_bytes() > arrays
+        assert social.compact() == 2
+        assert social.items_for(1, "jazz") == (100, 101, 102, 103)
+        assert social.items_for(4, "funk") == (7, 8)
+        # Compacted: three more items, one more tag offset, one more row
+        # (its user id and its segment offset), eight bytes each.
+        assert social.memory_bytes() == arrays + (3 + 1 + 2) * 8
 
 
 class TestIndexConsistency:
     def test_inverted_and_social_agree_on_frequencies(self, index, social, tagging):
+        users = OracleSocialIndex.build(tagging).users()
         for tag in tagging.tags():
-            for posting in index.postings(tag):
-                taggers = [user for user in social.users()
+            postings = index.arrays(tag)
+            for position in range(len(postings)):
+                posting = postings.posting(position)
+                taggers = [user for user in users
                            if posting.item_id in social.items_for(user, tag)]
                 assert len(taggers) == posting.frequency
