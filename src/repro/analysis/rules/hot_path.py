@@ -12,7 +12,7 @@ update acknowledgement and once rebuilt each touched tag through a
   top-k slice (annotate it), catastrophic on a corpus-sized array;
 * ``dict(zip(...))`` — the classic corpus-sized-dict builder;
 * calls into the offline world: ``build_dataset``, and the tagging
-  store's materialising accessors ``actions()`` / ``tags_for_user()`` /
+  store's whole-log accessors ``actions()`` / ``tags_for_user()`` /
   ``activity()`` on a ``tagging`` receiver.
 
 ``QueryWorkloadGenerator`` / ``generate_workload`` used to be banned here
@@ -34,7 +34,9 @@ from ._ast_util import dotted_name, self_attr_root
 #: Offline-world entry points that have no business in a serve module.
 OFFLINE_CALLS = {"build_dataset"}
 
-#: TaggingStore accessors that replay the arena log into Python dicts.
+#: TaggingStore accessors that cost O(actions) per call: ``actions()`` builds
+#: one Python object per action and ``tags_for_user()`` masks the whole log
+#: (``activity`` stays listed so a per-user scan cannot return to a serve path).
 MATERIALISING_ACCESSORS = {"actions", "tags_for_user", "activity"}
 
 
@@ -82,9 +84,8 @@ class HotPathMaterialisationRule(LintRule):
                         and self._is_tagging_receiver(func.value):
                     yield self.finding(
                         context, node.lineno,
-                        f".{func.attr}() on a tagging store materialises "
-                        f"the whole action log into per-user dicts on "
-                        f"arena-backed datasets")
+                        f".{func.attr}() on a tagging store walks the "
+                        f"whole action log per call")
 
     def _is_tagging_receiver(self, node: ast.AST) -> bool:
         """True for ``<anything>.tagging`` or ``self._tagging`` chains."""

@@ -64,8 +64,9 @@ class MaterializedBaseline(TopKAlgorithm):
 
         candidates: Set[int] = set()
         for tag in query.tags:
-            for item_id in self._dataset.tagging.items_for_tag(tag):
-                candidates.add(item_id)
+            bundle = self._dataset.endorser_index.for_tag(tag)
+            if bundle is not None:
+                candidates.update(bundle.item_ids.tolist())
             accountant.charge_sequential(self._dataset.inverted_index.list_length(tag))
         accountant.charge_candidate(len(candidates))
 

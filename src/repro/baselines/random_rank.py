@@ -37,7 +37,9 @@ class RandomRank(TopKAlgorithm):
 
         candidates: Set[int] = set()
         for tag in query.tags:
-            candidates.update(self._dataset.tagging.items_for_tag(tag))
+            bundle = self._dataset.endorser_index.for_tag(tag)
+            if bundle is not None:
+                candidates.update(bundle.item_ids.tolist())
             accountant.charge_sequential(self._dataset.inverted_index.list_length(tag))
         accountant.charge_candidate(len(candidates))
 

@@ -8,7 +8,7 @@ main flows without writing any Python:
 * ``repro generate`` — build a synthetic dataset and write it as an arena.
 * ``repro query`` — open an arena and answer an ad-hoc query.
 * ``repro explain`` — print the planner's execution plan for a query
-  (storage backing, proximity path, executor, frontier bound) without
+  (pending delta, proximity path, executor, frontier bound) without
   executing it.
 * ``repro bench`` — run a small latency/quality comparison over a workload,
   or the headless suites (``--suite topk`` / ``updates`` / ``durability`` /
@@ -719,7 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     explain = subparsers.add_parser(
         "explain", help="print the planner's execution plan for a query "
-                        "(backing, proximity path, executor, frontier "
+                        "(pending delta, proximity path, executor, frontier "
                         "bound) without executing it")
     explain.add_argument("seeker", type=int, help="seeker user id")
     explain.add_argument("tags", nargs="+", help="query tags")

@@ -1,18 +1,18 @@
 """The query planner: every execution-path choice, made explicit.
 
 The engine has a few implicit execution paths — online vs cached
-proximity, python-dict vs arena-array storage (with or without pending
-delta overlays) — that would otherwise be chosen by ``if`` checks
-scattered across ``SocialSearchEngine`` and ``QueryService``.
+proximity, with or without pending delta overlays — that would otherwise
+be chosen by ``if`` checks scattered across ``SocialSearchEngine`` and
+``QueryService``.
 
 This module centralises those decisions.  A :class:`QueryPlanner` inspects
-the engine once (dataset backing, proximity wrapper) and
+the engine once (proximity wrapper) and
 emits an :class:`ExecutionPlan` per query — a plain, inspectable record of
 *how* the query will run — which the engine then merely drives.  ``repro
 explain`` and the service's ``/explain`` endpoint print plans without
 executing them; the equivalence property tests pin the contract that
-every storage and proximity path returns identical rankings, scores and
-access accounting.
+in-memory and arena-loaded datasets, and every proximity path, return
+identical rankings, scores and access accounting.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ class ExecutionPlan:
     k: int
     algorithm: str
     executor: str
-    backing: str
     pending_delta: int
     proximity_path: str
     reason: str
@@ -49,7 +48,6 @@ class ExecutionPlan:
                       "k": self.k},
             "algorithm": self.algorithm,
             "executor": self.executor,
-            "backing": self.backing,
             "pending_delta": self.pending_delta,
             "proximity_path": self.proximity_path,
             "reason": self.reason,
@@ -63,9 +61,7 @@ class ExecutionPlan:
         lines = [
             f"query:      seeker={self.seeker} tags={list(self.tags)} k={self.k}",
             f"algorithm:  {self.algorithm}",
-            f"backing:    {self.backing}"
-            + (f" ({self.pending_delta} delta actions pending)"
-               if self.pending_delta else ""),
+            f"delta:      {self.pending_delta} actions pending",
             f"proximity:  {self.proximity_path}",
             f"executor:   {self.executor}",
             f"reason:     {self.reason}",
@@ -98,15 +94,9 @@ class QueryPlanner:
     # Engine signals
     # ------------------------------------------------------------------ #
 
-    def backing(self) -> str:
-        """``"arena"`` for array-backed (mmap) storage, else ``"python"``."""
-        return ("arena"
-                if hasattr(self._engine.dataset.tagging, "delta_size")
-                else "python")
-
     def pending_delta(self) -> int:
-        """Delta actions overlaid on frozen arrays (0 for python backing)."""
-        return int(getattr(self._engine.dataset.tagging, "delta_size", 0))
+        """Actions in the tagging store's tail, awaiting compaction."""
+        return self._engine.dataset.tagging.delta_size
 
     def proximity_path(self) -> str:
         """How proximity vectors are served, as a short route name."""
@@ -137,7 +127,6 @@ class QueryPlanner:
             k=query.k,
             algorithm=name,
             executor=route,
-            backing=self.backing(),
             pending_delta=self.pending_delta(),
             proximity_path=self.proximity_path(),
             reason=reason,
@@ -188,7 +177,6 @@ class QueryPlanner:
         """The engine-level plan shape (the service's ``stats()`` block)."""
         description: Dict[str, object] = {
             "algorithm": self._engine.config.algorithm,
-            "backing": self.backing(),
             "pending_delta": self.pending_delta(),
             "proximity_path": self.proximity_path(),
         }

@@ -126,12 +126,15 @@ class ScoringModel:
         floating-point mass in the same order.
         """
         mass = 0.0
-        for tagger in self._dataset.tagging.taggers_sorted(item_id, tag):
+        bundle = self._dataset.endorser_index.for_tag(tag)
+        if bundle is None:
+            return mass
+        for tagger in bundle.taggers_of(item_id):
             if tagger == seeker:
                 continue
             if accountant is not None:
                 accountant.charge_random()
-            mass += proximity_vector.get(tagger, 0.0)
+            mass += proximity_vector.get(int(tagger), 0.0)
         return mass
 
     def exact_score(self, seeker: int, item_id: int, tags: Iterable[str],

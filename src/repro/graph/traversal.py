@@ -6,8 +6,9 @@ that the corresponding *proximity* (``exp(-distance)``) is the product of
 tie strengths — a standard multiplicative trust/propagation model.
 
 :func:`shortest_path_row` is the one single-source shortest-path
-primitive: it settles Dijkstra's nodes in batches over the CSR arrays and
-returns the whole row as numpy arrays.  :func:`dijkstra_iter` and
+primitive: it settles Dijkstra's nodes in batches over the CSR arrays (or,
+under a hop cap, relaxes hop by hop) and returns the whole row as numpy
+arrays.  :func:`dijkstra_iter` and
 :func:`dijkstra` are views over it.
 """
 
@@ -64,6 +65,66 @@ def bfs_levels(graph: SocialGraph, source: int,
     return levels
 
 
+def _csr_offers(offsets: np.ndarray, neighbours: np.ndarray,
+                slot_distances: np.ndarray, best: np.ndarray,
+                batch: np.ndarray, hop_penalty: float
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(targets, offered distances, per-slot source index)`` for ``batch``.
+
+    Every CSR slot of the batch, block after block, in one gather; an
+    offer is ``(best[u] + slot distance) + hop_penalty``, summed in path
+    order like the scalar definition.
+    """
+    starts = offsets[batch]
+    counts = offsets[batch + 1] - starts
+    total = int(counts.sum())
+    slots = (np.arange(total, dtype=np.int64)
+             + np.repeat(starts - (np.cumsum(counts) - counts), counts))
+    offered = (np.repeat(best[batch], counts) + slot_distances[slots]) + hop_penalty
+    return neighbours[slots], offered, counts
+
+
+def _hop_bounded_row(graph: SocialGraph, source: int,
+                     max_distance: Optional[float], max_hops: int,
+                     hop_penalty: float
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The capped row: the least distance over paths of at most ``max_hops`` hops.
+
+    Round ``h`` relaxes the out-edges of every node whose distance fell in
+    round ``h - 1``, reading the distances as they stood before the round,
+    so after round ``h`` each distance is the least over paths of at most
+    ``h`` hops.  A node's hops are the round of its last fall: the fewest
+    among its best capped paths.  The rounds stop at ``max_hops`` or when
+    one changes nothing.
+    """
+    offsets, neighbours, _ = graph.csr_arrays()
+    slot_distances, _ = graph.edge_distances()
+    best = np.full(graph.num_users, np.inf, dtype=np.float64)
+    best_hops = np.zeros(graph.num_users, dtype=np.int64)
+    best[source] = 0.0
+    frontier = np.array([source], dtype=np.int64)
+    for hop in range(1, max_hops + 1):
+        targets, offered, _ = _csr_offers(offsets, neighbours, slot_distances,
+                                          best, frontier, hop_penalty)
+        if max_distance is not None:
+            keep = offered <= max_distance
+            targets, offered = targets[keep], offered[keep]
+        if not targets.shape[0]:
+            break
+        candidate = np.full(graph.num_users, np.inf, dtype=np.float64)
+        np.minimum.at(candidate, targets, offered)
+        frontier = np.flatnonzero(candidate < best)
+        if not frontier.shape[0]:
+            break
+        best[frontier] = candidate[frontier]
+        best_hops[frontier] = hop
+    others = np.flatnonzero(np.isfinite(best))
+    others = others[others != source]
+    others = others[np.lexsort((others, best[others]))]
+    nodes = np.concatenate((np.array([source], dtype=np.int64), others))
+    return nodes, best[nodes], best_hops[nodes]
+
+
 def shortest_path_row(graph: SocialGraph, source: int,
                       max_distance: Optional[float] = None,
                       max_hops: Optional[int] = None,
@@ -71,29 +132,30 @@ def shortest_path_row(graph: SocialGraph, source: int,
                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Single-source shortest paths from ``source`` as ``(nodes, dists, hops)``.
 
-    The arrays list every settled node in Dijkstra's order with its
-    distance (the sum of ``edge_distance(w) + hop_penalty`` along the best
-    path, float64) and the hop count of that path.  They are exactly what a
-    ``heapq`` Dijkstra over ``(dist, node, hops)`` entries pops:
+    The arrays list every reached node with its distance (the sum of
+    ``edge_distance(w) + hop_penalty`` along the best path, float64, added
+    in path order) and the hop count of that path, the fewest among the
+    best paths.  Nodes farther than ``max_distance`` are not returned, and
+    ``nodes[0]`` is always ``source``.
 
-    * distances never decrease, and equal distances come by node id, except
-      that a node reached over a zero-cost edge comes after the node it was
-      reached from;
-    * a node's hops are the fewest among its shortest paths, and a node
-      settled at ``max_hops`` hops is not expanded even when a longer path
-      with fewer hops exists;
-    * nodes farther than ``max_distance`` are not returned.
+    With ``max_hops`` the best path is the best of at most ``max_hops``
+    hops, found exactly by rounds of relaxation (:func:`_hop_bounded_row`),
+    and the nodes after the source come by ``(dist, node)``.
 
-    Instead of one pop per node, each round settles every open node whose
-    tentative distance is strictly below ``L``, the smallest distance any
-    open node that may still expand could offer a neighbour
-    (``best[u] + cheapest_out[u] + hop_penalty``; the "OUT criterion" of
-    Crauser et al.).  No later candidate can reach or tie such a node, so
-    its distance and hops are final.  When nothing is below ``L`` (only
-    possible with zero-cost edges: weight 1.0 and ``hop_penalty`` 0) the
-    round settles the smallest ``(dist, node)`` alone, which is the heap's
-    next pop.  Each round relaxes all out-edges of its batch in one CSR
-    gather and keeps, per target, the least ``(dist, hops)``.
+    Without it the arrays are exactly what a ``heapq`` Dijkstra over
+    ``(dist, node, hops)`` entries pops: distances never decrease, and
+    equal distances come by node id, except that a node reached over a
+    zero-cost edge comes after the node it was reached from.  Instead of
+    one pop per node, each round settles every open node whose tentative
+    distance is strictly below ``L``, the smallest distance any open node
+    could offer a neighbour (``best[u] + cheapest_out[u] + hop_penalty``;
+    the "OUT criterion" of Crauser et al.).  No later candidate can reach
+    or tie such a node, so its distance and hops are final.  When nothing
+    is below ``L`` (only possible with zero-cost edges: weight 1.0 and
+    ``hop_penalty`` 0) the round settles the smallest ``(dist, node)``
+    alone, which is the heap's next pop.  Each round relaxes all out-edges
+    of its batch in one CSR gather and keeps, per target, the least
+    ``(dist, hops)``.
 
     ``hop_penalty`` must be non-negative.
     """
@@ -101,6 +163,8 @@ def shortest_path_row(graph: SocialGraph, source: int,
     if max_distance is not None and 0.0 > max_distance:
         return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64),
                 np.zeros(0, dtype=np.int64))
+    if max_hops is not None:
+        return _hop_bounded_row(graph, source, max_distance, max_hops, hop_penalty)
     offsets, neighbours, _ = graph.csr_arrays()
     slot_distances, cheapest = graph.edge_distances()
     best = np.full(graph.num_users, np.inf, dtype=np.float64)
@@ -111,10 +175,7 @@ def shortest_path_row(graph: SocialGraph, source: int,
     batches: List[np.ndarray] = []
     while open_nodes.shape[0]:
         dists = best[open_nodes]
-        may_expand = (slice(None) if max_hops is None
-                      else best_hops[open_nodes] < max_hops)
-        offers = (dists[may_expand] + cheapest[open_nodes[may_expand]]) + hop_penalty
-        bound = offers.min() if offers.shape[0] else math.inf
+        bound = ((dists + cheapest[open_nodes]) + hop_penalty).min()
         below = dists < bound
         if not below.any():
             # Zero-cost edges: settle the heap's next pop on its own.
@@ -123,18 +184,10 @@ def shortest_path_row(graph: SocialGraph, source: int,
         open_nodes = open_nodes[~below]
         settled[batch] = True
         batches.append(batch)
-        if max_hops is not None:
-            batch = batch[best_hops[batch] < max_hops]
-        starts = offsets[batch]
-        counts = offsets[batch + 1] - starts
-        total = int(counts.sum())
-        if not total:
+        targets, offered, counts = _csr_offers(offsets, neighbours, slot_distances,
+                                               best, batch, hop_penalty)
+        if not targets.shape[0]:
             continue
-        # Every CSR slot of the batch, block after block, in one gather.
-        slots = (np.arange(total, dtype=np.int64)
-                 + np.repeat(starts - (np.cumsum(counts) - counts), counts))
-        targets = neighbours[slots]
-        offered = (np.repeat(best[batch], counts) + slot_distances[slots]) + hop_penalty
         offered_hops = np.repeat(best_hops[batch] + 1, counts)
         keep = ~settled[targets]
         if max_distance is not None:

@@ -32,7 +32,7 @@ reply itself; nothing is handed to another thread.  Endpoints:
 ``GET /explain?seeker=4&tags=jazz,vinyl&k=10[&algorithm=exact]``
 ``POST /explain`` with the same body as ``/query``
     Return the planner's :class:`~repro.core.plan.ExecutionPlan` for the
-    query — algorithm, executor, storage backing and pending delta,
+    query — algorithm, executor, pending delta,
     proximity route, the reason for the route and the frontier bound —
     without executing it.
 ``POST /update`` with ``{"actions": [...], "friendships": [[u, v, w]], "new_users": 0}``

@@ -202,7 +202,7 @@ class QueryService:
                 "alpha": engine_config.scoring.alpha,
                 "proximity": engine_config.proximity.measure,
             },
-            # The planner's engine-level decision record: storage backing,
+            # The planner's engine-level decision record: pending delta,
             # proximity route, route counters.
             "plan": self._engine.planner.describe(),
             "result_cache": dict(self._cache.statistics.to_dict(),

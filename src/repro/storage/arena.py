@@ -24,23 +24,21 @@ File layout (little-endian)::
     header JSON  (meta + array manifest: name, dtype, shape, offset)
     64-byte-aligned raw array payloads
 
-The derived indexes load into the same classes an in-memory build makes
-(:class:`EndorserIndex`, :class:`InvertedIndex`, :class:`SocialIndex`),
-with the mapped arrays as their storage.  The tagging store's hash indexes
-are not arrays, so :class:`ArenaTaggingStore` answers the hot lookups by
-binary search over the mapped arrays and falls back to materialising the
-full Python store only when a cold path (workload generation, holdout
-splitting) actually asks for it.
+The derived indexes and the tagging store load into the same classes an
+in-memory build makes (:class:`EndorserIndex`, :class:`InvertedIndex`,
+:class:`SocialIndex`, :class:`TaggingStore`), with the mapped arrays as
+their storage: the store answers every read from its columns, and no
+path replays the log into Python dicts.
 
 **Live updates** never invalidate the mapped arrays wholesale.  New
-tagging actions land in a plain :class:`TaggingStore` delta, new
-social-index rows in the social index's overlay dict, and reads merge the
-frozen base with the delta (see :mod:`repro.storage.delta`).  A
-**compaction** step folds the delta back into fresh contiguous arrays once
-it grows past a threshold (:meth:`repro.storage.updates.DatasetUpdater.compact`);
-because a merged read and a compacted read are value-identical, the swap is
-safe to run concurrently with lock-free readers: the frozen state lives in
-one holder object replaced atomically.
+tagging actions land in the tagging store's append tail, merged endorser
+bundles replace the touched tags' mapped ones, and new social-index rows
+sit in the social index's overlay (see :mod:`repro.storage.delta`).  A
+**compaction** step folds the tail and the overlay into fresh contiguous
+arrays once the tail grows past a threshold
+(:meth:`repro.storage.updates.DatasetUpdater.compact`); because a merged
+read and a compacted read are value-identical, the swap is safe to run
+concurrently with readers.
 """
 
 from __future__ import annotations
@@ -49,22 +47,20 @@ import json
 import mmap
 import os
 import struct
-import threading
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..errors import PersistenceError, StorageError
+from ..errors import PersistenceError
 from ..graph import SocialGraph
 from ..obs.faults import fault_point
 from .dataset import Dataset
-from .delta import merge_sorted_disjoint
 from .endorser_index import EndorserIndex, TagEndorsers
 from .inverted_index import InvertedIndex, PostingList
 from .items import Item, ItemStore
 from .social_index import SocialIndex, _offsets_from_counts, _social_rows
-from .tagging import TaggingAction, TaggingStore
+from .tagging import TaggingStore
 from .users import User, UserStore
 
 PathLike = Union[str, Path]
@@ -450,368 +446,6 @@ def build_arena(dataset: Dataset, path: PathLike) -> Path:
 
 
 # --------------------------------------------------------------------- #
-# Array-backed store views
-# --------------------------------------------------------------------- #
-
-class _TaggingState:
-    """One frozen epoch of the arena tagging store (atomically swapped).
-
-    ``bundles`` is a :meth:`EndorserIndex.snapshot` taken when the epoch was
-    frozen: the live endorser index keeps absorbing deltas in place, so the
-    store's *base* reads must come from this decoupled snapshot or a merged
-    read would count the same delta twice.
-    """
-
-    __slots__ = ("tag_table", "users", "items", "tags", "timestamps",
-                 "bundles")
-
-    def __init__(self, tag_table: List[str], users: np.ndarray,
-                 items: np.ndarray, tags: np.ndarray, timestamps: np.ndarray,
-                 bundles: Dict[str, TagEndorsers]) -> None:
-        self.tag_table = tag_table
-        self.users = users
-        self.items = items
-        self.tags = tags
-        self.timestamps = timestamps
-        self.bundles = bundles
-
-    def __len__(self) -> int:
-        return int(self.users.shape[0])
-
-    def segment(self, item_id: int, tag: str) -> np.ndarray:
-        bundle = self.bundles.get(tag)
-        if bundle is None:
-            return _EMPTY_SEGMENT
-        return bundle.taggers_of(item_id)
-
-
-_EMPTY_SEGMENT = np.zeros(0, dtype=np.int64)
-
-
-class ArenaTaggingStore(TaggingStore):
-    """Tagging store whose hot lookups run over the arena arrays.
-
-    ``taggers_sorted`` / ``tag_frequency`` / ``items_for_tag`` — the paths
-    every query touches — are answered from the endorser CSR without
-    building any Python dict.  Everything else (per-user profiles, holdout
-    splitting, iteration) replays the stored actions into the regular
-    in-memory store on first use.
-
-    **Mutations** (live updates adding actions) land in a small in-memory
-    :class:`TaggingStore` **delta**; reads merge the frozen arrays with the
-    delta (the two sides are disjoint by deduplication, so counts add and
-    sorted segments merge).  While the delta is empty every hot path is the
-    pure zero-copy array read; :meth:`compact` folds the delta back into
-    fresh frozen arrays.  The all-or-nothing handover of earlier revisions
-    — first ``add`` replayed the whole log and retired the arrays — is
-    gone: an update-heavy workload keeps its array-speed reads.
-
-    Mutations, cold-path materialisation and delta-merged reads are
-    serialised by one re-entrant lock; the delta-empty fast path is
-    lock-free (it touches only the frozen state holder, which compaction
-    swaps atomically).
-    """
-
-    def __init__(self, endorsers: EndorserIndex, tag_table: Sequence[str],
-                 user_ids: np.ndarray, item_ids: np.ndarray,
-                 tag_ids: np.ndarray, timestamps: np.ndarray) -> None:
-        super().__init__()
-        self._state = _TaggingState(list(tag_table), user_ids, item_ids,  # guarded-by: _lock
-                                    tag_ids, timestamps, endorsers.snapshot())
-        self._delta = TaggingStore()  # guarded-by: _lock
-        self._delta_len = 0  # guarded-by: _lock
-        self._materialised = False  # guarded-by: _lock
-        self._lock = threading.RLock()
-
-    # -- mutation: the delta overlay absorbs new actions ---------------- #
-
-    def add(self, action: TaggingAction) -> bool:
-        with self._lock:
-            if self.contains(action.user_id, action.item_id, action.tag):
-                return False
-            self._delta.add(action)
-            if self._materialised:
-                # Keep the cold-path store in sync so materialised reads
-                # (profiles, holdout splits) see the delta too.
-                super().add(action)
-            self._delta_len += 1
-            return True
-
-    @property
-    def delta_size(self) -> int:
-        """Number of delta actions pending compaction."""
-        return self._delta_len
-
-    def stage_compact(self, endorsers: EndorserIndex
-                      ) -> Optional[Tuple[_TaggingState, int]]:
-        """Build the next epoch's frozen state without mutating anything.
-
-        ``endorsers`` must be the live endorser index *after* incremental
-        maintenance folded the same delta into it (the normal state when
-        every mutation goes through
-        :class:`~repro.storage.updates.DatasetUpdater`); its snapshot
-        becomes the next epoch's base.  Returns ``None`` when the delta is
-        empty, else ``(state, folded)`` for :meth:`commit_compact`.  All
-        validation and allocation happens here; an exception leaves the
-        store byte-for-byte on its old epoch.  Stage and commit must run
-        under the same writer lock (the updater's mutate lock) so no add
-        lands between them.
-        """
-        with self._lock:
-            if not self._delta_len:
-                return None
-            state = self._state
-            if endorsers.num_entries() != len(state) + self._delta_len:
-                raise StorageError(
-                    "refusing to compact the arena tagging store: the "
-                    "endorser index does not reflect the delta (mutations "
-                    "must go through DatasetUpdater)")
-            tag_table = list(state.tag_table)
-            tag_ids = {tag: index for index, tag in enumerate(tag_table)}
-            for tag in self._delta.tags():
-                if tag not in tag_ids:
-                    tag_ids[tag] = len(tag_table)
-                    tag_table.append(tag)
-            columns = self.action_arrays(tag_ids)
-            staged = _TaggingState(
-                tag_table, columns["user_ids"], columns["item_ids"],
-                columns["tag_ids"], columns["timestamps"],
-                endorsers.snapshot(),
-            )
-            return staged, self._delta_len
-
-    def commit_compact(self, staged: Optional[Tuple[_TaggingState, int]]
-                       ) -> int:
-        """Install a staged epoch; pure attribute swaps that cannot raise.
-
-        The swap is a single attribute store, so lock-free fast-path
-        readers see either the old epoch (and a non-empty delta) or the
-        new one — never a mix.  Returns the number of actions folded.
-        """
-        if staged is None:
-            return 0
-        state, folded = staged
-        with self._lock:
-            self._state = state
-            self._delta_len = 0
-            self._delta = TaggingStore()
-            return folded
-
-    def compact(self, endorsers: EndorserIndex) -> int:
-        """Fold the delta into fresh arrays (stage + commit in one step)."""
-        return self.commit_compact(self.stage_compact(endorsers))
-
-    def action_arrays(self, tag_ids: Mapping[str, int]
-                      ) -> Dict[str, np.ndarray]:
-        """The frozen log's columns plus the delta's, without materialising.
-
-        Row order is :meth:`actions` order (frozen rows, then the delta in
-        insertion order); ``state.tags`` is re-interned through ``tag_ids``
-        with one table lookup per distinct tag.
-        """
-        with self._lock:
-            state = self._state
-            remap = np.array([tag_ids[tag] for tag in state.tag_table],
-                             dtype=np.int64)
-            delta = self._delta.action_arrays(tag_ids)
-            return {
-                "user_ids": np.concatenate([state.users, delta["user_ids"]]),
-                "item_ids": np.concatenate([state.items, delta["item_ids"]]),
-                "tag_ids": np.concatenate([remap[state.tags],
-                                           delta["tag_ids"]]),
-                "timestamps": np.concatenate([state.timestamps,
-                                              delta["timestamps"]]),
-            }
-
-    # -- array-served hot paths (delta-merged) -------------------------- #
-    #
-    # Read discipline: check ``_delta_len`` *before* capturing ``_state``.
-    # A zero counter means any state captured afterwards already contains
-    # every compacted delta; a non-zero counter routes through the lock,
-    # where compaction cannot run concurrently.  (The 0 -> 1 transition of
-    # an in-flight ``add`` simply linearises the read before the update.)
-
-    def __len__(self) -> int:
-        if not self._delta_len:
-            return len(self._state)
-        with self._lock:
-            return len(self._state) + self._delta_len
-
-    def num_distinct_triples(self) -> int:
-        # The arena stores the deduplicated action log and the delta only
-        # accepts unseen triples, so every row is a distinct triple.
-        return len(self)
-
-    def tags(self) -> List[str]:
-        if not self._delta_len:
-            # Compaction appends new tags to the id table; re-sort on read.
-            return sorted(self._state.tag_table)
-        with self._lock:
-            return sorted(set(self._state.tag_table) | set(self._delta.tags()))
-
-    def taggers_sorted(self, item_id: int, tag: str) -> Sequence[int]:
-        if not self._delta_len:
-            return self._state.segment(item_id, tag)
-        with self._lock:
-            return merge_sorted_disjoint(
-                self._state.segment(item_id, tag),
-                self._delta.taggers_sorted(item_id, tag))
-
-    def taggers(self, item_id: int, tag: str) -> FrozenSet[int]:
-        return frozenset(int(u) for u in self.taggers_sorted(item_id, tag))
-
-    def tag_frequency(self, item_id: int, tag: str) -> int:
-        if not self._delta_len:
-            return int(self._state.segment(item_id, tag).shape[0])
-        with self._lock:
-            return int(self._state.segment(item_id, tag).shape[0]) \
-                + self._delta.tag_frequency(item_id, tag)
-
-    def _base_items_for_tag(self, tag: str) -> FrozenSet[int]:
-        bundle = self._state.bundles.get(tag)
-        if bundle is None:
-            return frozenset()
-        return frozenset(int(i) for i in bundle.item_ids)
-
-    def items_for_tag(self, tag: str) -> FrozenSet[int]:
-        if not self._delta_len:
-            return self._base_items_for_tag(tag)
-        with self._lock:
-            return self._base_items_for_tag(tag) | self._delta.items_for_tag(tag)
-
-    def contains(self, user_id: int, item_id: int, tag: str) -> bool:
-        if self._delta_len:
-            with self._lock:
-                if self._delta.contains(user_id, item_id, tag):
-                    return True
-        segment = self._state.segment(item_id, tag)
-        position = int(np.searchsorted(segment, user_id))
-        return position < segment.shape[0] and int(segment[position]) == user_id
-
-    def _base_popularity(self) -> Dict[str, int]:
-        state = self._state
-        counts = np.bincount(state.tags, minlength=len(state.tag_table))
-        return {tag: int(counts[index])
-                for index, tag in enumerate(state.tag_table)}
-
-    def tag_popularity(self) -> Dict[str, int]:
-        if not self._delta_len:
-            return self._base_popularity()
-        with self._lock:
-            popularity = self._base_popularity()
-            for tag, count in self._delta.tag_popularity().items():
-                popularity[tag] = popularity.get(tag, 0) + count
-            return popularity
-
-    def action_histograms(self, num_users: int
-                          ) -> Tuple[List[str], np.ndarray, np.ndarray]:
-        """``(tag_table, activity, popularity)`` from the mapped arrays.
-
-        ``np.bincount`` over the frozen action log plus a dict merge of the
-        delta overlay: no per-user Python structures and no
-        materialisation, so sampling a workload from a 100k-user arena
-        stays array-speed.  Output follows the shared histogram contract
-        (sorted tags, ``float64`` counts), so it is bit-identical to the
-        in-memory store's answer for the same actions.
-        """
-        with self._lock:
-            state = self._state
-            activity = np.bincount(state.users,
-                                   minlength=num_users).astype(np.float64)
-            base_counts = np.bincount(state.tags,
-                                      minlength=len(state.tag_table))
-            counts: Dict[str, int] = {
-                tag: int(base_counts[index])
-                for index, tag in enumerate(state.tag_table)
-            }
-            if self._delta_len:
-                for tag, count in self._delta.tag_popularity().items():
-                    counts[tag] = counts.get(tag, 0) + count
-                _, delta_activity, _ = self._delta.action_histograms(num_users)
-                if delta_activity.shape[0] < activity.shape[0]:
-                    delta_activity = np.concatenate([
-                        delta_activity,
-                        np.zeros(activity.shape[0] - delta_activity.shape[0],
-                                 dtype=np.float64),
-                    ])
-                activity = activity + delta_activity
-        tag_table = sorted(counts)
-        popularity = np.array([float(counts[tag]) for tag in tag_table],
-                              dtype=np.float64)
-        return tag_table, activity, popularity
-
-    # -- cold paths: replay into the in-memory store -------------------- #
-
-    def _materialise(self) -> None:  # lock-held: _lock
-        if self._materialised:
-            return
-        state = self._state
-        for position in range(len(state)):
-            # super().add keeps the secondary hash indexes consistent and
-            # re-interns the tag strings.
-            super().add(TaggingAction(
-                user_id=int(state.users[position]),
-                item_id=int(state.items[position]),
-                tag=state.tag_table[int(state.tags[position])],
-                timestamp=int(state.timestamps[position]),
-            ))
-        for action in self._delta.actions():
-            super().add(action)
-        self._materialised = True
-
-    def actions(self) -> List[TaggingAction]:
-        with self._lock:
-            self._materialise()
-            return super().actions()
-
-    def __iter__(self) -> Iterator[TaggingAction]:
-        with self._lock:
-            self._materialise()
-            return super().__iter__()
-
-    def items_for_user_tag(self, user_id: int, tag: str) -> FrozenSet[int]:
-        with self._lock:
-            self._materialise()
-            return super().items_for_user_tag(user_id, tag)
-
-    def items_for_user(self, user_id: int) -> FrozenSet[int]:
-        with self._lock:
-            self._materialise()
-            return super().items_for_user(user_id)
-
-    def tags_for_user(self, user_id: int) -> Dict[str, int]:
-        with self._lock:
-            self._materialise()
-            return super().tags_for_user(user_id)
-
-    def users(self) -> List[int]:
-        with self._lock:
-            self._materialise()
-            return super().users()
-
-    def items(self) -> List[int]:
-        with self._lock:
-            self._materialise()
-            return super().items()
-
-    def activity(self, user_id: int) -> int:
-        with self._lock:
-            self._materialise()
-            return super().activity(user_id)
-
-    def filter(self, predicate) -> TaggingStore:
-        with self._lock:
-            self._materialise()
-            return super().filter(predicate)
-
-    def split_holdout(self, fraction: float, seed: int = 0
-                      ) -> Tuple[TaggingStore, TaggingStore]:
-        with self._lock:
-            self._materialise()
-            return super().split_holdout(fraction, seed=seed)
-
-
-# --------------------------------------------------------------------- #
 # Loading a dataset back
 # --------------------------------------------------------------------- #
 
@@ -855,20 +489,13 @@ def _load_inverted_index(arena: Arena, tags: Sequence[str],
 def _load_holdout(arena: Arena) -> Optional[TaggingStore]:
     if not arena.meta.get("has_holdout"):
         return None
-    table = arena.meta.get("holdout_tags") or arena.meta["tags"]
-    store = TaggingStore()
-    user_ids = arena.array("holdout.user_ids")
-    item_ids = arena.array("holdout.item_ids")
-    tag_ids = arena.array("holdout.tag_ids")
-    timestamps = arena.array("holdout.timestamps")
-    for position in range(int(user_ids.shape[0])):
-        store.add(TaggingAction(
-            user_id=int(user_ids[position]),
-            item_id=int(item_ids[position]),
-            tag=str(table[int(tag_ids[position])]),
-            timestamp=int(timestamps[position]),
-        ))
-    return store
+    return TaggingStore(
+        arena.meta.get("holdout_tags") or arena.meta["tags"],
+        arena.array("holdout.user_ids"),
+        arena.array("holdout.item_ids"),
+        arena.array("holdout.tag_ids"),
+        arena.array("holdout.timestamps"),
+    )
 
 
 def load_dataset_from_arena(source: Union[PathLike, Arena]) -> Dataset:
@@ -892,12 +519,13 @@ def load_dataset_from_arena(source: Union[PathLike, Arena]) -> Dataset:
         arena.array("social.segment_offsets"),
         arena.array("social.item_ids"),
     )
-    tagging = ArenaTaggingStore(
-        endorsers, tags,
+    tagging = TaggingStore(
+        tags,
         arena.array("actions.user_ids"),
         arena.array("actions.item_ids"),
         arena.array("actions.tag_ids"),
         arena.array("actions.timestamps"),
+        endorsers=endorsers,
     )
     users = UserStore()
     users.add_many(User.from_dict(record) for record in meta.get("users", []))
@@ -920,7 +548,6 @@ def load_dataset_from_arena(source: Union[PathLike, Arena]) -> Dataset:
 
 __all__ = [
     "Arena",
-    "ArenaTaggingStore",
     "build_arena",
     "load_dataset_from_arena",
     "write_arena",

@@ -235,7 +235,7 @@ def _build_into(config: DatasetConfig, path: Path, chunk_size: int,
         fresh = deduper.fresh_mask(unique_keys)
         deduper.add_run(unique_keys[fresh])
         # Keep accepted rows in chunk order = first-occurrence order, the
-        # insertion order TaggingStore.add preserves.
+        # first-occurrence order TaggingStore.from_actions keeps.
         accepted = np.sort(first_positions[fresh], kind="stable")
         spill.append({column: batch[column][accepted] for column in _COLUMNS})
     log = spill.close()

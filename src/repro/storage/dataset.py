@@ -28,9 +28,10 @@ class Dataset:
 
     Use :meth:`Dataset.build` instead of the raw constructor so the derived
     indexes are always consistent with the tagging store.  Both
-    constructors produce the same index classes: the inverted index reads
-    its posting lists off the endorser index, and the social index is a
-    per-tag CSR whose live updates sit in a small overlay until
+    constructors produce the same classes: the tagging store is the action
+    log as int64 columns, the inverted index reads its posting lists off
+    the endorser index, and the social index is a per-tag CSR.  Live
+    updates sit in the store's tail and the social index's overlay until
     :meth:`~repro.storage.updates.DatasetUpdater.compact` folds them in —
     on in-memory and arena-backed datasets alike.
     """
@@ -59,9 +60,10 @@ class Dataset:
 
         Actions referencing users outside the graph are rejected, because a
         tagger who is not a node can never be reached by social expansion
-        and would silently distort exact scores.
+        and would silently distort exact scores.  A repeated ``(user,
+        item, tag)`` triple keeps its first occurrence.
         """
-        tagging = TaggingStore()
+        actions = list(actions)
         user_store = users or UserStore.with_placeholder_users(graph.num_users)
         item_store = items or ItemStore()
         for action in actions:
@@ -70,17 +72,22 @@ class Dataset:
                     f"tagging action references user {action.user_id}, but the "
                     f"graph only has {graph.num_users} users"
                 )
-            tagging.add(action)
             item_store.ensure(action.item_id)
             user_store.ensure(action.user_id)
-        return cls._from_tagging(graph, tagging, name=name, users=user_store,
-                                 items=item_store, holdout=holdout)
+        return cls._from_tagging(graph, TaggingStore.from_actions(actions),
+                                 name=name, users=user_store, items=item_store,
+                                 holdout=holdout)
 
     @classmethod
     def _from_tagging(cls, graph: SocialGraph, tagging: TaggingStore, name: str,
                       users: UserStore, items: ItemStore,
                       holdout: Optional[TaggingStore] = None) -> "Dataset":
-        endorsers = EndorserIndex.build(tagging)
+        tags = tagging.tags()
+        columns = tagging.action_arrays(
+            {tag: index for index, tag in enumerate(tags)})
+        endorsers = EndorserIndex.build(tags, columns["tag_ids"],
+                                        columns["item_ids"], columns["user_ids"])
+        tagging.bind(endorsers)
         return cls(
             name=name,
             graph=graph,

@@ -1,7 +1,7 @@
 """Delta-merge kernels of the live-update write path.
 
 The array-backed hot structures (posting lists, the per-tag endorser CSR,
-the per-tag social CSR, the arena tagging store) are frozen once built:
+the per-tag social CSR, the tagging store's columns) are frozen once built:
 their numpy arrays — often read-only ``np.ndarray`` views of the mapped
 index arena — are never mutated in place.  Live updates therefore work on
 **delta overlays**: a small in-memory delta accumulates the new facts and
@@ -40,21 +40,6 @@ from .endorser_index import TagEndorsers
 
 _EMPTY_IDS = np.zeros(0, dtype=np.int64)
 _NO_SEGMENTS = np.zeros(1, dtype=np.int64)
-
-
-def merge_sorted_disjoint(base: np.ndarray, extra: Sequence[int]) -> np.ndarray:
-    """Merge an ascending array with a disjoint ascending sequence.
-
-    The store-level deduplication guarantees the two sides never share an
-    element, so a concatenate + sort is an exact merge.  Returns ``base``
-    itself (zero-copy) when ``extra`` is empty.
-    """
-    if not len(extra):
-        return base
-    merged = np.concatenate([np.asarray(base, dtype=np.int64),
-                             np.asarray(extra, dtype=np.int64)])
-    merged.sort()
-    return merged
 
 
 def merged_tag_endorsers(tag: str, base: Optional[TagEndorsers],
@@ -118,6 +103,5 @@ def merged_tag_endorsers(tag: str, base: Optional[TagEndorsers],
 
 
 __all__ = [
-    "merge_sorted_disjoint",
     "merged_tag_endorsers",
 ]

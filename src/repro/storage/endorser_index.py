@@ -25,8 +25,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .tagging import TaggingStore
-
 
 class TagEndorsers:
     """CSR arrays of one tag's item → endorser relation (read-only)."""
@@ -71,29 +69,6 @@ class TagEndorsers:
         if len(self) == 0:
             return np.zeros(0, dtype=np.float64)
         return np.add.reduceat(proximity[self.taggers], self.offsets[:-1])
-
-    def subset_social_mass(self, proximity: np.ndarray,
-                           positions: np.ndarray) -> np.ndarray:
-        """Proximity-weighted endorser mass of a subset of the tag's items.
-
-        ``positions`` index :attr:`item_ids`; every referenced segment is
-        non-empty by index construction, which keeps ``reduceat`` exact.
-        Returns one float per requested position — bit-identical to
-        ``social_mass(proximity)[positions]``, because element order inside
-        each segment matches the full reduction.
-        """
-        starts = self.offsets[positions]
-        lengths = (self.offsets[positions + 1] - starts).astype(np.int64)
-        total = int(lengths.sum())
-        if total == 0:
-            return np.zeros(positions.shape[0], dtype=np.float64)
-        segment_offsets = np.zeros(positions.shape[0], dtype=np.int64)
-        np.cumsum(lengths[:-1], out=segment_offsets[1:])
-        # Flat gather indices: each segment's start repeated, plus the offset
-        # within the segment.
-        flat = np.repeat(starts, lengths) \
-            + (np.arange(total, dtype=np.int64) - np.repeat(segment_offsets, lengths))
-        return np.add.reduceat(proximity[self.taggers[flat]], segment_offsets)
 
     def positions_of(self, item_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Locate ``item_ids`` (ascending) in this tag's item array.
@@ -161,32 +136,42 @@ class EndorserIndex:
     # ------------------------------------------------------------------ #
 
     @classmethod
-    def build(cls, tagging: TaggingStore) -> "EndorserIndex":
-        """Build the per-tag CSR arrays from a tagging store."""
-        index = cls()
-        for tag in tagging.tags():
-            items: List[int] = sorted(tagging.items_for_tag(tag))
-            if not items:
-                continue
-            offsets = np.zeros(len(items) + 1, dtype=np.int64)
-            segments: List[List[int]] = []
-            for position, item_id in enumerate(items):
-                # Sorted segments make the reduction order deterministic and
-                # identical to the scalar scorer's iteration order.
-                taggers = list(tagging.taggers_sorted(item_id, tag))
-                segments.append(taggers)
-                offsets[position + 1] = offsets[position] + len(taggers)
-            taggers_flat = np.array(
-                [tagger for segment in segments for tagger in segment],
-                dtype=np.int64,
-            ) if offsets[-1] else np.zeros(0, dtype=np.int64)
-            index._tags[tag] = TagEndorsers(
+    def build(cls, tag_table: Sequence[str], tag_ids: np.ndarray,
+              item_ids: np.ndarray, user_ids: np.ndarray) -> "EndorserIndex":
+        """Build the per-tag CSR arrays from distinct action columns.
+
+        ``tag_table[tag_ids[r]]`` is row *r*'s tag and no ``(user, item,
+        tag)`` triple repeats.  One stable ``lexsort`` orders the rows by
+        tag, item, then tagger; each tag's run of rows is its bundle, each
+        item's run within it a segment.  Sorted segments make the reduction
+        order deterministic and identical to the scalar scorer's.
+        """
+        order = np.lexsort((user_ids, item_ids, tag_ids))
+        tags = np.asarray(tag_ids)[order]
+        items = np.asarray(item_ids)[order]
+        taggers = np.asarray(user_ids)[order]
+        new_tag = np.ones(order.shape[0], dtype=bool)
+        new_tag[1:] = tags[1:] != tags[:-1]
+        new_item = new_tag.copy()
+        new_item[1:] |= items[1:] != items[:-1]
+        starts = np.flatnonzero(new_item)
+        bounds = np.append(starts, order.shape[0])
+        first_segments = np.flatnonzero(new_tag[starts])
+        last_segments = np.append(first_segments[1:], starts.shape[0])
+        bundles: Dict[str, TagEndorsers] = {}
+        for first, last in zip(first_segments.tolist(), last_segments.tolist()):
+            offsets = bounds[first:last + 1] - bounds[first]
+            tag = tag_table[int(tags[bounds[first]])]
+            bundles[tag] = TagEndorsers(
                 tag=tag,
-                item_ids=np.array(items, dtype=np.int64),
+                item_ids=items[starts[first:last]],
                 frequencies=np.diff(offsets),
                 offsets=offsets,
-                taggers=taggers_flat,
+                taggers=taggers[bounds[first]:bounds[last]],
             )
+        index = cls()
+        for tag in sorted(bundles):
+            index._tags[tag] = bundles[tag]
         return index
 
     # ------------------------------------------------------------------ #
@@ -216,17 +201,6 @@ class EndorserIndex:
             merged[tag] = self._tags[tag] = merged_tag_endorsers(
                 tag, self._tags.get(tag), items, taggers)
         return merged
-
-    def snapshot(self) -> Dict[str, TagEndorsers]:
-        """A frozen ``tag -> bundle`` view of the current state.
-
-        The returned dict is decoupled from future :meth:`apply_delta`
-        calls (which replace entries in ``self``); the bundles themselves
-        are immutable.  :class:`repro.storage.arena.ArenaTaggingStore` uses
-        this as its delta-overlay *base*, so its merged reads never
-        double-count a delta that was also folded into the live index.
-        """
-        return dict(self._tags)
 
     # ------------------------------------------------------------------ #
     # Lookup

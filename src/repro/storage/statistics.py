@@ -37,25 +37,19 @@ class DatasetStatistics:
 
 def compute_dataset_statistics(dataset: Dataset) -> DatasetStatistics:
     """Compute the full :class:`DatasetStatistics` summary of a dataset."""
-    tagging = dataset.tagging
-    tags = tagging.tags()
-    active_users = tagging.users()
-    items = tagging.items()
-
-    actions_per_user = np.array(
-        [tagging.activity(user) for user in active_users], dtype=np.float64
-    ) if active_users else np.zeros(0)
-
-    tags_per_item: Dict[int, int] = {}
-    for tag in tags:
-        for item_id in tagging.items_for_tag(tag):
-            tags_per_item[item_id] = tags_per_item.get(item_id, 0) + 1
-    tags_per_item_values = np.array(list(tags_per_item.values()), dtype=np.float64) \
-        if tags_per_item else np.zeros(0)
-
-    items_per_tag = np.array(
-        [len(tagging.items_for_tag(tag)) for tag in tags], dtype=np.float64
-    ) if tags else np.zeros(0)
+    tags = dataset.tagging.tags()
+    # Linear passes only: actions per user from the log's histogram, items
+    # per tag and tags per item from the endorser bundles.
+    _, activity, _ = dataset.tagging.action_histograms(dataset.num_users)
+    actions_per_user = activity[activity > 0]
+    bundles = [dataset.endorser_index.for_tag(tag) for tag in tags]
+    bundles = [bundle for bundle in bundles if bundle is not None]
+    items_per_tag = np.array([len(bundle) for bundle in bundles],
+                             dtype=np.float64)
+    items, tags_per_item = np.unique(
+        np.concatenate([bundle.item_ids for bundle in bundles]
+                       or [np.zeros(0, dtype=np.int64)]),
+        return_counts=True)
 
     max_tag_frequency = max(
         (dataset.inverted_index.max_frequency(tag) for tag in tags), default=0
@@ -69,11 +63,11 @@ def compute_dataset_statistics(dataset: Dataset) -> DatasetStatistics:
         num_users=dataset.num_users,
         num_edges=dataset.graph.num_edges,
         avg_degree=float(dataset.graph.degrees().mean()) if dataset.num_users else 0.0,
-        num_items=len(items),
+        num_items=int(items.shape[0]),
         num_tags=len(tags),
         num_actions=dataset.num_actions,
         avg_actions_per_user=float(actions_per_user.mean()) if actions_per_user.size else 0.0,
-        avg_tags_per_item=float(tags_per_item_values.mean()) if tags_per_item_values.size else 0.0,
+        avg_tags_per_item=float(tags_per_item.mean()) if tags_per_item.size else 0.0,
         avg_items_per_tag=float(items_per_tag.mean()) if items_per_tag.size else 0.0,
         max_tag_frequency=int(max_tag_frequency),
         inverted_index_postings=dataset.inverted_index.num_postings(),

@@ -15,10 +15,10 @@ friendships merge into a new graph with
 :meth:`~repro.graph.SocialGraph.with_edges`, and new users pad its
 offsets.
 
-Arena-backed datasets additionally accumulate the raw actions in a small
-delta on top of their frozen memory-mapped arrays;
+The raw actions accumulate in the tagging store's append tail on top of
+its frozen columns — in-memory and arena-backed datasets alike;
 :meth:`DatasetUpdater.compact` (driven by a ``compact_threshold``, or by
-:class:`repro.service.QueryService` in the background) folds that delta
+:class:`repro.service.QueryService` in the background) folds that tail
 and the social overlay back into fresh contiguous arrays and advances the
 updater's **epoch**.
 Because a delta-merged read and a compacted read are value-identical, a
@@ -172,15 +172,8 @@ class DatasetUpdater:
             self._wal = wal
 
     def pending_delta(self) -> int:
-        """Number of delta actions awaiting compaction.
-
-        Non-zero only for arena-backed datasets, whose tagging store holds
-        new actions in a delta.  An in-memory tagging store absorbs them
-        directly into its hash indexes, so it reports 0 — although its
-        social index carries an overlay of updated rows like the arena's
-        does, which :meth:`compact` folds on every dataset form.
-        """
-        return int(getattr(self._dataset.tagging, "delta_size", 0))
+        """Number of actions in the tagging store's tail awaiting compaction."""
+        return self._dataset.tagging.delta_size
 
     def restore_epoch(self, epoch: int) -> None:
         """Reset the epoch counter (crash-recovery continuity only)."""
@@ -190,16 +183,15 @@ class DatasetUpdater:
     def compact(self) -> int:
         """Fold the delta overlays back into fresh frozen arrays.
 
-        Folds the arena tagging store's delta (its base snapshot advances to
-        the live endorser index, which incremental maintenance has already
-        merged the same delta into) and the social index's overlay, which
-        every dataset form carries.
+        Folds the tagging store's tail into its frozen columns (the live
+        endorser index, which incremental maintenance has already merged
+        the same actions into, must account for every row) and the social
+        index's overlay into its CSR.
         Value-identical before and after — readers racing the swap see
         consistent data either way — so this is safe to run on a background
         thread while queries are being served; only writers are blocked.
-        Returns the number of delta actions folded; 0 when nothing was
-        pending (always, on an in-memory dataset, whose social overlay is
-        folded all the same).
+        Returns the number of tail actions folded; 0 when nothing was
+        pending (the social overlay is folded all the same).
 
         Compaction is **two-phase** for failure atomicity: both stores
         first *stage* their next epoch (all the work that can fail —
@@ -212,13 +204,8 @@ class DatasetUpdater:
         with self._mutate_lock, obs_span("updates.compact") as compact_span:
             tagging = self._dataset.tagging
             social = self._dataset.social_index
-            stage_tagging = getattr(tagging, "stage_compact", None)
-            staged_tagging = None
-            folded = 0
-            if stage_tagging is not None:
-                staged_tagging = stage_tagging(self._dataset.endorser_index)
-                if staged_tagging is not None:
-                    folded = staged_tagging[1]
+            staged_tagging = tagging.stage_compact()
+            folded = staged_tagging[1] if staged_tagging is not None else 0
             fault_point("compact.stage")
             staged_social = social.stage_compact()
             if folded and self._wal is not None:
@@ -227,8 +214,7 @@ class DatasetUpdater:
                 # aborts the compaction with the old epoch intact.
                 self._wal.append_epoch(self._epoch + 1, folded=folded)
             fault_point("compact.commit")
-            if staged_tagging is not None:
-                tagging.commit_compact(staged_tagging)
+            tagging.commit_compact(staged_tagging)
             social.commit_compact(staged_social)
             if folded:
                 self._epoch += 1

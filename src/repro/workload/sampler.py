@@ -117,10 +117,9 @@ def dataset_workload(dataset, num_queries: int, k: int,
                      tags_per_query: float = 2.0) -> List[Query]:
     """Sample a workload from a dataset via its action histograms.
 
-    Works against any tagging store exposing ``action_histograms`` —
-    including :class:`~repro.storage.arena.ArenaTaggingStore`, where the
-    histograms come from ``np.bincount`` over the mapped action arrays
-    without materialising per-user structures.  Given the same actions,
+    The histograms are ``np.bincount`` passes over the tagging store's
+    action columns — mapped from an arena or built in memory — with no
+    per-user Python structures.  Given the same actions,
     the workload is identical to
     :func:`~repro.eval.scale.arena_workload` on the equivalent arena.
     """

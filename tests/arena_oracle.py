@@ -10,7 +10,7 @@ oracle of ``tests/property/test_arena_oracle.py``:
   assembled by one ``items_for`` call per (tag, user) and the records
   encoded by ``dataclasses.asdict``;
 * :func:`_action_arrays` — the action section read through
-  ``TaggingStore.actions()`` (which materialises an arena-backed store);
+  ``TaggingStore.actions()`` (one Python object per action);
 * :func:`stage_compact` — ``SocialIndex.stage_compact`` over the
   :func:`_merged_staging` profile dict.
 """

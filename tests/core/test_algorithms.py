@@ -91,7 +91,7 @@ class TestResultShape:
 
     def test_k_larger_than_candidate_set(self, engine, synthetic_dataset):
         tag = synthetic_dataset.tags()[0]
-        matching = len(synthetic_dataset.tagging.items_for_tag(tag))
+        matching = len(synthetic_dataset.endorser_index.for_tag(tag))
         query = Query(seeker=1, tags=(tag,), k=matching + 50)
         exact = engine.run(query, algorithm="exact")
         social = engine.run(query, algorithm="social-first")

@@ -55,9 +55,8 @@ class TestPlanRecord:
     def test_to_dict_shape(self, synthetic_dataset):
         engine = _engine(synthetic_dataset)
         data = engine.planner.plan(_query(synthetic_dataset)).to_dict()
-        assert set(data) == {"query", "algorithm", "executor", "backing",
+        assert set(data) == {"query", "algorithm", "executor",
                              "pending_delta", "proximity_path", "reason"}
-        assert data["backing"] == "python"
         assert data["pending_delta"] == 0
 
     def test_proximity_path_names(self, synthetic_dataset):
@@ -75,17 +74,19 @@ class TestPlanRecord:
     def test_describe_block(self, synthetic_dataset):
         engine = _engine(synthetic_dataset)
         block = engine.planner.describe()
-        assert block["backing"] == "python"
+        assert block["pending_delta"] == 0
+        assert "backing" not in block
         assert "scoring_path" not in block
 
-    def test_arena_backing_reported(self, synthetic_dataset, tmp_path):
+    def test_arena_and_in_memory_plans_are_equal(self, synthetic_dataset,
+                                                 tmp_path):
         from repro.storage import Dataset
 
         path = tmp_path / "corpus.arena"
         synthetic_dataset.to_arena(path)
-        engine = _engine(Dataset.from_arena(path))
-        plan = engine.planner.plan(_query(synthetic_dataset))
-        assert plan.backing == "arena"
+        query = _query(synthetic_dataset)
+        mapped = _engine(Dataset.from_arena(path)).planner.plan(query)
+        assert mapped == _engine(synthetic_dataset).planner.plan(query)
 
 
 class TestPreview:

@@ -13,7 +13,9 @@ replaced, verbatim, as the exact-equality oracle of
   posting list turned into an ``item -> frequency`` dict, incremented and
   re-sorted;
 * :func:`posting_deltas` — the endorser delta collapsed into those
-  increments.
+  increments;
+* :func:`merge_sorted_disjoint` — the concatenate-and-sort merge of two
+  disjoint ascending id runs these rebuilds use.
 
 It also keeps the graph update the friendship path replaced:
 :func:`builder_with_edges` re-adds every existing edge, then the batch, to a
@@ -28,11 +30,25 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.graph import SocialGraph, SocialGraphBuilder
-from repro.storage.delta import merge_sorted_disjoint
 from repro.storage.endorser_index import TagEndorsers
 from repro.storage.inverted_index import PostingList
 
 _EMPTY_IDS = np.zeros(0, dtype=np.int64)
+
+
+def merge_sorted_disjoint(base: np.ndarray, extra: Sequence[int]) -> np.ndarray:
+    """Merge an ascending array with a disjoint ascending sequence.
+
+    The store-level deduplication guarantees the two sides never share an
+    element, so a concatenate + sort is an exact merge.  Returns ``base``
+    itself (zero-copy) when ``extra`` is empty.
+    """
+    if not len(extra):
+        return base
+    merged = np.concatenate([np.asarray(base, dtype=np.int64),
+                             np.asarray(extra, dtype=np.int64)])
+    merged.sort()
+    return merged
 
 
 def merged_counts(base: Optional[PostingList],

@@ -104,12 +104,14 @@ class TestShortestPathRow:
         assert hops.tolist() == [0, 1, 2, 1]
 
     def test_hop_cap_keeps_the_shortest_path_hops(self):
-        # Node 2 is settled by its 2-hop zero-cost path, so at max_hops=2 it
-        # is not expanded even though a 1-hop path (0.5) reaches it too.
+        # Node 2's best path is the 2-hop zero-cost one, so at max_hops=2 the
+        # free path on to 3 is one hop too long; 3 is still reached, over
+        # the 1-hop path to 2 (0.5), at that path's cost and hops.
         graph = SocialGraph.from_edges(
             4, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 0.5), (2, 3, 1.0)])
         row = shortest_path_row(graph, 0, max_hops=2)
-        assert [array.tolist() for array in row] == [[0, 1, 2], [0.0] * 3, [0, 1, 2]]
+        assert [array.tolist() for array in row] == [
+            [0, 1, 2, 3], [0.0, 0.0, 0.0, edge_distance(0.5)], [0, 1, 2, 2]]
 
     def test_negative_distance_cap_returns_nothing(self, small_graph):
         nodes, dists, hops = shortest_path_row(small_graph, 0, max_distance=-1.0)

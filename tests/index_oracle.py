@@ -19,7 +19,7 @@ from typing import Dict, Iterator, List, Tuple
 
 from repro.errors import UnknownTagError
 from repro.storage.inverted_index import Posting
-from repro.storage.tagging import TaggingStore
+from tagging_oracle import TaggingStore
 
 
 class OracleInvertedIndex:

@@ -53,6 +53,11 @@ def scenarios(draw):
     return base, batches
 
 
+def _bundles(index):
+    """The index's ``tag -> bundle`` map as of now (bundles are immutable)."""
+    return {tag: index.for_tag(tag) for tag in index.tags()}
+
+
 def _same(actual: np.ndarray, expected: np.ndarray) -> None:
     assert actual.dtype == expected.dtype
     assert actual.shape == expected.shape
@@ -63,7 +68,7 @@ class _Reference:
     """The previous state plus each batch, merged by the oracle kernels."""
 
     def __init__(self, dataset: Dataset, base) -> None:
-        self.bundles = dataset.endorser_index.snapshot()
+        self.bundles = _bundles(dataset.endorser_index)
         self.lists = {tag: dataset.inverted_index.arrays(tag)
                       for tag in dataset.inverted_index.tags()}
         self.counts = {}
@@ -110,7 +115,7 @@ def _check_batches(dataset: Dataset, base, batches) -> None:
     reference = _Reference(dataset, base)
     reference.check(dataset)
     for batch, compact in batches:
-        before = dataset.endorser_index.snapshot()
+        before = _bundles(dataset.endorser_index)
         touched = {action.tag for action in batch
                    if (action.user_id, action.item_id, action.tag)
                    not in reference.stored}

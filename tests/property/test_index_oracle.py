@@ -26,8 +26,8 @@ from repro.storage import (
     InvertedIndex,
     SocialIndex,
     TaggingAction,
-    TaggingStore,
 )
+from tagging_oracle import TaggingStore
 
 BASE_TAGS = ("jazz", "rock", "vinyl")
 #: tags only the batches use (``"aaa"`` sorts before every base tag).

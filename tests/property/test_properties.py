@@ -114,8 +114,17 @@ def test_proximity_stream_is_sorted_and_bounded(edges, seeker):
 
 
 @given(edge_strategy, st.integers(min_value=0, max_value=NUM_USERS - 1))
+@example(edges=[(0, 4, 1.0), (1, 2, 1.0), (1, 4, 1.0), (2, 3, 0.25), (2, 5, 1.0),
+                (3, 5, 1.0)], seeker=0)
+@example(edges=[(0, 1, 0.125), (0, 2, 1.0), (0, 4, 1.0), (1, 5, 1.0), (2, 3, 1.0),
+                (4, 5, 1.0)], seeker=3)
 @settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
 def test_proximity_symmetry_on_undirected_graph(edges, seeker):
+    # The examples are graphs where the default cap binds: a row that kept
+    # one best label per node reached the target one way but not back
+    # (0 -> 3 but not 3 -> 0; 3 -> 1 but not 1 -> 3, which settled 0 over
+    # 1-5-4-0 at three hops).  Capped rows are the best over paths of at
+    # most ``max_hops`` hops, which is symmetric.
     graph = _graph_from(edges)
     proximity = ShortestPathProximity(graph, ProximityConfig())
     vector = proximity.vector(seeker)
@@ -131,8 +140,7 @@ def test_proximity_symmetry_on_undirected_graph(edges, seeker):
 def test_proximity_symmetry_when_the_hop_cap_cannot_bind(edges, seeker):
     # Shortest paths are simple, so NUM_USERS - 1 hops never bind and the
     # rows are exact best-path products.  The example is a graph where the
-    # default cap does bind and the capped rows are one-sided: 0 reaches 3
-    # over 0-4-1-2-3, but 3 settles 2 over 3-5-2 and never gets back to 0.
+    # default cap does bind (0 reaches 3 only over 0-4-1-2-3 or longer).
     graph = _graph_from(edges)
     proximity = ShortestPathProximity(graph, ProximityConfig(max_hops=NUM_USERS - 1))
     vector = proximity.vector(seeker)

@@ -1,10 +1,11 @@
-"""Property gate: the batched shortest-path row against the heapq oracle.
+"""Property gate: the batched shortest-path row against the scalar oracle.
 
-``shortest_path_row`` settles many Dijkstra nodes per round; it must return
-exactly the ``(node, distance, hops)`` sequence the one-pop-per-node loop in
-``tests/dijkstra_oracle.py`` yields — same order, same float64 bits, same
-hop counts — on graphs with zero-cost (weight 1.0) edges, tied weights,
-isolated nodes and disconnected parts, at every decay and hop cap.
+``shortest_path_row`` settles many Dijkstra nodes per round, or relaxes
+hop by hop under a cap; it must return exactly the ``(node, distance,
+hops)`` sequence ``tests/dijkstra_oracle.py`` yields (the one-pop-per-node
+loop uncapped, the exact-hop walk table capped) — same order, same float64
+bits, same hop counts — on graphs with zero-cost (weight 1.0) edges, tied
+weights, isolated nodes and disconnected parts, at every decay and hop cap.
 """
 
 import math

@@ -205,7 +205,8 @@ def test_endorser_index_mass_matches_python_sum(edges, actions, seeker, tag):
         return
     masses = bundle.social_mass(dense)
     for position, item_id in enumerate(bundle.item_ids.tolist()):
-        taggers = dataset.tagging.taggers(int(item_id), tag)
+        taggers = {user for user, item, action_tag in actions
+                   if item == item_id and action_tag == tag}
         expected = sum(dense[tagger] for tagger in sorted(taggers))
         assert math.isclose(masses[position], expected, abs_tol=1e-12)
         assert bundle.frequencies[position] == len(taggers)

@@ -341,7 +341,7 @@ class TestExplainEndpoint:
         status, body = get_json(server, f"/explain?seeker=1&tags={tag}&k=3")
         assert status == 200
         assert body["query"] == {"seeker": 1, "tags": [tag], "k": 3}
-        for key in ("executor", "backing", "proximity_path", "reason"):
+        for key in ("executor", "pending_delta", "proximity_path", "reason"):
             assert key in body
 
     def test_post_explain_matches_get(self, server):
@@ -364,7 +364,7 @@ class TestExplainEndpoint:
 
     def test_stats_carry_plan_block(self, server):
         _, body = get_json(server, "/stats")
-        assert body["plan"]["backing"] == "python"
+        assert body["plan"]["pending_delta"] == 0
         assert body["plan"]["route_lookups"] >= body["plan"]["route_memo_hits"]
 
 

@@ -315,7 +315,7 @@ class TestUpdateInvalidation:
         # Befriend an active stranger so the social component shifts.
         stranger = next(u for u in range(dataset.num_users)
                         if u != 1 and u not in neighbours
-                        and dataset.tagging.activity(u) > 0)
+                        and dataset.tagging.items_for_user(u))
         updater.add_friendships([(1, stranger, 1.0)])
         after = service.serve(query)
         assert after.outcome == "computed"
@@ -539,7 +539,7 @@ class TestStatsUnderLiveUpdates:
                 stats = svc.stats()
 
                 plan = stats["plan"]
-                assert plan["backing"] == "arena"
+                assert "backing" not in plan
                 assert plan["route_lookups"] > lookups_seen
                 assert plan["route_decisions"]["algorithm"] >= \
                     plan["route_lookups"] - plan["route_memo_hits"]
@@ -574,7 +574,7 @@ class TestStatsUnderLiveUpdates:
 
 
 class TestBackgroundCompaction:
-    """The service folds arena delta overlays past the threshold."""
+    """The service folds the tail and the overlays past the threshold."""
 
     def _arena_service(self, tmp_path, threshold):
         from repro.storage import Dataset
@@ -619,6 +619,26 @@ class TestBackgroundCompaction:
             after = svc.serve(query).result
             assert after.item_ids == svc.engine.run(query).item_ids
             assert before.item_ids != after.item_ids or True
+        finally:
+            svc.close()
+
+    def test_in_memory_dataset_compacts_in_the_background(self):
+        dataset = tiny_dataset(seed=3)
+        updater = DatasetUpdater(dataset)
+        svc = QueryService(SocialSearchEngine(dataset),
+                           ServiceConfig(compact_threshold=8), updater=updater)
+        try:
+            tag = dataset.tags()[0]
+            updater.add_actions([
+                TaggingAction(user_id=i % dataset.num_users,
+                              item_id=90_000 + i, tag=tag, timestamp=i)
+                for i in range(10)
+            ])
+            assert self._wait(lambda: svc.compactions == 1)
+            assert updater.epoch == 1
+            assert updater.pending_delta() == 0
+            assert dataset.social_index.overlay_size == 0
+            assert dataset.tagging.contains(0, 90_000, tag)
         finally:
             svc.close()
 

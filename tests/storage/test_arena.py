@@ -31,6 +31,15 @@ def mapped(arena_path):
     return Dataset.from_arena(arena_path)
 
 
+def _oracle(dataset):
+    """The dict store oracle holding ``dataset``'s actions."""
+    from tagging_oracle import TaggingStore
+
+    store = TaggingStore()
+    store.add_many(dataset.tagging.actions())
+    return store
+
+
 class TestFormat:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.arena"
@@ -130,21 +139,24 @@ class TestRoundTrip:
             np.testing.assert_array_equal(ours.offsets, theirs.offsets)
             np.testing.assert_array_equal(ours.taggers, theirs.taggers)
 
-    def test_tagging_hot_paths(self, corpus, mapped):
+    def test_endorser_bundles_answer_like_the_oracle(self, corpus, mapped):
+        oracle = _oracle(corpus)
         for tag in corpus.tags()[:5]:
-            assert mapped.tagging.items_for_tag(tag) == corpus.tagging.items_for_tag(tag)
-            for item_id in sorted(corpus.tagging.items_for_tag(tag))[:5]:
-                assert list(mapped.tagging.taggers_sorted(item_id, tag)) \
-                    == list(corpus.tagging.taggers_sorted(item_id, tag))
-                assert mapped.tagging.tag_frequency(item_id, tag) \
-                    == corpus.tagging.tag_frequency(item_id, tag)
+            bundle = mapped.endorser_index.for_tag(tag)
+            assert bundle.item_ids.tolist() == sorted(oracle.items_for_tag(tag))
+            for item_id in sorted(oracle.items_for_tag(tag))[:5]:
+                assert bundle.taggers_of(item_id).tolist() \
+                    == list(oracle.taggers_sorted(item_id, tag))
+                assert mapped.tagging.contains(
+                    oracle.taggers_sorted(item_id, tag)[0], item_id, tag)
 
     def test_random_access_frequency(self, corpus, mapped):
         from index_oracle import OracleInvertedIndex
 
-        oracle = OracleInvertedIndex.build(corpus.tagging)
+        store = _oracle(corpus)
+        oracle = OracleInvertedIndex.build(store)
         tag = corpus.tags()[0]
-        for item_id in list(corpus.tagging.items_for_tag(tag))[:5]:
+        for item_id in list(store.items_for_tag(tag))[:5]:
             assert mapped.inverted_index.frequency(item_id, tag) \
                 == corpus.inverted_index.frequency(item_id, tag) \
                 == oracle.frequency(item_id, tag)
@@ -153,7 +165,7 @@ class TestRoundTrip:
     def test_social_index_round_trip(self, corpus, mapped):
         from index_oracle import OracleSocialIndex
 
-        oracle = OracleSocialIndex.build(corpus.tagging)
+        oracle = OracleSocialIndex.build(_oracle(corpus))
         for user in oracle.users():
             for tag in oracle.tags_for(user):
                 assert mapped.social_index.items_for(user, tag) \
@@ -176,12 +188,15 @@ class TestRoundTrip:
         assert sorted(a.to_dict().items() for a in mapped.holdout.actions()) \
             == sorted(a.to_dict().items() for a in corpus.holdout.actions())
 
-    def test_cold_paths_materialise_lazily(self, corpus, mapped):
-        # users()/tags_for_user trigger the replay fallback and must agree.
-        assert mapped.tagging.users() == corpus.tagging.users()
-        user = corpus.tagging.users()[0]
-        assert mapped.tagging.tags_for_user(user) == corpus.tagging.tags_for_user(user)
-        assert mapped.tagging.tag_popularity() == corpus.tagging.tag_popularity()
+    def test_per_user_reads_match_the_oracle(self, corpus, mapped):
+        oracle = _oracle(corpus)
+        assert mapped.tagging.users() == oracle.users()
+        for user in oracle.users()[:10]:
+            assert mapped.tagging.tags_for_user(user) == oracle.tags_for_user(user)
+            assert mapped.tagging.items_for_user(user) == oracle.items_for_user(user)
+        for got, want in zip(mapped.tagging.action_histograms(corpus.num_users),
+                             oracle.action_histograms(corpus.num_users)):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestQueryEquivalence:
@@ -214,9 +229,9 @@ class TestQueryEquivalence:
 class TestLiveUpdates:
     """Regression: live updates on an arena-backed dataset must not be lost.
 
-    The mapped arrays describe the pre-update corpus; mutations land in the
-    delta overlay and every read merges it with the frozen arrays, so the
-    new actions are visible immediately without retiring the fast path.
+    The mapped arrays describe the pre-update corpus; new actions land in
+    the tagging store's tail and in merged endorser bundles, so they are
+    visible immediately while untouched tags keep their mapped arrays.
     """
 
     def test_added_action_survives_index_rebuild(self, arena_path):
@@ -228,9 +243,9 @@ class TestLiveUpdates:
         updater = DatasetUpdater(dataset)
         updater.add_actions([TaggingAction(user_id=2, item_id=9999, tag=tag)])
         assert dataset.num_actions == before + 1
-        assert 9999 in dataset.tagging.items_for_tag(tag)
-        assert dataset.tagging.tag_frequency(9999, tag) == 1
-        assert list(dataset.tagging.taggers_sorted(9999, tag)) == [2]
+        assert dataset.tagging.contains(2, 9999, tag)
+        assert dataset.endorser_index.for_tag(tag).taggers_of(9999).tolist() \
+            == [2]
         # The rebuilt derived indexes see the new action too.
         assert dataset.inverted_index.frequency(9999, tag) == 1
         assert 9999 in dataset.social_index.items_for(2, tag)
@@ -337,7 +352,7 @@ class TestOlderArenas:
 
 
 class TestDeltaOverlay:
-    """The write path: delta-merged reads, compaction, and thread safety."""
+    """The write path: the tail, compaction, and thread safety."""
 
     def _live(self, arena_path):
         from repro.storage import DatasetUpdater
@@ -354,14 +369,18 @@ class TestDeltaOverlay:
         updater.add_actions([TaggingAction(user_id=2, item_id=4242, tag=tag)])
         assert dataset.tagging.delta_size == 1
         assert len(dataset.tagging) == before + 1
-        assert dataset.tagging.tag_frequency(4242, tag) == 1
         assert dataset.tagging.contains(2, 4242, tag)
-        # A merged segment combines frozen taggers with delta taggers.
-        item = sorted(dataset.tagging.items_for_tag(tag) - {4242})[0]
-        frozen = list(dataset.tagging.taggers_sorted(item, tag))
-        updater.add_actions([TaggingAction(user_id=0, item_id=item, tag=tag)])
-        merged = list(dataset.tagging.taggers_sorted(item, tag))
-        assert merged == sorted(set(frozen) | {0})
+        assert dataset.tagging.actions()[-1] == TaggingAction(2, 4242, tag)
+        # The live bundle merges frozen taggers with tail taggers.
+        bundle = dataset.endorser_index.for_tag(tag)
+        item = int(bundle.item_ids[bundle.item_ids != 4242][0])
+        frozen = bundle.taggers_of(item).tolist()
+        newcomer = min(set(range(dataset.num_users)) - set(frozen))
+        updater.add_actions([TaggingAction(user_id=newcomer, item_id=item,
+                                           tag=tag)])
+        assert dataset.tagging.delta_size == 2
+        merged = dataset.endorser_index.for_tag(tag).taggers_of(item).tolist()
+        assert merged == sorted(set(frozen) | {newcomer})
 
     def test_duplicate_of_frozen_action_rejected(self, arena_path):
         from repro.storage import TaggingAction
@@ -387,9 +406,10 @@ class TestDeltaOverlay:
         snapshot = {
             "len": len(dataset.tagging),
             "tags": dataset.tagging.tags(),
-            "popularity": dataset.tagging.tag_popularity(),
-            "freq": dataset.tagging.tag_frequency(8000, tag),
-            "items": dataset.tagging.items_for_tag(tag),
+            "actions": dataset.tagging.actions(),
+            "histograms": [np.asarray(part).tolist() for part in
+                           dataset.tagging.action_histograms(dataset.num_users)],
+            "contains": dataset.tagging.contains(1, 8000, tag),
             "profile": dataset.social_index.items_for(1, tag),
         }
         assert updater.pending_delta() == 6
@@ -401,9 +421,10 @@ class TestDeltaOverlay:
         assert snapshot == {
             "len": len(dataset.tagging),
             "tags": dataset.tagging.tags(),
-            "popularity": dataset.tagging.tag_popularity(),
-            "freq": dataset.tagging.tag_frequency(8000, tag),
-            "items": dataset.tagging.items_for_tag(tag),
+            "actions": dataset.tagging.actions(),
+            "histograms": [np.asarray(part).tolist() for part in
+                           dataset.tagging.action_histograms(dataset.num_users)],
+            "contains": dataset.tagging.contains(1, 8000, tag),
             "profile": dataset.social_index.items_for(1, tag),
         }
         # Nothing pending: a second compact is a no-op.
@@ -417,10 +438,11 @@ class TestDeltaOverlay:
         dataset, _updater = self._live(arena_path)
         tag = dataset.tags()[0]
         # Bypassing the updater leaves the endorser index stale; folding the
-        # delta against it would lose the actions.
+        # tail against it would lose the actions.
         dataset.tagging.add(TaggingAction(user_id=1, item_id=31337, tag=tag))
         with pytest.raises(StorageError):
-            dataset.tagging.compact(dataset.endorser_index)
+            dataset.tagging.compact()
+        assert dataset.tagging.delta_size == 1
 
     def test_concurrent_reads_during_mutation(self, arena_path):
         """S2 regression: readers racing the first add see consistent state."""
@@ -431,8 +453,7 @@ class TestDeltaOverlay:
         dataset = Dataset.from_arena(arena_path)
         updater = DatasetUpdater(dataset)
         tag = dataset.tags()[0]
-        item = sorted(dataset.tagging.items_for_tag(tag))[0]
-        base_frequency = dataset.tagging.tag_frequency(item, tag)
+        item = int(dataset.endorser_index.for_tag(tag).item_ids[0])
         base_len = len(dataset.tagging)
         errors = []
         observed_lengths = []
@@ -444,10 +465,11 @@ class TestDeltaOverlay:
                     length = len(dataset.tagging)
                     assert base_len <= length <= base_len + 64
                     observed_lengths.append(length)
-                    frequency = dataset.tagging.tag_frequency(item, tag)
-                    assert frequency >= base_frequency
-                    taggers = list(dataset.tagging.taggers_sorted(item, tag))
-                    assert taggers == sorted(taggers)
+                    actions = dataset.tagging.actions()
+                    assert base_len <= len(actions) <= base_len + 64
+                    assert len(set(actions)) == len(actions)
+                    assert dataset.tagging.items_for_user_tag(0, tag) \
+                        <= set(dataset.social_index.items_for(0, tag))
                     dataset.tagging.contains(0, item, tag)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
@@ -467,16 +489,18 @@ class TestDeltaOverlay:
         assert not errors
         assert len(dataset.tagging) == base_len + 64
 
-    def test_concurrent_cold_path_materialisation(self, arena_path):
-        """Two threads racing the replay must not duplicate actions."""
+    def test_concurrent_per_user_reads_match_the_oracle(self, arena_path):
+        """Four threads reading the columns at once see the oracle's answers."""
         import threading
 
         dataset = Dataset.from_arena(arena_path)
-        expected = len(dataset.tagging)
+        oracle = _oracle(dataset)
+        expected = [oracle.actions(), oracle.users(), oracle.tags_for_user(0)]
         results = []
 
         def cold_reader():
-            results.append(len(dataset.tagging.actions()))
+            results.append([dataset.tagging.actions(), dataset.tagging.users(),
+                            dataset.tagging.tags_for_user(0)])
 
         threads = [threading.Thread(target=cold_reader) for _ in range(4)]
         for thread in threads:

@@ -7,6 +7,7 @@ from repro.graph import SocialGraph
 from repro.storage import (
     Dataset,
     TaggingAction,
+    TaggingStore,
     compute_dataset_statistics,
     graph_statistics_row,
 )
@@ -21,8 +22,31 @@ class TestDatasetBuild:
 
     def test_indexes_are_consistent_with_tagging(self, hand_dataset):
         assert hand_dataset.inverted_index.frequency(100, "jazz") == \
-            hand_dataset.tagging.tag_frequency(100, "jazz")
+            len(hand_dataset.endorser_index.for_tag("jazz").taggers_of(100))
         assert hand_dataset.social_index.items_for(1, "jazz") == (100, 101)
+
+    def test_every_dataset_form_holds_the_same_tagging_store(self, tmp_path):
+        dataset = Dataset.build(
+            SocialGraph.from_edges(3, [(0, 1, 0.5)]),
+            [TaggingAction(0, 5, "jazz", timestamp=1),
+             TaggingAction(0, 6, "jazz", timestamp=2),
+             TaggingAction(1, 6, "rock", timestamp=3)])
+        dataset.with_holdout(0.5).to_arena(tmp_path / "forms.arena")
+        mapped = Dataset.from_arena(tmp_path / "forms.arena")
+        split = dataset.with_holdout(0.5)
+        stores = [dataset.tagging, split.tagging, split.holdout,
+                  mapped.tagging, mapped.holdout]
+        assert {type(store) for store in stores} == {TaggingStore}
+
+    def test_duplicate_triples_keep_their_first_occurrence(self, small_graph):
+        dataset = Dataset.build(small_graph, [
+            TaggingAction(1, 7, "x", timestamp=5),
+            TaggingAction(2, 7, "x", timestamp=6),
+            TaggingAction(1, 7, "x", timestamp=1),
+        ])
+        assert dataset.tagging.actions() == [
+            TaggingAction(1, 7, "x", timestamp=5),
+            TaggingAction(2, 7, "x", timestamp=6)]
 
     def test_action_with_unknown_user_rejected(self, small_graph):
         with pytest.raises(StorageError):

@@ -236,16 +236,16 @@ class TestCheckpoint:
         finally:
             recovered.close()
 
-    def test_leaves_the_arena_stores_unmaterialised(self, store):
-        # A checkpoint reads the frozen arrays and the small deltas; it must
-        # never replay the action log into Python objects, which is what a
-        # served store's RSS would pay.
+    def test_checkpoints_a_pending_tail_with_a_new_tag(self, store):
+        # A checkpoint writes the frozen columns plus the tail, new tag
+        # included, and the reopened store has nothing pending.
         store.updater.add_actions([
             TaggingAction(0, 100, "rock", timestamp=100),
             TaggingAction(2, 105, "brand-new-tag", timestamp=101)])
         assert store.checkpoint()["published"]
         assert store.checkpoint(force=True)["published"]
-        assert store.dataset.tagging._materialised is False
+        assert store.dataset.tagging.delta_size == 0
+        assert store.dataset.tagging.contains(2, 105, "brand-new-tag")
 
     def test_compacts_and_checkpoints_any_int64_item_id(self, store):
         # /update accepts any int64 item id; the social rebuild in compaction

@@ -5,34 +5,48 @@ import pytest
 
 from index_oracle import OracleInvertedIndex, OracleSocialIndex
 from repro.storage import (
-    Dataset,
     EndorserIndex,
     InvertedIndex,
     SocialIndex,
     TaggingAction,
     TaggingStore,
 )
+from tagging_oracle import TaggingStore as OracleTaggingStore
+
+ACTIONS = [
+    TaggingAction(1, 100, "jazz"),
+    TaggingAction(2, 100, "jazz"),
+    TaggingAction(3, 100, "jazz"),
+    TaggingAction(1, 101, "jazz"),
+    TaggingAction(2, 101, "jazz"),
+    TaggingAction(1, 102, "jazz"),
+    TaggingAction(2, 102, "rock"),
+    TaggingAction(3, 103, "rock"),
+]
 
 
 @pytest.fixture()
 def tagging():
-    store = TaggingStore()
-    store.add_many([
-        TaggingAction(1, 100, "jazz"),
-        TaggingAction(2, 100, "jazz"),
-        TaggingAction(3, 100, "jazz"),
-        TaggingAction(1, 101, "jazz"),
-        TaggingAction(2, 101, "jazz"),
-        TaggingAction(1, 102, "jazz"),
-        TaggingAction(2, 102, "rock"),
-        TaggingAction(3, 103, "rock"),
-    ])
+    return TaggingStore.from_actions(ACTIONS)
+
+
+@pytest.fixture()
+def oracle_tagging():
+    store = OracleTaggingStore()
+    store.add_many(ACTIONS)
     return store
+
+
+def _endorser_index(tagging):
+    tags = tagging.tags()
+    columns = tagging.action_arrays({tag: index for index, tag in enumerate(tags)})
+    return EndorserIndex.build(tags, columns["tag_ids"], columns["item_ids"],
+                               columns["user_ids"])
 
 
 @pytest.fixture()
 def index(tagging):
-    return InvertedIndex.build(EndorserIndex.build(tagging))
+    return InvertedIndex.build(_endorser_index(tagging))
 
 
 @pytest.fixture()
@@ -92,8 +106,9 @@ class TestInvertedIndex:
         assert "rock" in index
         assert "funk" not in index
 
-    def test_lists_and_frequencies_match_the_dict_oracle(self, index, tagging):
-        oracle = OracleInvertedIndex.build(tagging)
+    def test_lists_and_frequencies_match_the_dict_oracle(self, index,
+                                                         oracle_tagging):
+        oracle = OracleInvertedIndex.build(oracle_tagging)
         assert index.tags() == oracle.tags()
         entries = list(oracle.iter_all())
         assert len(entries) == index.num_postings()
@@ -140,7 +155,7 @@ class TestInvertedIndex:
 class TestEndorserIndex:
     @pytest.fixture()
     def endorsers(self, tagging):
-        return EndorserIndex.build(tagging)
+        return _endorser_index(tagging)
 
     def test_tags_and_contains(self, endorsers):
         assert endorsers.tags() == ["jazz", "rock"]
@@ -186,59 +201,10 @@ class TestEndorserIndex:
             [100, 101, 102, 103]
         assert endorsers.candidate_items(("funk",)).shape == (0,)
 
-    def test_entry_counts_and_memory(self, endorsers, tagging):
-        assert endorsers.num_entries() == tagging.num_distinct_triples()
+    def test_entry_counts_and_memory(self, endorsers, oracle_tagging):
+        assert endorsers.num_entries() == oracle_tagging.num_distinct_triples()
         assert endorsers.memory_bytes() > 0
         assert len(endorsers) == 2
-
-
-class TestSubsetSocialMass:
-    """``subset_social_mass`` is the full reduction restricted to positions.
-
-    The partitioned executor scores a shard's candidates through the subset
-    gather and promises scores bit-identical to the full scan, so equality
-    here is ``array_equal`` — not ``allclose``.
-    """
-
-    @pytest.fixture(scope="class", params=["in-memory", "arena"])
-    def endorser_index(self, request, synthetic_dataset, tmp_path_factory):
-        if request.param == "in-memory":
-            return synthetic_dataset.endorser_index
-        path = tmp_path_factory.mktemp("subset-mass") / "corpus.arena"
-        synthetic_dataset.to_arena(path)
-        return Dataset.from_arena(path).endorser_index
-
-    @staticmethod
-    def _positions(case, size, rng):
-        if case == "empty":
-            return np.zeros(0, dtype=np.int64)
-        if case == "single":
-            return np.array([int(rng.integers(0, size))], dtype=np.int64)
-        if case == "last-segment":
-            return np.array([size - 1], dtype=np.int64)
-        if case == "unsorted":
-            # Repeats and descending runs: any order the caller hands in.
-            return rng.integers(0, size, size=2 * size).astype(np.int64)
-        return np.arange(size, dtype=np.int64)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("case", ["empty", "single", "last-segment",
-                                      "unsorted", "full"])
-    def test_equals_full_reduction_bit_for_bit(self, endorser_index,
-                                               synthetic_dataset, case, seed):
-        rng = np.random.default_rng(seed)
-        # Many-digit floats, so a different summation order would show.
-        proximity = rng.random(synthetic_dataset.num_users) ** 3
-        checked = 0
-        for tag in endorser_index.tags():
-            bundle = endorser_index.for_tag(tag)
-            positions = self._positions(case, len(bundle), rng)
-            subset = bundle.subset_social_mass(proximity, positions)
-            assert subset.dtype == np.float64
-            assert np.array_equal(subset,
-                                  bundle.social_mass(proximity)[positions])
-            checked += 1
-        assert checked == len(endorser_index) > 0
 
 
 class TestSocialIndex:
@@ -248,8 +214,8 @@ class TestSocialIndex:
         assert social.items_for(2, "vinyl") == ()
         assert social.items_for(42, "jazz") == ()
 
-    def test_rows_match_the_dict_oracle(self, social, tagging):
-        oracle = OracleSocialIndex.build(tagging)
+    def test_rows_match_the_dict_oracle(self, social, oracle_tagging):
+        oracle = OracleSocialIndex.build(oracle_tagging)
         assert oracle.users() == [1, 2, 3]
         for user in range(5):
             for tag in ("jazz", "rock", "funk"):
@@ -257,10 +223,10 @@ class TestSocialIndex:
         assert {tag: social.items_for(3, tag) for tag in oracle.tags_for(3)} \
             == {"jazz": (100,), "rock": (103,)}
 
-    def test_num_entries_matches_distinct_triples(self, social, tagging):
-        assert social.num_entries() == tagging.num_distinct_triples()
+    def test_num_entries_matches_distinct_triples(self, social, oracle_tagging):
+        assert social.num_entries() == oracle_tagging.num_distinct_triples()
         assert social.num_entries() \
-            == len(list(OracleSocialIndex.build(tagging).iter_entries()))
+            == len(list(OracleSocialIndex.build(oracle_tagging).iter_entries()))
 
     def test_memory_bytes_counts_arrays_and_overlay(self, social):
         arrays = social.memory_bytes()
@@ -280,7 +246,7 @@ class TestSocialIndex:
 
 class TestIndexConsistency:
     def test_inverted_and_social_agree_on_frequencies(self, index, social, tagging):
-        users = OracleSocialIndex.build(tagging).users()
+        users = tagging.users()
         for tag in tagging.tags():
             postings = index.arrays(tag)
             for position in range(len(postings)):

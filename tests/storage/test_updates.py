@@ -215,56 +215,68 @@ class TestIncrementalMaintenance:
         from index_oracle import OracleInvertedIndex, OracleSocialIndex
         from repro.storage import EndorserIndex
 
+        from tagging_oracle import TaggingStore
+
         DatasetUpdater(live_dataset).add_actions([
             TaggingAction(4, 100, "jazz", timestamp=9),
             TaggingAction(0, 500, "jazz", timestamp=10),
             TaggingAction(2, 500, "fresh", timestamp=11),
         ])
-        rebuilt = OracleInvertedIndex.build(live_dataset.tagging)
+        oracle = TaggingStore()
+        oracle.add_many(live_dataset.tagging.actions())
+        rebuilt = OracleInvertedIndex.build(oracle)
         for tag in live_dataset.tagging.tags():
             ours = live_dataset.inverted_index.arrays(tag)
             assert ours.item_ids.tolist() == rebuilt.item_ids(tag)
             assert ours.frequencies.tolist() == rebuilt.frequencies(tag)
             assert live_dataset.inverted_index.max_frequency(tag) \
                 == rebuilt.max_frequency(tag)
-        rebuilt_endorsers = EndorserIndex.build(live_dataset.tagging)
+        tags = live_dataset.tagging.tags()
+        columns = live_dataset.tagging.action_arrays(
+            {tag: index for index, tag in enumerate(tags)})
+        rebuilt_endorsers = EndorserIndex.build(
+            tags, columns["tag_ids"], columns["item_ids"], columns["user_ids"])
         for tag in live_dataset.tagging.tags():
             ours = live_dataset.endorser_index.for_tag(tag)
             theirs = rebuilt_endorsers.for_tag(tag)
             assert ours.item_ids.tolist() == theirs.item_ids.tolist()
             assert ours.offsets.tolist() == theirs.offsets.tolist()
             assert ours.taggers.tolist() == theirs.taggers.tolist()
-        rebuilt_social = OracleSocialIndex.build(live_dataset.tagging)
+        rebuilt_social = OracleSocialIndex.build(oracle)
         for user in rebuilt_social.users():
             profile = {tag: live_dataset.social_index.items_for(user, tag)
                        for tag in live_dataset.tagging.tags()}
             assert {tag: items for tag, items in profile.items() if items} \
                 == rebuilt_social.profile(user)
 
-    def test_in_memory_dataset_has_nothing_pending(self, live_dataset):
+    def test_in_memory_dataset_pends_its_tail(self, live_dataset):
         updater = DatasetUpdater(live_dataset)
         updater.add_actions([TaggingAction(4, 100, "jazz", timestamp=9)])
-        assert updater.pending_delta() == 0
+        assert updater.pending_delta() == 1
         assert live_dataset.social_index.overlay_size == 1
-        assert updater.compact() == 0
-        assert updater.epoch == 0
-        # The social overlay is folded all the same.
+        assert updater.compact() == 1
+        assert updater.epoch == 1
+        assert updater.pending_delta() == 0
         assert live_dataset.social_index.overlay_size == 0
         assert live_dataset.social_index.items_for(4, "jazz") == (100,)
+        assert live_dataset.tagging.contains(4, 100, "jazz")
 
-    def test_inline_compact_threshold(self, tmp_path):
-        dataset = tiny_dataset()
-        path = tmp_path / "inline.arena"
-        dataset.to_arena(path)
-        live = Dataset.from_arena(path)
+    @pytest.mark.parametrize("form", ["in-memory", "arena"])
+    def test_inline_compact_threshold(self, tmp_path, form):
+        live = tiny_dataset()
+        if form == "arena":
+            live.to_arena(tmp_path / "inline.arena")
+            live = Dataset.from_arena(tmp_path / "inline.arena")
         updater = DatasetUpdater(live, compact_threshold=4)
         tag = live.tags()[0]
         for index in range(6):
             updater.add_actions([TaggingAction(
                 user_id=index % live.num_users, item_id=70_000 + index,
                 tag=tag, timestamp=index)])
-        # The fourth action crossed the threshold and compacted inline.
-        assert updater.epoch == 1
+            # The fourth action crossed the threshold and compacted inline.
+            assert updater.epoch == (1 if index >= 3 else 0)
+            if index == 3:
+                assert live.social_index.overlay_size == 0
         assert updater.pending_delta() == 2
 
 

@@ -146,18 +146,22 @@ class TestHistogramDrivenGeneration:
     def _legacy_generator(self, dataset, config):
         import numpy as np
 
+        from tagging_oracle import TaggingStore
+
+        oracle = TaggingStore()
+        oracle.add_many(dataset.tagging.actions())
         generator = QueryWorkloadGenerator.__new__(QueryWorkloadGenerator)
         generator._dataset = dataset
         generator._config = config
         generator._rng = np.random.default_rng(config.seed)
         generator._tags = dataset.tags()
-        popularity = dataset.tagging.tag_popularity()
+        popularity = oracle.tag_popularity()
         weights = np.array([popularity.get(tag, 0) + 1.0
                             for tag in generator._tags], dtype=np.float64)
         generator._tag_probabilities = weights / weights.sum()
         generator._active_users = dataset.active_users()
         activity = np.array(
-            [dataset.tagging.activity(user) + 1.0
+            [oracle.activity(user) + 1.0
              for user in generator._active_users], dtype=np.float64)
         generator._activity_probabilities = activity / activity.sum()
         return generator
