@@ -11,8 +11,7 @@ main flows without writing any Python:
   (pending delta, proximity path, executor, frontier bound) without
   executing it.
 * ``repro bench`` — run a small latency/quality comparison over a workload,
-  or the headless suites (``--suite topk`` / ``updates`` / ``durability`` /
-  ``scale``).
+  or the headless suites (``--suite topk`` / ``scale``).
 * ``repro build-arena`` — serialise a dataset into the memory-mapped index
   arena.
 * ``repro serve`` — expose a dataset behind the concurrent JSON HTTP API
@@ -181,10 +180,6 @@ def _run_bench_suite(args: argparse.Namespace) -> int:
     """Headless ``bench_fig*``-style suites with machine-readable output."""
     from .eval.bench import DEFAULT_ALGORITHMS, format_report, run_topk_suite, write_report
 
-    if args.suite == "updates":
-        return _run_updates_suite(args)
-    if args.suite == "durability":
-        return _run_durability_suite(args)
     if args.suite == "scale":
         return _run_scale_suite(args)
     report = run_topk_suite(
@@ -216,73 +211,6 @@ def _run_bench_suite(args: argparse.Namespace) -> int:
                   f"{args.max_trace_overhead:.3f}x instrumentation budget "
                   "(tracer state leaking into the disabled path?)")
             return 1
-    return 0
-
-
-def _run_updates_suite(args: argparse.Namespace) -> int:
-    """Live-update suite: interleaved query/update trace + rebuild gate."""
-    from .eval.bench import format_updates_report, run_updates_suite, write_report
-
-    measure = args.proximity
-    if measure not in ("katz", "common-neighbours", "adamic-adar", "jaccard"):
-        # The suite exercises the *incremental* friendship path, which
-        # exists for hop-bounded measures with a real per-seeker vector
-        # cost; global measures fall back to a full invalidation, and the
-        # committed report tracks katz, so the shortest-path argparse
-        # default maps to it silently.
-        measure = "katz"
-        if args.proximity != "shortest-path":
-            print("updates suite: using measure 'katz' (the incremental "
-                  "friendship-repair path needs a hop-bounded measure)")
-    report = run_updates_suite(
-        num_users=args.users,
-        num_queries=args.queries,
-        k=args.k,
-        rounds=args.rounds,
-        alpha=args.alpha,
-        measure=measure,
-        seed=args.seed,
-    )
-    print(format_updates_report(report))
-    if args.json:
-        path = write_report(report, args.json)
-        print(f"wrote {path}")
-    if not report["equivalent"]:
-        print("FAIL: post-update rankings diverge from a fresh rebuild")
-        return 1
-    ratio = float(report["p50_ratio"])
-    if args.max_p50_ratio > 0.0 and ratio > args.max_p50_ratio:
-        print(f"FAIL: post-update p50 is {ratio:.2f}x the pre-update p50, "
-              f"above the allowed {args.max_p50_ratio:.2f}x")
-        return 1
-    return 0
-
-
-def _run_durability_suite(args: argparse.Namespace) -> int:
-    """Chaos sweep: kill at every injection point, recover, verify, time."""
-    from .eval.bench import format_durability_report, run_durability_suite, write_report
-
-    report = run_durability_suite(
-        num_users=args.users,
-        num_queries=args.queries,
-        k=args.k,
-        rounds=args.rounds,
-        alpha=args.alpha,
-        seed=args.seed,
-    )
-    print(format_durability_report(report))
-    if args.json:
-        path = write_report(report, args.json)
-        print(f"wrote {path}")
-    lost = int(report["acked_updates_lost"])
-    if lost:
-        print(f"FAIL: {lost} acknowledged update(s) lost across the crash "
-              "matrix — the WAL contract is broken")
-        return 1
-    if not report["equivalent"]:
-        print("FAIL: a recovered dataset diverged from its pre-crash "
-              "merged reads")
-        return 1
     return 0
 
 
@@ -631,18 +559,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--algorithms", nargs="*", default=None,
                        help="algorithms to measure (both modes)")
     bench.add_argument("--suite", nargs="?", const="topk", default=None,
-                       choices=("topk", "updates", "durability", "scale"),
+                       choices=("topk", "scale"),
                        help="run a headless bench_fig*-style suite: 'topk' "
                             "(per-algorithm p50/p95/qps; the default when "
-                            "no value is given), 'updates' "
-                            "(interleaved query/update trace over an "
-                            "arena-backed dataset: post- vs pre-update p50 "
-                            "plus a fresh-rebuild equivalence gate) or "
-                            "'durability' "
-                            "(chaos sweep killing the write path at every "
-                            "fault-injection point, with an acked-update-"
-                            "loss gate, recovery equivalence gate, replay "
-                            "timing and WAL fsync-policy overhead) or "
+                            "no value is given) or "
                             "'scale' (out-of-core corpus sweep: streaming "
                             "arena builds vs the in-memory builder with "
                             "per-size peak RSS, cold start and serving "
@@ -656,10 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--json", default=None, metavar="PATH",
                        help="suite: write the machine-readable report here "
                             "(e.g. benchmarks/results/BENCH_topk.json)")
-    bench.add_argument("--max-p50-ratio", type=float, default=0.0,
-                       help="updates suite: exit non-zero when the "
-                            "post-update query p50 exceeds this multiple "
-                            "of the pre-update p50 (0 = report only)")
     bench.add_argument("--max-trace-overhead", type=float, default=0.0,
                        help="topk suite: also measure the tracing "
                             "instrumentation A/B (tracer off / unsampled "

@@ -25,9 +25,7 @@ from .timing import (
 from .runner import AlgorithmReport, ExperimentRunner, WorkloadReport, sweep
 from .bench import (
     format_report,
-    format_updates_report,
     run_topk_suite,
-    run_updates_suite,
     write_report,
 )
 from .quality import result_signature
@@ -59,11 +57,9 @@ __all__ = [
     "sweep",
     "run_scale_suite",
     "run_topk_suite",
-    "run_updates_suite",
     "write_report",
     "format_report",
     "format_scale_report",
-    "format_updates_report",
     "result_signature",
     "format_table",
     "format_series",

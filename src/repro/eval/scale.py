@@ -44,7 +44,7 @@ from ..storage.arena_stream import DEFAULT_CHUNK_SIZE, build_arena_streaming
 from ..storage.dataset import Dataset
 from ..workload.datasets import build_dataset, scaled_config
 from ..workload.sampler import dataset_workload, sample_workload
-from .bench import _result_signature
+from .quality import result_signature
 from .timing import Timer, measure_in_subprocess, memory_summary, percentile
 
 #: default sweep (the last entry is the headline out-of-core size).
@@ -180,8 +180,8 @@ def _equivalence_gate(num_users: int, chunk_sizes: Sequence[int],
     arena_engine = _engine_for(Dataset.from_arena(last_stream_path))
     mismatches = 0
     for query in queries:
-        expected = _result_signature(memory_engine.run(query))
-        got = _result_signature(arena_engine.run(query))
+        expected = result_signature(memory_engine.run(query))
+        got = result_signature(arena_engine.run(query))
         if expected != got:
             mismatches += 1
     return {

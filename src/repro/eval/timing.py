@@ -204,9 +204,6 @@ class LatencyRecorder:
     def __len__(self) -> int:
         return len(self.samples)
 
-    def _sorted(self) -> List[float]:
-        return sorted(self.samples)
-
     def percentile(self, fraction: float) -> float:
         """Latency at the given quantile (nearest-rank, 0 when empty)."""
         return percentile(self.samples, fraction)

@@ -12,9 +12,8 @@ Three small, dependency-free modules every layer of the stack reports into:
   objects are *read* at exposition time, never double-counted on the hot
   path) and a Prometheus text exposition backing ``GET /metrics``.
 * :mod:`repro.obs.faults` — named fault-injection points compiled into the
-  durable write path, armed by crash-recovery tests and the
-  ``bench --suite durability`` chaos sweep (near-free while disarmed, the
-  same discipline as the disabled tracer).
+  durable write path, armed by the crash-recovery tests (near-free while
+  disarmed, the same discipline as the disabled tracer).
 
 The package deliberately imports nothing from the rest of :mod:`repro`, so
 any module — storage, proximity, core, service — can instrument itself

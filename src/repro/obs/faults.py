@@ -4,11 +4,12 @@ Durability claims ("an acknowledged update survives any crash") are only as
 good as the crash schedule they were tested under, so the write path is
 instrumented with **named injection points** — :func:`fault_point` calls at
 every window where a kill or an I/O failure has a distinct observable
-outcome.  Tests and the ``bench --suite durability`` chaos sweep *arm* a
-point with an exception (or a callback) and drive the write path until it
-fires; simulating the crash is then just discarding every in-memory object
-and re-opening the durable directory, exactly what a restarted process
-would do.
+outcome.  Tests *arm* a point with an exception (or a callback) and drive
+the write path until it fires; simulating the crash is then just
+discarding every in-memory object and re-opening the durable directory,
+exactly what a restarted process would do.  The kill matrix in
+``tests/property/test_crash_recovery.py`` covers every point below, and
+fails when a new point is added without it.
 
 Design constraints, in order:
 

@@ -2,17 +2,27 @@
 
 The schedule is exhaustive, not sampled: a reference run counts how many
 WAL records the update trace appends, then one fresh durable store per
-boundary ``N`` is killed exactly at the ``N``-th append (both *before* the
-record reaches the log and *after* it is durable but unacknowledged), plus
-a torn-final-record run.  Every recovery must
+boundary ``N`` is killed exactly at the ``N``-th append (*before* the
+record reaches the log, inside its fsync, and *after* it is durable but
+unacknowledged), plus a torn-final-record run and one kill at each point
+inside a forced checkpoint.  Every recovery must
 
 * retain every acknowledged update (checked against the raw WAL bytes,
   independently of the recovery code), and
 * answer queries **bit-identically** (rankings, scores, access accounting)
   to a dataset rebuilt from scratch from base + the durable log.
+
+Every ``fault_point`` in the package is in :data:`WRITE_POINTS` or
+:data:`CHECKPOINT_POINTS`, so a new injection point cannot go untested.
 """
 
+import ast
+import threading
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.config import EngineConfig, ProximityConfig, ScoringConfig
 from repro.core import Query, SocialSearchEngine
@@ -36,6 +46,13 @@ BATCHES = [
 QUERIES = [Query(seeker=0, tags=("jazz",), k=5),
            Query(seeker=4, tags=("rock",), k=5),
            Query(seeker=2, tags=("vinyl", "jazz"), k=4)]
+
+#: Injection points on the acknowledged-update path: one WAL append each.
+WRITE_POINTS = ("wal.before_append", "wal.fsync", "wal.after_append")
+
+#: Injection points inside ``DurableStore.checkpoint``, in firing order.
+CHECKPOINT_POINTS = ("compact.stage", "compact.commit", "publish.after_arena",
+                     "publish.before_manifest", "arena.before_replace")
 
 
 @pytest.fixture(autouse=True)
@@ -121,7 +138,7 @@ def _reference_record_count(hand_dataset, tmp_path):
     return count
 
 
-@pytest.mark.parametrize("point", ["wal.before_append", "wal.after_append"])
+@pytest.mark.parametrize("point", WRITE_POINTS)
 def test_kill_at_every_record_boundary(point, hand_dataset, tmp_path):
     base_actions = list(hand_dataset.tagging.actions())
     base_edges = list(hand_dataset.graph.iter_edges())
@@ -132,7 +149,11 @@ def test_kill_at_every_record_boundary(point, hand_dataset, tmp_path):
         directory = tmp_path / f"{point.replace('.', '-')}-{boundary}"
         store = DurableStore.initialise(hand_dataset, directory)
         acked_actions, acked_edges = [], []
-        faults.arm(point, after=boundary)
+        # A failing fsync is an I/O error, not a kill; either way the
+        # update is not acknowledged.
+        exc = OSError("injected fsync failure") if point == "wal.fsync" \
+            else None
+        faults.arm(point, exc=exc, after=boundary)
         try:
             for actions, edges in BATCHES:
                 store.updater.add_actions(actions)
@@ -140,7 +161,7 @@ def test_kill_at_every_record_boundary(point, hand_dataset, tmp_path):
                 if edges:
                     store.updater.add_friendships(edges)
                     acked_edges.extend(edges)
-        except InjectedCrash:
+        except (InjectedCrash, OSError):
             pass
         else:
             pytest.fail(f"boundary {boundary}: the kill never fired")
@@ -172,3 +193,76 @@ def test_torn_final_record_recovers_to_the_acked_prefix(hand_dataset,
         assert not reopened.dataset.tagging.contains(5, 101, "jazz")
     finally:
         reopened.close()
+
+
+@pytest.mark.parametrize("point", CHECKPOINT_POINTS)
+def test_kill_inside_a_checkpoint(point, hand_dataset, tmp_path):
+    base_actions = list(hand_dataset.tagging.actions())
+    base_edges = list(hand_dataset.graph.iter_edges())
+    directory = tmp_path / point.replace(".", "-")
+    store = DurableStore.initialise(hand_dataset, directory)
+    acked_actions, acked_edges = _apply_batches(store)
+    faults.arm(point)
+    with pytest.raises(InjectedCrash):
+        store.checkpoint(force=True)
+    del store  # abandoned mid-checkpoint, exactly like a killed process
+    _assert_recovery_exact(directory, hand_dataset, base_actions, base_edges,
+                           acked_actions, acked_edges)
+
+
+def _fault_point_names():
+    """Every ``fault_point("...")`` literal in the package source."""
+    names = set()
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "fault_point"
+                    and node.args
+                    and isinstance(node.args[0], ast.Constant)):
+                names.add(node.args[0].value)
+    return names
+
+
+def test_every_fault_point_is_in_the_kill_matrix():
+    assert _fault_point_names() == set(WRITE_POINTS) | set(CHECKPOINT_POINTS)
+
+
+def test_queries_keep_answering_through_checkpoints(hand_dataset, tmp_path):
+    """One reader thread queries the live dataset while generations swap."""
+    store = DurableStore.initialise(hand_dataset, tmp_path / "swap")
+    engine = _engine(store.dataset)
+    errors, served = [], [0]
+    first_answer, stop = threading.Event(), threading.Event()
+
+    def read_loop():
+        while not stop.is_set():
+            for query in QUERIES:
+                try:
+                    engine.run(query)
+                except Exception as exc:  # noqa: BLE001 - the verdict
+                    errors.append(repr(exc))
+                    first_answer.set()
+                    return
+                served[0] += 1
+                first_answer.set()
+
+    reader = threading.Thread(target=read_loop, daemon=True)
+    reader.start()
+    try:
+        assert first_answer.wait(timeout=30.0)
+        for actions, edges in BATCHES:
+            store.updater.add_actions(actions)
+            if edges:
+                store.updater.add_friendships(edges)
+            store.checkpoint(force=True)
+    finally:
+        stop.set()
+        reader.join(timeout=30.0)
+    try:
+        assert errors == []
+        assert store.generation == len(BATCHES)
+        assert served[0] >= 1
+    finally:
+        store.close()

@@ -229,3 +229,46 @@ def test_compaction_mid_stream_is_equivalent(tmp_path):
     for query in _queries(fresh, base.num_users):
         assert _signature(engine.run(query)) \
             == _signature(fresh_online.run(query))
+
+
+def test_arena_katz_trace_pins_rows_computed_and_invalidated(tmp_path):
+    """Exact per-step cache counts of the cached trace.
+
+    After each update step the 8 workload queries are served again through
+    the result cache.  Per step the list records the proximity rows the
+    cached engine computed and dropped, and the result-cache entries the
+    service dropped.  Unlike a latency ratio, these move only when the
+    invalidation logic does.  The horizon is 2 hops: at the default 4 every
+    friendship in the trace reaches all 51 users, so dropping only the
+    affected rows and dropping every row would count the same.
+    """
+    base = _base_dataset()
+    live = _live_dataset("arena", base, tmp_path)
+    engine = SocialSearchEngine(live, EngineConfig(
+        algorithm="exact", scoring=ScoringConfig(alpha=0.5),
+        proximity=ProximityConfig(measure="katz", max_hops=2)))
+    updater = DatasetUpdater(live)
+    queries = generate_workload(base, WorkloadConfig(num_queries=8, k=5,
+                                                     seed=7))
+    rows = engine.proximity.statistics
+    deltas = []
+    with QueryService(engine, ServiceConfig(), updater=updater) as service:
+        def counts():
+            return (rows.misses, rows.invalidations,
+                    service.metrics.entries_invalidated)
+
+        for query in queries:
+            service.serve(query)
+        before = counts()
+        for step in _updates(base):
+            _apply(updater, [step])
+            for query in queries:
+                service.serve(query)
+            after = counts()
+            deltas.append(tuple(a - b for a, b in zip(after, before)))
+            before = after
+    # (rows computed, rows invalidated, result entries invalidated) per
+    # step: actions, actions, users, friendships, actions, actions,
+    # friendships, actions.
+    assert deltas == [(0, 0, 7), (0, 0, 8), (0, 0, 0), (6, 6, 6),
+                      (1, 0, 4), (1, 0, 7), (8, 8, 8), (0, 0, 7)]
